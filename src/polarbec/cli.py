@@ -19,8 +19,7 @@ Common flags: --config PATH (INI file, or a manifest.json from an
 earlier run to replay it), --out DIR (overrides [output] directory),
 --threads N (process workers for independent grid points),
 --allow-partial (keep going and exit zero when some points failed to
-converge).  --seed-less is reserved: the simulator is deterministic and
-accepts no randomness control.
+converge).
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration or usage
 error, 3 unconverged points without --allow-partial, 4 I/O failure.
@@ -64,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="process workers for independent grid points")
     common.add_argument("--allow-partial", action="store_true",
                         help="exit zero even if some points did not converge")
-    common.add_argument("--seed-less", action="store_true",
-                        help="reserved; the simulator is deterministic")
 
     parser = argparse.ArgumentParser(
         prog="polarbec",
@@ -289,10 +286,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.seed_less:
-        print("--seed-less is reserved: this simulator is deterministic and "
-              "accepts no randomness control", file=sys.stderr)
-        return EXIT_CONFIG
     if args.threads < 1:
         print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,8 +5,10 @@ dimensioned value carries a unit suffix ("1.46 um", "1 GHz"); a bare
 number on a dimensioned field is rejected so silent unit mistakes
 cannot happen.  Frequency-kind values are angular (THz means 1e12
 rad/s), rate-kind values are 1/s; both use the same Hz-family suffixes.
-Unknown sections or keys are errors, not warnings.  No environment
-variables are consulted.
+Unknown sections or keys are errors, not warnings; the one exception
+is the retired solver and sweep keys that manifests of earlier versions
+carry, which are ignored with a warning so those manifests still
+replay.  No environment variables are consulted.
 
 The [medium] section takes exactly one of two descriptions:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import warnings
 from dataclasses import dataclass
 
 from .cavity import CavityParams, MediumIndices
@@ -43,18 +46,16 @@ class ConfigError(ValueError):
 FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
 LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9,
                 "pm": 1e-12}
-TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 DENSITY_UNITS = {"/m^3": 1.0, "/cm^3": 1e6}
 
 _UNIT_TABLES = {
     "frequency": FREQUENCY_UNITS,   # angular frequency, rad/s
     "rate": FREQUENCY_UNITS,        # event rate, 1/s
     "length": LENGTH_UNITS,
-    "time": TIME_UNITS,
     "density": DENSITY_UNITS,
 }
 
-_BASE_UNIT = {"frequency": "Hz", "rate": "Hz", "length": "m", "time": "s",
+_BASE_UNIT = {"frequency": "Hz", "rate": "Hz", "length": "m",
               "density": "/m^3"}
 
 
@@ -94,10 +95,7 @@ _SCHEMA = {
     "solver": {
         "mode": "choice:" + ",".join(SOLVER_MODES),
         "abs_tol": "rate?",            # "auto" resolves against min(kappa)
-        "rel_tol": "float",
-        "max_time": "time?",           # "none" leaves the horizon unbounded
         "max_iters": "int",
-        "damping": "float",
     },
     "sweep": {
         "pump_start": "rate",
@@ -110,13 +108,19 @@ _SCHEMA = {
         "chi_spacing": "choice:log,linear",
         "grid_pump_points": "int",
         "scales": "floatlist",
-        "warm_start": "bool",
         "sensitivity_epsilon": "float",
         "sensitivity_step": "float",
     },
     "output": {
         "directory": "str",
     },
+}
+
+# keys that earlier versions wrote into every manifest; they no longer
+# change anything and are accepted (with a warning) only for replay
+_RETIRED = {
+    "solver": ("rel_tol", "max_time", "damping"),
+    "sweep": ("warm_start",),
 }
 
 _INDEX_KEYS = ("n_L", "n_R")
@@ -155,10 +159,7 @@ _DEFAULTS = {
     "solver": {
         "mode": "fixed_point",
         "abs_tol": "auto",
-        "rel_tol": "1e-12",
-        "max_time": "none",
         "max_iters": "200000",
-        "damping": "1.0",
     },
     "sweep": {
         "pump_start": "100 MHz",
@@ -171,7 +172,6 @@ _DEFAULTS = {
         "chi_spacing": "linear",
         "grid_pump_points": "50",
         "scales": "0.5, 1, 2, 10",
-        "warm_start": "true",
         "sensitivity_epsilon": "0.5",
         "sensitivity_step": "0.01",
     },
@@ -275,11 +275,6 @@ def _parse_value(field: str, kind: str, raw: str):
         if not raw.lstrip("+-").isdigit():
             raise ConfigError(f"{field}: expected an integer, got {raw!r}")
         return int(raw)
-    if kind == "bool":
-        low = raw.lower()
-        if low not in ("true", "false"):
-            raise ConfigError(f"{field}: expected true or false, got {raw!r}")
-        return low == "true"
     if kind.startswith("choice:"):
         choices = kind.split(":", 1)[1].split(",")
         if raw not in choices:
@@ -313,8 +308,6 @@ def _render_value(kind: str, value) -> str:
         return repr(float(value))
     if kind == "int":
         return str(int(value))
-    if kind == "bool":
-        return "true" if value else "false"
     if kind.startswith("choice:") or kind == "str":
         return str(value)
     if kind == "floatlist":
@@ -339,7 +332,9 @@ def parse_config(text: str) -> RunConfig:
     """Resolve an INI config (or override fragment merged over defaults).
 
     Missing keys take their defaults; unknown sections or keys, mixed
-    medium descriptions and malformed quantities are errors.
+    medium descriptions, malformed quantities and chi grids whose
+    endpoints give no valid index pair are errors.  Retired keys are
+    ignored with one warning each.
     """
     parser = _read_ini(text)
 
@@ -347,7 +342,10 @@ def parse_config(text: str) -> RunConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key in _RETIRED.get(section, ()):
+                warnings.warn(f"[{section}] {key} is retired and ignored",
+                              stacklevel=2)
+            elif key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     # medium: exactly one of the two descriptions
@@ -419,10 +417,7 @@ def parse_config(text: str) -> RunConfig:
         solver = SolverConfig(
             mode=resolve("solver", "mode"),
             abs_tol=resolve("solver", "abs_tol"),
-            rel_tol=resolve("solver", "rel_tol"),
-            max_time=resolve("solver", "max_time"),
             max_iters=resolve("solver", "max_iters"),
-            damping=resolve("solver", "damping"),
         )
         sweep = SweepSettings(
             pump=SweepSpec(
@@ -431,7 +426,6 @@ def parse_config(text: str) -> RunConfig:
                 stop=resolve("sweep", "pump_stop"),
                 points=resolve("sweep", "pump_points"),
                 spacing=resolve("sweep", "pump_spacing"),
-                warm_start=resolve("sweep", "warm_start"),
             ),
             chi=SweepSpec(
                 axis="chi",
@@ -439,7 +433,6 @@ def parse_config(text: str) -> RunConfig:
                 stop=resolve("sweep", "chi_stop"),
                 points=resolve("sweep", "chi_points"),
                 spacing=resolve("sweep", "chi_spacing"),
-                warm_start=False,
             ),
             grid_pump_points=resolve("sweep", "grid_pump_points"),
             scales=resolve("sweep", "scales"),
@@ -459,6 +452,12 @@ def parse_config(text: str) -> RunConfig:
         medium_kind=medium_kind, indices=indices, sample=sample,
         solvent=solvent, dye=dye, solver=solver, sweep=sweep,
         output_dir=output_dir)
+    for chi in (sweep.chi.start, sweep.chi.stop):
+        try:
+            refractive_indices(config.base_index(), chi)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[sweep] chi grid endpoint {chi!r}: {exc}") from None
     object.__setattr__(config, "canonical_text", render_config(config))
     return config
 
@@ -504,10 +503,7 @@ def render_config(config: RunConfig) -> str:
 
     put("solver", "mode", config.solver.mode)
     put("solver", "abs_tol", config.solver.abs_tol)
-    put("solver", "rel_tol", config.solver.rel_tol)
-    put("solver", "max_time", config.solver.max_time)
     put("solver", "max_iters", config.solver.max_iters)
-    put("solver", "damping", config.solver.damping)
 
     put("sweep", "pump_start", config.sweep.pump.start)
     put("sweep", "pump_stop", config.sweep.pump.stop)
@@ -519,7 +515,6 @@ def render_config(config: RunConfig) -> str:
     put("sweep", "chi_spacing", config.sweep.chi.spacing)
     put("sweep", "grid_pump_points", config.sweep.grid_pump_points)
     put("sweep", "scales", config.sweep.scales)
-    put("sweep", "warm_start", config.sweep.pump.warm_start)
     put("sweep", "sensitivity_epsilon", config.sweep.sensitivity_epsilon)
     put("sweep", "sensitivity_step", config.sweep.sensitivity_step)
 

@@ -105,13 +105,6 @@ class RateTable:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def rates_for(self, mode: Mode) -> tuple[float, float]:
-        """(gamma_down, gamma_up) of one mode, looked up by identity."""
-        for i, m in enumerate(self.modes):
-            if (m.sigma, m.j, m.l) == (mode.sigma, mode.j, mode.l):
-                return float(self.gamma_down[i]), float(self.gamma_up[i])
-        raise KeyError(f"mode {mode.sigma}{mode.l} not in table")
-
 
 def emission_rate(dye: DyeParams, omega):
     """Dye emission rate into a mode at angular frequency omega, 1/s.

@@ -22,17 +22,19 @@ drift used by both steady-state routes:
 
 Two independent solvers find F(N) = 0:
 
-* fixed_point: seeds from an exact one-variable reduction (bisecting the
-  winning mode's saturation margin), then iterates the lagged balance
-  N <- M gamma_dn (N+1) Gamma_up / (kappa D + M gamma_up Gamma_dn),
-  which keeps occupations positive by construction.
+* fixed_point: the exact one-variable reduction.  Every occupation is a
+  closed-form function of the winning mode's saturation margin u, so
+  bisecting the excitation balance h(u) = 0 gives the whole steady
+  state; the reported iteration count is the number of bisection steps.
 * semi_dynamical: damped pseudo-time continuation.  Each step solves
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
   rank-one coupling through the saturated molecular bath and therefore
   inverts in O(n).  The step size grows geometrically on accepted steps
   (h -> infinity recovers Newton) and shrinks on rejection; candidate
   steps that would push any occupation strongly negative are rejected
-  outright and small negative undershoots are clamped to zero.
+  outright and small negative undershoots are clamped to zero.  This is
+  the only route that reads a starting state, so the sweeps seed each
+  pump point from the previous one.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
@@ -96,19 +98,12 @@ class SolverConfig:
 
     mode:      'fixed_point', 'semi_dynamical' or 'both_crosscheck'
     abs_tol:   residual tolerance, 1/s; None resolves to 1e-6 * min(kappa)
-    rel_tol:   stagnation threshold on the relative update per sweep
-    max_time:  optional pseudo-time horizon for the dynamical route, s;
-               None leaves the horizon unbounded (iterations still cap it)
-    max_iters: iteration budget per route
-    damping:   under-relaxation factor of the fixed-point sweep, (0, 1]
+    max_iters: step budget of the pseudo-transient route
     """
 
     mode: str = "fixed_point"
     abs_tol: float | None = None
-    rel_tol: float = 1e-12
-    max_time: float | None = None
     max_iters: int = 200_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.mode not in SOLVER_MODES:
@@ -116,14 +111,8 @@ class SolverConfig:
                 f"mode must be one of {SOLVER_MODES}, got {self.mode!r}")
         if self.abs_tol is not None and not self.abs_tol > 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_time is not None and not self.max_time > 0:
-            raise ValueError(f"max_time must be positive, got {self.max_time}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,7 @@ class RateSystem:
         floor = abs_tol + BALANCE_FTOL * (S + np.abs(drift)) + CANCEL_EPS * gross
         return float(np.max(np.abs(f) / floor)) * abs_tol
 
-    # --- one-variable reduction used to seed the fixed point ---
+    # --- exact one-variable reduction (the fixed_point route) ---
 
     def occ_at_u(self, u):
         """Occupations as a function of the winning mode's margin u."""
@@ -239,9 +228,12 @@ class RateSystem:
         return x * (Gu + Gd) - Gu
 
     def solve(self, pump):
-        """Exact steady state via bisection on the winner's margin."""
+        """Exact occupations via bisection on the winner's margin.
+
+        Returns (N, steps), steps being the number of h(u) evaluations.
+        """
         if pump <= 0.0 or self.M == 0.0:
-            return np.zeros(self.n), 0.0
+            return np.zeros(self.n), 0
         umax = self.kap[self.w] + self.M * self.up[self.w]
         lo, hi = 0.0, umax
         it = 0
@@ -257,8 +249,7 @@ class RateSystem:
         N, _ = self.occ_at_u(hi)
         if N is None:
             N, _ = self.occ_at_u(lo)
-        Gu, Gd = self.totals(N, pump)
-        return N, Gu / (Gu + Gd)
+        return N, it
 
 
 # --- public rate-equation operations ------------------------------------
@@ -316,40 +307,6 @@ def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
 # --- steady-state solvers ------------------------------------------------
 
 
-def _fixed_point(sys_: RateSystem, pump: float, N0, abs_tol: float,
-                 rel_tol: float, damping: float, max_iters: int):
-    it = 0
-    if N0 is None:
-        N, _ = sys_.solve(pump)
-    else:
-        N = np.asarray(N0, dtype=float).copy()
-    best = N.copy()
-    best_norm = sys_.scaled_norm(N, pump, abs_tol)
-    while best_norm > abs_tol and it < max_iters:
-        Gu, Gd = sys_.totals(N, pump)
-        D = Gu + Gd
-        Nn = sys_.M * sys_.dn * (N + 1.0) * Gu / (
-            sys_.kap * D + sys_.M * sys_.up * Gd)
-        N_prev = N
-        N = (1.0 - damping) * N + damping * Nn
-        it += 1
-        norm = sys_.scaled_norm(N, pump, abs_tol)
-        if norm < best_norm:
-            best, best_norm = N.copy(), norm
-        if it % 200 == 0:
-            # periodic exact re-seed; if even that cannot improve the
-            # residual, the float64 floor has been reached
-            Nx, _ = sys_.solve(pump)
-            nx = sys_.scaled_norm(Nx, pump, abs_tol)
-            if nx < best_norm:
-                best, best_norm = Nx, nx
-            break
-        rel_change = float(np.max(np.abs(N - N_prev) / (np.abs(N_prev) + 1.0)))
-        if rel_change < rel_tol:
-            break
-    return best, it, best_norm
-
-
 def _pt_step(sys_: RateSystem, N, pump, h):
     """One linearly implicit pseudo-time step, solved in O(n).
 
@@ -378,18 +335,15 @@ def _pt_step(sys_: RateSystem, N, pump, h):
 
 
 def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
-                    max_time: float | None, max_iters: int):
+                    max_iters: int):
     kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
     N = np.zeros(sys_.n) if N0 is None else np.asarray(N0, dtype=float).copy()
     h = 0.1 / kap0
     h_min = 1e-3 / kap0
     h_max = 1e12 / kap0
-    t = 0.0
     it = 0
     norm = sys_.scaled_norm(N, pump, abs_tol)
     while it < max_iters and norm > abs_tol:
-        if max_time is not None and t >= max_time:
-            break
         raw = _pt_step(sys_, N, pump, h)
         it += 1
         if float(np.min(raw / (N + 1.0))) < -0.1:
@@ -400,7 +354,6 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
         cand_norm = sys_.scaled_norm(cand, pump, abs_tol)
         if cand_norm <= 4.0 * norm:
             N, norm = cand, cand_norm
-            t += h
             h = min(h * 2.0, h_max)
         else:
             h = max(h * 0.25, h_min)
@@ -413,7 +366,8 @@ def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
     """Stationary point of the photon rate equations.
 
     The pump is dye.gamma_up_pump.  With no pump or no molecules the
-    empty cavity (all occupations zero) is returned.  In cross-check
+    empty cavity (all occupations zero) is returned.  `initial` seeds
+    the semi_dynamical route; the exact route needs no seed.  In cross-check
     mode both routes run and a CrosscheckError reports any occupation
     whose relative deviation exceeds the expected solver agreement;
     the fixed-point result is returned on success.
@@ -428,10 +382,9 @@ def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
 
     def run(route: str):
         if route == "fixed_point":
-            return _fixed_point(sys_, pump, N0, abs_tol, config.rel_tol,
-                                config.damping, config.max_iters)
-        return _semi_dynamical(sys_, pump, N0, abs_tol, config.max_time,
-                               config.max_iters)
+            N, steps = sys_.solve(pump)
+            return N, steps, sys_.scaled_norm(N, pump, abs_tol)
+        return _semi_dynamical(sys_, pump, N0, abs_tol, config.max_iters)
 
     if config.mode == "both_crosscheck":
         N_fp, it_fp, norm_fp = run("fixed_point")

@@ -14,13 +14,15 @@ reads out which enantiomer dominates the intracavity medium.
 Sweep drivers:
 
 * pump_sweep: one steady state per pump value over an ascending grid,
-  warm-starting each solve from the previous solution, plus the
-  frozen-loser two-mode trace for comparison.
+  each solve seeded with the previous solution (only the
+  pseudo-transient route reads the seed), plus the frozen-loser
+  two-mode trace for comparison.
 * chi_sweep: one steady state per index splitting chi at fixed pump,
   repeated for a family of absorption-scale factors.
-* grid_sweep: chi x pump map; pump columns run warm-started, distinct
-  chi columns are independent and may run on a process pool.  Row order
-  and values do not depend on the worker count.
+* grid_sweep: chi x pump map; each chi column runs its pump grid the
+  way pump_sweep does, and distinct chi columns are independent and may
+  run on a process pool.  Row order and values do not depend on the
+  worker count.
 * sensitivity: central-difference slope dS3/depsilon at an operating
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
@@ -110,14 +112,13 @@ def stokes_s3(steady: SteadyState, modes: list[Mode]) -> Observables:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis: grid definition plus warm-start behaviour."""
+    """One sweep axis: the grid definition."""
 
     axis: str
     start: float
     stop: float
     points: int
     spacing: str = "log"
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.points < 1:
@@ -188,7 +189,7 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
                kappa_override: float | None = None) -> SweepResult:
     """Steady states along an ascending pump grid at a fixed medium.
 
-    Runs sequentially so every point can warm-start from its neighbour;
+    Runs sequentially so every point can be seeded from its neighbour;
     the frozen-loser ground-mode trace is evaluated on the same grid and
     reported in the S3_pinned column.
     """
@@ -210,13 +211,12 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     for k, pump in enumerate(pumps):
         dye_k = replace(dye, gamma_up_pump=float(pump))
         steady = find_steady_state(rates, modes, dye_k, solver, initial=seed)
-        if spec.warm_start:
-            seed = SystemState(N=steady.N, p_e=steady.p_e)
+        seed = SystemState(N=steady.N, p_e=steady.p_e)
         fields = _point_fields(steady, modes)
         rows.append([float(pump)] + fields[:6] + [float(s3_pin[k])]
                     + fields[6:])
     meta = _meta(rows, columns, time.perf_counter() - t0)
-    meta.update(axis="pump", warm_start=spec.warm_start, modes=len(modes))
+    meta.update(axis="pump", modes=len(modes))
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
@@ -264,7 +264,7 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
 
 def _grid_column(args):
     (cavity, base_index, dye, l_max, solver, kappa_override, chi,
-     pumps, warm_start) = args
+     pumps) = args
     medium = refractive_indices(base_index, chi)
     modes = build_mode_set(cavity, medium, l_max, kappa_override)
     rates = build_rate_table(dye, modes)
@@ -273,8 +273,7 @@ def _grid_column(args):
     for pump in pumps:
         dye_k = replace(dye, gamma_up_pump=float(pump))
         steady = find_steady_state(rates, modes, dye_k, solver, initial=seed)
-        if warm_start:
-            seed = SystemState(N=steady.N, p_e=steady.p_e)
+        seed = SystemState(N=steady.N, p_e=steady.p_e)
         rows.append([chi, float(pump)] + _point_fields(steady, modes))
     return rows
 
@@ -285,15 +284,15 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
                threads: int = 1) -> SweepResult:
     """Chi x pump map of the steady state.
 
-    Each chi column runs its ascending pump grid warm-started; columns
-    are independent and distribute over `threads` workers without
-    changing values or row order.
+    Each chi column runs its ascending pump grid with every point seeded
+    from the previous one; columns are independent and distribute over
+    `threads` workers without changing values or row order.
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()
     pumps = pump_spec.grid()
     jobs = [(cavity, base_index, dye, l_max, solver, kappa_override,
-             float(chi), pumps, pump_spec.warm_start) for chi in chis]
+             float(chi), pumps) for chi in chis]
     columns_out = _run_jobs(_grid_column, jobs, threads)
     rows = [row for col in columns_out for row in col]
     columns = ["chi", "pump"] + _POINT_FIELDS

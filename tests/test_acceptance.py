@@ -171,7 +171,7 @@ def test_stokes_output_respects_the_chiral_symmetries():
 
     dye = make_dye(6e9)
     cspec = SweepSpec(axis="chi", start=-2.72e-5, stop=2.72e-5, points=9,
-                      spacing="linear", warm_start=False)
+                      spacing="linear")
     mirrored = chi_sweep(cavity, 1.34, dye, 60, SolverConfig(), cspec,
                          kappa_override=KAPPA, scales=(1.0,))
     cs3 = mirrored.column("S3")

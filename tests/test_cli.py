@@ -141,6 +141,27 @@ def test_manifest_replays_the_same_run(tmp_path, small_config):
         out_b / "pump_sweep.csv").read_bytes()
 
 
+def test_manifest_with_retired_keys_replays(tmp_path, small_config):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    run_cli("sweep-pump", "--config", small_config, "--out", str(out_a))
+    manifest = json.loads((out_a / "manifest.json").read_text())
+    # manifests of earlier versions carry four keys that no longer exist
+    manifest["config_text"] = (
+        manifest["config_text"]
+        .replace("[solver]\n", "[solver]\nrel_tol = 1e-12\n"
+                 "max_time = none\ndamping = 1.0\n")
+        .replace("[sweep]\n", "[sweep]\nwarm_start = true\n"))
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.warns(UserWarning, match="retired") as record:
+        code = run_cli("sweep-pump", "--config", str(old), "--out",
+                       str(out_b))
+    assert code == EXIT_OK
+    assert len(record) == 4
+    assert (out_a / "pump_sweep.csv").read_bytes() == (
+        out_b / "pump_sweep.csv").read_bytes()
+
+
 def test_sweep_chi_maps_points_back_to_the_excess(tmp_path, small_config):
     out = tmp_path / "sc"
     assert run_cli("sweep-chi", "--config", small_config, "--out",
@@ -203,10 +224,11 @@ def test_sensitivity_needs_a_sample_medium(tmp_path):
 # --- flags and failure modes --------------------------------------------------------
 
 
-def test_seed_less_flag_is_reserved(tmp_path, capsys):
-    code = run_cli("sweep-pump", "--seed-less", "--out", str(tmp_path / "x"))
-    assert code == EXIT_CONFIG
-    assert "deterministic" in capsys.readouterr().err
+def test_seed_less_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep-pump", "--seed-less", "--out", str(tmp_path / "x"))
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed-less" in capsys.readouterr().err
 
 
 def test_thread_count_must_be_positive(tmp_path):
@@ -221,6 +243,17 @@ def test_config_errors_exit_with_config_code(tmp_path, capsys):
                    str(tmp_path / "x"))
     assert code == EXIT_CONFIG
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_out_of_range_chi_grid_exits_with_config_code(tmp_path, capsys):
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[sweep]\nchi_start = -0.5\nchi_stop = 0.5\n",
+                   encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli("sweep-chi", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert "chi grid endpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

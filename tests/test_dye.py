@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from polarbec import (
     DyeParams,
-    Mode,
     absorption_rate,
     build_mode_set,
     build_rate_table,
@@ -96,8 +95,8 @@ def test_ground_rates_frozen_values():
     modes = build_mode_set(make_cavity(), SWEEP_INDICES, 0,
                            kappa_override=KAPPA)
     table = build_rate_table(DYE, modes)
-    dn_L, up_L = table.rates_for(modes[0])
-    dn_R, up_R = table.rates_for(modes[1])
+    dn_L, up_L = table.gamma_down[0], table.gamma_up[0]
+    dn_R, up_R = table.gamma_down[1], table.gamma_up[1]
     assert dn_L == pytest.approx(DN_L0, rel=1e-12)
     assert up_L == pytest.approx(UP_L0, rel=1e-12)
     assert dn_R == pytest.approx(DN_R0, rel=1e-12)
@@ -131,12 +130,10 @@ def test_rate_table_lookup_and_length():
                            kappa_override=KAPPA)
     table = build_rate_table(DYE, modes)
     assert len(table) == 8
-    dn, up = table.rates_for(modes[5])
-    assert dn == table.gamma_down[5]
-    assert up == table.gamma_up[5]
-    stranger = Mode(j=9, l=0, sigma="L", omega=modes[0].omega, kappa=KAPPA)
-    with pytest.raises(KeyError):
-        table.rates_for(stranger)
+    # entry i belongs to modes[i]
+    assert table.modes[5] == modes[5]
+    assert table.gamma_down[5] == emission_rate(DYE, modes[5].omega)
+    assert table.gamma_up[5] == absorption_rate(DYE, modes[5].omega)
 
 
 def test_rate_table_rejects_empty_mode_list():

@@ -163,7 +163,7 @@ def test_doubling_the_molecule_number_doubles_the_condensate():
 
 def test_chi_sweep_is_antisymmetric_pointwise():
     spec = SweepSpec(axis="chi", start=-2e-5, stop=2e-5, points=9,
-                     spacing="linear", warm_start=False)
+                     spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 30, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
     s3 = res.column("S3")
@@ -178,7 +178,7 @@ def test_chi_sweep_is_antisymmetric_pointwise():
 
 def test_chi_sweep_scale_family_layout():
     spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=3,
-                     spacing="linear", warm_start=False)
+                     spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 10, SOLVER, spec,
                     kappa_override=KAPPA, scales=(0.5, 1.0))
     assert res.columns[:3] == ["scale", "chi", "epsilon"]
@@ -192,7 +192,7 @@ def test_chi_sweep_scale_family_layout():
 
 def test_chi_sweep_reports_the_excess_behind_each_point():
     spec = SweepSpec(axis="chi", start=1e-6, stop=3e-6, points=3,
-                     spacing="linear", warm_start=False)
+                     spacing="linear")
     eps = [0.1, 0.2, 0.3]
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,), epsilons=eps)
@@ -201,7 +201,7 @@ def test_chi_sweep_reports_the_excess_behind_each_point():
 
 def test_chi_sweep_threads_do_not_change_values():
     spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=5,
-                     spacing="linear", warm_start=False)
+                     spacing="linear")
     seq = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0, 2.0), threads=1)
     par = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
@@ -216,7 +216,7 @@ def test_chi_sweep_threads_do_not_change_values():
 
 def test_grid_sweep_layout_and_thread_invariance():
     chi_spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=3,
-                         spacing="linear", warm_start=False)
+                         spacing="linear")
     pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=4)
     seq = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
                      pump_spec, kappa_override=KAPPA, threads=1)
