@@ -16,9 +16,9 @@ scans), config / runio / cli (run description and deterministic I/O).
 
 __version__ = "0.1.0"
 
-from .cavity import (CavityParams, MediumIndices, Mode, build_mode_set,
-                     cavity_decay, cutoff_frequency, effective_mass,
-                     lateral_frequency)
+from .cavity import (CavityParams, MediumIndices, Mode, ModeLadder,
+                     build_mode_set, cavity_decay, cutoff_frequency,
+                     effective_mass, lateral_frequency, mode_ladder)
 from .chiral import (ChiralSample, SolventParams, chi_from_sample, chi_quick,
                      refractive_indices, rotation_strength)
 from .dye import (DyeParams, RateTable, absorption_rate, build_rate_table,
@@ -36,9 +36,9 @@ from .config import RunConfig, ConfigError, default_config, parse_config
 
 __all__ = [
     "__version__",
-    "CavityParams", "MediumIndices", "Mode", "build_mode_set",
+    "CavityParams", "MediumIndices", "Mode", "ModeLadder", "build_mode_set",
     "cavity_decay", "cutoff_frequency", "effective_mass",
-    "lateral_frequency",
+    "lateral_frequency", "mode_ladder",
     "ChiralSample", "SolventParams", "chi_from_sample", "chi_quick",
     "refractive_indices", "rotation_strength",
     "DyeParams", "RateTable", "absorption_rate", "build_rate_table",

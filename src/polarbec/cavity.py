@@ -20,6 +20,10 @@ rest-energy identity m_eff * c_sigma**2 + hbar * omega_lateral =
 hbar * omega_cutoff holds to machine precision and is used as a
 self-check.  A larger index always lowers the ladder, so with n_L > n_R
 every L mode sits below its R partner.
+
+The ladder is computed once, as arrays (mode_ladder); the Mode list of
+build_mode_set is made from those arrays for tables and the object API,
+while the sweeps work on the arrays directly.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .constants import C_LIGHT, HBAR
 
@@ -174,9 +180,78 @@ def cavity_decay(cavity: CavityParams, n_sigma: float) -> float:
     return 2.0 * cavity.mirror_loss * c_sigma / cavity.mirror_separation
 
 
-def build_mode_set(cavity: CavityParams, medium: MediumIndices, l_max: int,
-                   kappa_override: float | None = None) -> list[Mode]:
-    """Construct the full polarised ladder, L block first then R block.
+@dataclass(frozen=True, eq=False)
+class ModeLadder:
+    """Polarised mode ladder held as arrays, L block first then R block.
+
+    l:          transverse ladder index per mode
+    degeneracy: transverse orbitals per mode, always l + 1
+    omega:      angular frequency per mode, rad/s
+    kappa:      photon loss rate per mode, 1/s
+    n_left:     modes [0, n_left) are L-polarised, the rest R
+
+    The checks Mode makes one mode at a time run here on whole arrays.
+    """
+
+    l: np.ndarray
+    degeneracy: np.ndarray
+    omega: np.ndarray
+    kappa: np.ndarray
+    n_left: int
+
+    def __post_init__(self):
+        n = self.l.size
+        if not self.degeneracy.size == self.omega.size == self.kappa.size == n:
+            raise ValueError("ladder arrays must have one entry per mode")
+        if not 0 <= self.n_left <= n:
+            raise ValueError(f"n_left must lie in [0, {n}], got {self.n_left}")
+        if np.any(self.l < 0):
+            raise ValueError(f"l must be >= 0, got {int(np.min(self.l))}")
+        wrong = self.degeneracy != self.l + 1
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise ValueError(f"degeneracy must equal l + 1 = {self.l[i] + 1}, "
+                             f"got {self.degeneracy[i]}")
+        for name, arr in (("omega", self.omega), ("kappa", self.kappa)):
+            bad = ~(arr > 0)
+            if np.any(bad):
+                raise ValueError(
+                    f"{name} must be positive, got {arr[np.argmax(bad)]}")
+
+    @classmethod
+    def from_modes(cls, modes: list[Mode]) -> "ModeLadder":
+        """Array form of a mode list that lists its L block first."""
+        sigmas = [m.sigma for m in modes]
+        n_left = sigmas.count("L")
+        if sigmas != ["L"] * n_left + ["R"] * (len(modes) - n_left):
+            raise ValueError("modes must list the L block before the R block")
+        return cls(l=np.array([m.l for m in modes], dtype=int),
+                   degeneracy=np.array([m.degeneracy for m in modes],
+                                       dtype=int),
+                   omega=np.array([m.omega for m in modes], dtype=float),
+                   kappa=np.array([m.kappa for m in modes], dtype=float),
+                   n_left=n_left)
+
+    @property
+    def size(self) -> int:
+        return self.l.size
+
+    def ground(self) -> tuple[int | None, int | None]:
+        """Indices of the l = 0 mode of the L and of the R block.
+
+        None for a block without one; the last wins if a block has several.
+        """
+        out = []
+        for block in (slice(0, self.n_left), slice(self.n_left, self.size)):
+            zeros = np.flatnonzero(self.l[block] == 0)
+            out.append(None if zeros.size == 0
+                       else block.start + int(zeros[-1]))
+        return out[0], out[1]
+
+
+def mode_ladder(cavity: CavityParams, medium: MediumIndices, l_max: int,
+                kappa_override: float | None = None) -> ModeLadder:
+    """The full polarised ladder as arrays, L block first then R block.
 
     Each block carries modes l = 0 .. l_max at omega_cutoff(sigma) +
     l * omega_lateral(sigma) with degeneracy l + 1; 2 * (l_max + 1) modes
@@ -187,15 +262,29 @@ def build_mode_set(cavity: CavityParams, medium: MediumIndices, l_max: int,
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     if kappa_override is not None and not kappa_override > 0:
         raise ValueError(f"kappa_override must be positive, got {kappa_override}")
-    modes = []
+    l = np.arange(l_max + 1)
+    omegas, kappas = [], []
     for sigma in POLARISATIONS:
         n_sigma = medium.index(sigma)
         omega0 = cutoff_frequency(cavity, n_sigma)
         spacing = lateral_frequency(cavity, n_sigma)
         kappa = kappa_override if kappa_override is not None else cavity_decay(
             cavity, n_sigma)
-        for l in range(l_max + 1):
-            modes.append(Mode(
-                j=cavity.longitudinal_index, l=l, sigma=sigma,
-                omega=omega0 + l * spacing, kappa=kappa))
-    return modes
+        omegas.append(omega0 + l * spacing)
+        kappas.append(np.full(l.size, kappa))
+    both = np.concatenate([l, l])
+    return ModeLadder(l=both, degeneracy=both + 1,
+                      omega=np.concatenate(omegas),
+                      kappa=np.concatenate(kappas), n_left=l.size)
+
+
+def build_mode_set(cavity: CavityParams, medium: MediumIndices, l_max: int,
+                   kappa_override: float | None = None) -> list[Mode]:
+    """The ladder of mode_ladder as a list of Mode objects, L block first."""
+    ladder = mode_ladder(cavity, medium, l_max, kappa_override)
+    sigmas = ["L"] * ladder.n_left + ["R"] * (ladder.size - ladder.n_left)
+    return [Mode(j=cavity.longitudinal_index, l=l, sigma=sigma, omega=omega,
+                 kappa=kappa)
+            for l, sigma, omega, kappa in zip(
+                ladder.l.tolist(), sigmas, ladder.omega.tolist(),
+                ladder.kappa.tolist())]

@@ -22,7 +22,10 @@ earlier run to replay it), --out DIR (overrides [output] directory),
 converge).
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration or usage
-error, 3 unconverged points without --allow-partial, 4 I/O failure.
+error, 3 unconverged points without --allow-partial, 4 I/O failure
+(an OSError, or a foreign lock on the output directory).  Any other
+exception is a fault of the program and ends the run with its
+traceback (exit status 1).
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .cavity import build_mode_set
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .dye import absorption_rate, build_rate_table, emission_rate
 from .dynamics import CrosscheckError
-from .runio import (build_manifest, config_text_from_manifest,
-                    gnuplot_chi_sweep, gnuplot_grid, gnuplot_pump_sweep,
-                    gnuplot_spectrum, output_lock, write_csv, write_manifest)
+from .runio import (OutputLockError, build_manifest,
+                    config_text_from_manifest, gnuplot_chi_sweep, gnuplot_grid,
+                    gnuplot_pump_sweep, gnuplot_spectrum, output_lock,
+                    write_csv, write_manifest)
 from .sweeps import chi_sweep, grid_sweep, pump_sweep, sensitivity
 
 EXIT_OK = 0
@@ -310,7 +314,7 @@ def main(argv=None) -> int:
             except CrosscheckError as exc:
                 print(f"cross-check failure: {exc}", file=sys.stderr)
                 return EXIT_UNCONVERGED
-    except (RuntimeError, OSError) as exc:
+    except (OutputLockError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

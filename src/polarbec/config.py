@@ -332,9 +332,10 @@ def parse_config(text: str) -> RunConfig:
     """Resolve an INI config (or override fragment merged over defaults).
 
     Missing keys take their defaults; unknown sections or keys, mixed
-    medium descriptions, malformed quantities and chi grids whose
-    endpoints give no valid index pair are errors.  Retired keys are
-    ignored with one warning each.
+    medium descriptions, malformed quantities, chi grids whose endpoints
+    give no valid index pair, a chiral sample that gives none at its own
+    excess, and a sensitivity excess or step outside (0, 1) are errors.
+    Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
 
@@ -441,6 +442,11 @@ def parse_config(text: str) -> RunConfig:
         )
         if l_max < 0:
             raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
+        for key in ("sensitivity_epsilon", "sensitivity_step"):
+            value = getattr(sweep, key)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(
+                    f"[sweep] {key} must lie in (0, 1), got {value!r}")
         output_dir = resolve("output", "directory")
     except ConfigError:
         raise
@@ -458,6 +464,13 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"[sweep] chi grid endpoint {chi!r}: {exc}") from None
+    if medium_kind == "sample":
+        try:
+            config.medium_indices()
+        except ValueError as exc:
+            raise ConfigError(
+                f"[medium] the chiral sample gives no valid index pair at "
+                f"epsilon = {sample.epsilon!r}: {exc}") from None
     object.__setattr__(config, "canonical_text", render_config(config))
     return config
 

@@ -28,10 +28,11 @@ modes enjoys the most favourable gain-to-loss balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cavity import Mode
+from .cavity import Mode, ModeLadder
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,11 @@ class RateTable:
 
     def __len__(self) -> int:
         return len(self.modes)
+
+    @cached_property
+    def ladder(self) -> ModeLadder:
+        """Array form of the mode list, built once per table."""
+        return ModeLadder.from_modes(list(self.modes))
 
 
 def emission_rate(dye: DyeParams, omega):

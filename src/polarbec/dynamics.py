@@ -26,6 +26,12 @@ Two independent solvers find F(N) = 0:
   closed-form function of the winning mode's saturation margin u, so
   bisecting the excitation balance h(u) = 0 gives the whole steady
   state; the reported iteration count is the number of bisection steps.
+  A whole pump grid on one ladder is bisected in lock step: occupations
+  are held as (rows, modes) arrays, a row drops out when its bracket
+  stops shrinking, and rows are taken in chunks of at most
+  CHUNK_ELEMENTS occupations so the temporaries stay a few hundred kB
+  whatever the grid length.  Each row runs the same float operations
+  as a lone solve, so batching changes no bit of any answer.
 * semi_dynamical: damped pseudo-time continuation.  Each step solves
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
   rank-one coupling through the saturated molecular bath and therefore
@@ -43,7 +49,12 @@ nearly-equal fluxes.  The reported residual_norm is normalised so that
 converged means residual_norm <= abs_tol.
 
 Cross-checking runs both routes and errors if any occupation differs
-beyond the expected solver agreement.
+by more than the convergence floor allows two converged routes to
+differ (crosscheck_bound, 4 * BALANCE_FTOL).
+
+steady_states is the engine: one rate system, a grid of pumps, one
+row per pump.  find_steady_state is its one-row call on the mode-list
+API.
 
 All block reductions (sums, dot products) are taken per polarisation
 block and then combined, so a perfectly achiral system relaxes to a
@@ -57,13 +68,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Mode
-from .dye import DyeParams, RateTable
+from .cavity import Mode, ModeLadder
+from .dye import DyeParams, RateTable, absorption_rate, emission_rate
 
 # fractional tolerance of the per-mode balance check
 BALANCE_FTOL = 1e-5
 # float64 cancellation allowance relative to the gross one-way flux
 CANCEL_EPS = 1e-15
+# most occupations one (rows, modes) array of the batched bisection
+# holds; longer pump grids are solved in chunks of rows
+CHUNK_ELEMENTS = 1 << 16
 
 SOLVER_MODES = ("fixed_point", "semi_dynamical", "both_crosscheck")
 
@@ -119,7 +133,9 @@ class SolverConfig:
 class SteadyState:
     """Converged (or best-effort) stationary point of the rate equations.
 
-    converged implies residual_norm <= the resolved abs_tol.
+    converged implies residual_norm <= the resolved abs_tol.  From
+    find_steady_state every field belongs to one point; from
+    steady_states they are row-stacked, one row per pump.
     """
 
     N: np.ndarray
@@ -132,12 +148,20 @@ class SteadyState:
 # --- internal rate-system engine ----------------------------------------
 
 
+def _col(a):
+    """Per-row scalars as a column that broadcasts against (rows, modes)."""
+    return np.asarray(a)[..., None]
+
+
 class RateSystem:
     """Per-mode rate arrays plus molecule parameters, with L/R block slices.
 
-    Reductions run per polarisation block and are then combined, which
-    makes every solver step exactly symmetric under relabelling the two
-    blocks.
+    Occupations may be one vector or row-stacked, shape (rows, modes),
+    with one pump per row; every reduction runs along the last axis,
+    per polarisation block, and the block results are then combined.
+    That makes every solver step exactly symmetric under relabelling the
+    two blocks, and makes each row's arithmetic the same float
+    operations whatever the other rows hold.
     """
 
     def __init__(self, deg, up, dn, kap, M, gamma_dn, n_left):
@@ -156,100 +180,179 @@ class RateSystem:
             self.w = int(np.argmin(xnu))
         else:
             self.w = 0
+        # per-mode constants of occ_at_u, relative to the winner
+        w = self.w
+        self.umax = self.kap[w] + self.M * self.up[w]
+        self.x_scale = self.M * (self.dn[w] + self.up[w])
+        self.dn_gap = self.dn[w] - self.dn
+        self.up_gap = self.up - self.up[w]
+        self.kap_gap = self.kap - self.kap[w]
+        self.Mdn = self.M * self.dn
+
+    @classmethod
+    def from_ladder(cls, ladder: ModeLadder, dye: DyeParams) -> "RateSystem":
+        """Rate system of an array ladder, rates evaluated at its omegas."""
+        return cls(ladder.degeneracy, absorption_rate(dye, ladder.omega),
+                   emission_rate(dye, ladder.omega), ladder.kappa, dye.M,
+                   dye.gamma_down, ladder.n_left)
 
     @classmethod
     def from_tables(cls, rates: RateTable, modes: list[Mode],
                     dye: DyeParams) -> "RateSystem":
         if len(rates) != len(modes):
             raise ValueError("rate table and mode list lengths differ")
-        sigmas = [m.sigma for m in modes]
-        n_left = sigmas.count("L")
-        if sigmas != ["L"] * n_left + ["R"] * (len(modes) - n_left):
-            raise ValueError("modes must list the L block before the R block")
-        for m, tm in zip(modes, rates.modes):
-            if (m.sigma, m.j, m.l) != (tm.sigma, tm.j, tm.l):
-                raise ValueError("rate table was built for a different mode list")
-        deg = np.array([m.degeneracy for m in modes], dtype=float)
-        kap = np.array([m.kappa for m in modes], dtype=float)
-        return cls(deg, rates.gamma_up, rates.gamma_down, kap, dye.M,
-                   dye.gamma_down, n_left)
+        if tuple(modes) == rates.modes:
+            # the table's own modes: reuse its array form, built once
+            ladder = rates.ladder
+        else:
+            ladder = ModeLadder.from_modes(modes)
+            for m, tm in zip(modes, rates.modes):
+                if (m.sigma, m.j, m.l) != (tm.sigma, tm.j, tm.l):
+                    raise ValueError(
+                        "rate table was built for a different mode list")
+        return cls(ladder.degeneracy, rates.gamma_up, rates.gamma_down,
+                   ladder.kappa, dye.M, dye.gamma_down, ladder.n_left)
 
-    def blocksum(self, arr) -> float:
-        return float(np.sum(arr[self.bL])) + float(np.sum(arr[self.bR]))
+    def blocksum(self, arr):
+        return (np.add.reduce(arr[..., self.bL], axis=-1)
+                + np.add.reduce(arr[..., self.bR], axis=-1))
 
     def blockdot(self, x, y) -> float:
         return (float(np.dot(x[self.bL], y[self.bL]))
                 + float(np.dot(x[self.bR], y[self.bR])))
 
     def totals(self, N, pump):
-        """Collective molecular rates (Gamma_up, Gamma_dn)."""
-        gu = pump + self.blocksum(self.deg * N * self.up)
-        gd = self.gamma_dn + self.blocksum(self.deg * (N + 1.0) * self.dn)
+        """Collective molecular rates (Gamma_up, Gamma_dn), one per row."""
+        t = self.deg * N
+        t *= self.up
+        gu = pump + self.blocksum(t)
+        np.add(N, 1.0, out=t)
+        t *= self.deg
+        t *= self.dn
+        gd = self.gamma_dn + self.blocksum(t)
         return gu, gd
 
     def parts(self, N, pump):
-        """Drift decomposition: (net drift G, source S, gross flux)."""
+        """Drift decomposition: (net drift G, source S, gross flux).
+
+        G = r (dn Gu - up Gd), S = r dn Gu and gross = kap N
+        + r (dn (N + 1) Gu + up N Gd), with r = M / (Gu + Gd); built in
+        place to hold few (rows, modes) temporaries at once.
+        """
         Gu, Gd = self.totals(N, pump)
-        D = Gu + Gd
-        G = (self.M / D) * (self.dn * Gu - self.up * Gd)
-        S = (self.M / D) * self.dn * Gu
-        gross = self.kap * N + (self.M / D) * (self.dn * (N + 1.0) * Gu
-                                               + self.up * N * Gd)
+        r = _col(self.M / (Gu + Gd))
+        Gu, Gd = _col(Gu), _col(Gd)
+        G = self.dn * Gu
+        G -= self.up * Gd
+        G *= r
+        S = r * self.dn
+        S *= Gu
+        gross = N + 1.0
+        gross *= self.dn
+        gross *= Gu
+        t = self.up * N
+        t *= Gd
+        gross += t
+        gross *= r
+        np.multiply(self.kap, N, out=t)
+        gross += t
         return G, S, gross
 
-    def scaled_norm(self, N, pump, abs_tol) -> float:
-        """Balance-scaled residual norm; <= abs_tol means converged."""
-        G, S, gross = self.parts(N, pump)
-        drift = N * (G - self.kap)
+    def scaled_norm(self, N, pump, abs_tol):
+        """Balance-scaled residual norm per row; <= abs_tol means converged.
+
+        The residual f = N (G - kap) + S is measured against the floor
+        abs_tol + BALANCE_FTOL (S + |drift|) + CANCEL_EPS gross.
+        """
+        drift, S, gross = self.parts(N, pump)
+        drift -= self.kap
+        drift *= N
         f = drift + S
-        floor = abs_tol + BALANCE_FTOL * (S + np.abs(drift)) + CANCEL_EPS * gross
-        return float(np.max(np.abs(f) / floor)) * abs_tol
+        floor = np.abs(drift)
+        floor += S
+        floor *= BALANCE_FTOL
+        floor += abs_tol
+        gross *= CANCEL_EPS
+        floor += gross
+        np.abs(f, out=f)
+        f /= floor
+        return np.maximum.reduce(f, axis=-1) * abs_tol
 
     # --- exact one-variable reduction (the fixed_point route) ---
 
     def occ_at_u(self, u):
-        """Occupations as a function of the winning mode's margin u."""
-        w = self.w
-        kw, dw, uw = self.kap[w], self.dn[w], self.up[w]
-        x = (kw + self.M * uw - u) / (self.M * (dw + uw))
-        delta = (self.M * ((dw - self.dn) * x + (self.up - uw) * (1.0 - x))
-                 + (self.kap - kw))
-        margin = u + delta
-        if np.any(margin <= 0.0) or x <= 0.0:
-            return None, x
-        return self.M * self.dn * x / margin, x
+        """Occupations at the winning mode's margins u, one row per margin.
+
+        Returns (N, x, bad): x is each row's saturated molecular fraction
+        and bad flags rows outside the physical range (some mode margin
+        or x not positive), whose N is meaningless.
+        """
+        x = (self.umax - u) / self.x_scale
+        xc = x[:, None]
+        margin = self.dn_gap * xc
+        margin += self.up_gap * (1.0 - xc)
+        margin *= self.M
+        margin += self.kap_gap
+        margin += u[:, None]
+        bad = (np.minimum.reduce(margin, axis=-1) <= 0.0) | (x <= 0.0)
+        N = self.Mdn * xc
+        N /= margin
+        return N, x, bad
 
     def h_of_u(self, u, pump):
-        """Excitation-balance mismatch at margin u; root at the steady state."""
-        N, x = self.occ_at_u(u)
-        if N is None:
-            return np.inf
+        """Excitation-balance mismatch per row; root at the steady state."""
+        N, x, bad = self.occ_at_u(u)
         Gu, Gd = self.totals(N, pump)
-        return x * (Gu + Gd) - Gu
+        return np.where(bad, np.inf, x * (Gu + Gd) - Gu)
 
     def solve(self, pump):
         """Exact occupations via bisection on the winner's margin.
 
-        Returns (N, steps), steps being the number of h(u) evaluations.
+        `pump` is one pump or a 1-D array of them, one row each.  All
+        rows bisect in lock step, in chunks of at most CHUNK_ELEMENTS
+        occupations; a row leaves the loop when its bracket stops
+        shrinking or after 201 steps.  Returns (N, steps): N of shape
+        (rows, modes), steps the number of h(u) evaluations of each row.
         """
-        if pump <= 0.0 or self.M == 0.0:
-            return np.zeros(self.n), 0
-        umax = self.kap[self.w] + self.M * self.up[self.w]
-        lo, hi = 0.0, umax
-        it = 0
+        pumps = np.asarray(pump, dtype=float).reshape(-1)
+        N = np.zeros((pumps.size, self.n))
+        steps = np.zeros(pumps.size, dtype=int)
+        live = (np.flatnonzero(~(pumps <= 0.0)) if self.M != 0.0
+                else np.zeros(0, dtype=int))
+        chunk = max(1, CHUNK_ELEMENTS // max(self.n, 1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for start in range(0, live.size, chunk):
+                rows = live[start:start + chunk]
+                N[rows], steps[rows] = self._bisect(pumps[rows])
+        return N, steps
+
+    def _bisect(self, pumps):
+        # live rows are compacted as they finish; all of them have taken
+        # `step` steps, so a finishing row records that count
+        lo_end = np.zeros(pumps.size)
+        hi_end = np.full(pumps.size, self.umax)
+        steps = np.zeros(pumps.size, dtype=int)
+        rows = np.arange(pumps.size)
+        lo, hi = lo_end.copy(), hi_end.copy()
+        step = 0
         while True:
             mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi or it > 200:
-                break
-            if self.h_of_u(mid, pump) < 0.0:
-                hi = mid
-            else:
-                lo = mid
-            it += 1
-        N, _ = self.occ_at_u(hi)
-        if N is None:
-            N, _ = self.occ_at_u(lo)
-        return N, it
+            go = (mid > lo) & (mid < hi) & (step <= 200)
+            if not go.all():
+                done = rows[~go]
+                lo_end[done], hi_end[done], steps[done] = lo[~go], hi[~go], step
+                rows, lo, hi, mid, pumps = (rows[go], lo[go], hi[go], mid[go],
+                                            pumps[go])
+                if not rows.size:
+                    break
+            below = self.h_of_u(mid, pumps) < 0.0
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+            step += 1
+        N, _, bad = self.occ_at_u(hi_end)
+        if bad.any():
+            N[bad] = self.occ_at_u(lo_end[bad])[0]
+        return N, steps
 
 
 # --- public rate-equation operations ------------------------------------
@@ -268,7 +371,8 @@ def total_rates(state: SystemState, rates: RateTable, modes: list[Mode],
     """Collective molecular rates (Gamma_up, Gamma_dn) at a given state."""
     _check_alignment(state.N.size, rates, modes)
     sys_ = RateSystem.from_tables(rates, modes, dye)
-    return sys_.totals(state.N, dye.gamma_up_pump)
+    gu, gd = sys_.totals(state.N, dye.gamma_up_pump)
+    return float(gu), float(gd)
 
 
 def full_derivatives(state: SystemState, rates: RateTable, modes: list[Mode],
@@ -282,7 +386,7 @@ def full_derivatives(state: SystemState, rates: RateTable, modes: list[Mode],
           - sys_.up * N * sys_.M * (1.0 - p_e)
           + sys_.dn * (N + 1.0) * sys_.M * p_e)
     dpe = -Gd * p_e + Gu * (1.0 - p_e)
-    return dN, dpe
+    return dN, float(dpe)
 
 
 def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
@@ -360,6 +464,73 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     return N, it, norm
 
 
+def crosscheck_bound() -> float:
+    """Largest relative occupation gap two converged routes may show.
+
+    A route stops once every mode's residual f is below BALANCE_FTOL
+    times its gross one-way flux S + |drift|, which is 2 S at balance.
+    With the molecular bath held fixed, f = S - L N for the mode's net
+    loss rate L, and the exact occupation is N* = S / L, so
+    f = S (N* - N) / N*: a converged occupation sits within
+    2 * BALANCE_FTOL of the exact one, relatively.  Two routes may land
+    on opposite sides of it, hence 4 * BALANCE_FTOL.
+    """
+    return 4.0 * BALANCE_FTOL
+
+
+def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
+                  seed=None) -> SteadyState:
+    """Stationary points of one rate system at every pump of a grid.
+
+    Returns a SteadyState whose fields are row-stacked: N of shape
+    (rows, modes), the rest one entry per pump.  The exact route solves
+    all rows in one lock-step bisection.  The pseudo-transient route
+    runs the pumps in order, seeding each from the previous answer and
+    the first from `seed` (an occupation vector, or None for the empty
+    cavity).  Cross-check mode runs both and raises CrosscheckError at
+    the first row whose routes disagree by more than crosscheck_bound();
+    the exact result is returned on success.
+    """
+    pumps = np.asarray(pumps, dtype=float).reshape(-1)
+    kap_min = float(np.min(sys_.kap))
+    abs_tol = config.abs_tol if config.abs_tol is not None else 1e-6 * kap_min
+
+    if config.mode != "semi_dynamical":
+        N, iters = sys_.solve(pumps)
+        norm = sys_.scaled_norm(N, pumps, abs_tol)
+    else:
+        N = np.empty((pumps.size, sys_.n))
+        iters = np.empty(pumps.size, dtype=int)
+        norm = np.empty(pumps.size)
+    if config.mode != "fixed_point":
+        bound = crosscheck_bound()
+        for k, pump in enumerate(pumps):
+            N_sd, it_sd, norm_sd = _semi_dynamical(
+                sys_, float(pump), seed, abs_tol, config.max_iters)
+            if config.mode == "both_crosscheck":
+                dev = np.abs(N[k] - N_sd) / (np.maximum(N[k], N_sd) + 1.0)
+                worst = int(np.argmax(dev))
+                if float(dev[worst]) > bound:
+                    raise CrosscheckError(
+                        f"steady-state routes disagree at pump {pump:.6g}: "
+                        f"mode index {worst} deviates by "
+                        f"{float(dev[worst]):.3e} (allowed {bound:.3e})")
+                iters[k] += it_sd
+            else:
+                N[k], iters[k], norm[k] = N_sd, it_sd, norm_sd
+            seed = N[k] if not np.any(N[k] < 0.0) else np.maximum(N[k], 0.0)
+
+    # negative occupations indicate a failed step; clamp and flag
+    negative = np.any(N < 0.0, axis=-1)
+    N[negative] = np.maximum(N[negative], 0.0)
+    Gu, Gd = sys_.totals(N, pumps)
+    D = Gu + Gd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_e = np.where(D > 0.0, Gu / D, 0.0)
+    return SteadyState(N=N, p_e=p_e, residual_norm=norm, iterations=iters,
+                       converged=(norm <= abs_tol) & ~negative)
+
+
 def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
                       config: SolverConfig | None = None,
                       initial: SystemState | None = None) -> SteadyState:
@@ -367,48 +538,16 @@ def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
 
     The pump is dye.gamma_up_pump.  With no pump or no molecules the
     empty cavity (all occupations zero) is returned.  `initial` seeds
-    the semi_dynamical route; the exact route needs no seed.  In cross-check
-    mode both routes run and a CrosscheckError reports any occupation
-    whose relative deviation exceeds the expected solver agreement;
-    the fixed-point result is returned on success.
+    the semi_dynamical route; the exact route needs no seed.  This is
+    the one-row call of steady_states, which documents the routes and
+    the cross-check.
     """
     if config is None:
         config = SolverConfig()
     sys_ = RateSystem.from_tables(rates, modes, dye)
-    pump = dye.gamma_up_pump
-    kap_min = float(np.min(sys_.kap))
-    abs_tol = config.abs_tol if config.abs_tol is not None else 1e-6 * kap_min
-    N0 = None if initial is None else initial.N
-
-    def run(route: str):
-        if route == "fixed_point":
-            N, steps = sys_.solve(pump)
-            return N, steps, sys_.scaled_norm(N, pump, abs_tol)
-        return _semi_dynamical(sys_, pump, N0, abs_tol, config.max_iters)
-
-    if config.mode == "both_crosscheck":
-        N_fp, it_fp, norm_fp = run("fixed_point")
-        N_sd, it_sd, norm_sd = run("semi_dynamical")
-        # agreement bound: ten times the residual tolerance, made relative
-        # against the loss rate that set it
-        agree_tol = 10.0 * abs_tol / kap_min
-        dev = np.abs(N_fp - N_sd) / (np.maximum(N_fp, N_sd) + 1.0)
-        worst = int(np.argmax(dev))
-        if float(dev[worst]) > agree_tol:
-            raise CrosscheckError(
-                f"steady-state routes disagree: mode index {worst} deviates "
-                f"by {float(dev[worst]):.3e} (allowed {agree_tol:.3e})")
-        N, iters, norm = N_fp, it_fp + it_sd, norm_fp
-    else:
-        N, iters, norm = run(config.mode)
-
-    converged = norm <= abs_tol
-    if np.any(N < 0.0):
-        # negative occupations indicate a failed step; clamp and flag
-        N = np.maximum(N, 0.0)
-        converged = False
-    Gu, Gd = sys_.totals(N, pump)
-    D = Gu + Gd
-    p_e = Gu / D if D > 0.0 else 0.0
-    return SteadyState(N=N, p_e=float(p_e), residual_norm=float(norm),
-                       iterations=int(iters), converged=bool(converged))
+    seed = None if initial is None else initial.N
+    rows = steady_states(sys_, [dye.gamma_up_pump], config, seed)
+    return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),
+                       residual_norm=float(rows.residual_norm[0]),
+                       iterations=int(rows.iterations[0]),
+                       converged=bool(rows.converged[0]))

@@ -97,6 +97,10 @@ def config_text_from_manifest(text: str) -> str:
     return payload["config_text"]
 
 
+class OutputLockError(RuntimeError):
+    """Another run holds the lock on an output directory."""
+
+
 @contextmanager
 def output_lock(directory: str):
     """Exclusive ownership of an output directory for the run's duration."""
@@ -105,7 +109,7 @@ def output_lock(directory: str):
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
+        raise OutputLockError(
             f"output directory {directory!r} is locked by another run; "
             f"remove {LOCK_NAME} if that run is gone") from None
     try:

@@ -16,16 +16,25 @@ Sweep drivers:
 * pump_sweep: one steady state per pump value over an ascending grid,
   each solve seeded with the previous solution (only the
   pseudo-transient route reads the seed), plus the frozen-loser
-  two-mode trace for comparison.
+  two-mode trace for comparison.  It runs point by point through the
+  public find_steady_state and stokes_s3, on one mode list and rate
+  table.
 * chi_sweep: one steady state per index splitting chi at fixed pump,
-  repeated for a family of absorption-scale factors.
-* grid_sweep: chi x pump map; each chi column runs its pump grid the
-  way pump_sweep does, and distinct chi columns are independent and may
-  run on a process pool.  Row order and values do not depend on the
-  worker count.
+  repeated for a family of absorption-scale factors.  Each point builds
+  its rate system from the array ladder (mode_ladder); no Mode objects.
+* grid_sweep: chi x pump map.  Each chi column builds one rate system
+  from the array ladder and solves its whole pump grid in one call
+  (steady_states: one lock-step bisection on the exact route, chunked
+  to bound memory; the seeded pseudo-transient loop otherwise), and
+  reads the observables from the row-stacked occupations.  Distinct chi
+  columns are independent and `threads` distributes them over a process
+  pool.  Row order and values do not depend on the worker count.
 * sensitivity: central-difference slope dS3/depsilon at an operating
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
+
+stokes_s3 and the batched drivers share one array readout, so a CSV
+row is the same bytes whichever driver produced it.
 """
 
 from __future__ import annotations
@@ -37,11 +46,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import CavityParams, Mode, build_mode_set
+from .cavity import CavityParams, Mode, ModeLadder, build_mode_set, mode_ladder
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
-from .dynamics import SolverConfig, SteadyState, SystemState, find_steady_state
+from .dynamics import (RateSystem, SolverConfig, SteadyState, SystemState,
+                       find_steady_state, steady_states)
 
 # totals below this hold no measurable light; S3 is flagged undefined
 S3_TOTAL_FLOOR = 1e-6
@@ -71,40 +81,49 @@ class Observables:
     defined: bool
 
 
-def _block_prefix(modes: list[Mode]) -> int:
-    sigmas = [m.sigma for m in modes]
-    n_left = sigmas.count("L")
-    if sigmas != ["L"] * n_left + ["R"] * (len(modes) - n_left):
-        raise ValueError("modes must list the L block before the R block")
-    return n_left
-
-
-def stokes_s3(steady: SteadyState, modes: list[Mode]) -> Observables:
-    """Degeneracy-weighted Stokes readout of a steady state."""
-    N = np.asarray(steady.N, dtype=float)
-    if N.size != len(modes):
-        raise ValueError(
-            f"state holds {N.size} occupations for {len(modes)} modes")
-    n_left = _block_prefix(modes)
-    deg = np.array([m.degeneracy for m in modes], dtype=float)
-    total_L = float(np.dot(deg[:n_left], N[:n_left]))
-    total_R = float(np.dot(deg[n_left:], N[n_left:]))
-
-    ground = {"L": 0.0, "R": 0.0}
-    for i, m in enumerate(modes):
-        if m.l == 0:
-            ground[m.sigma] = float(N[i])
-
+def _readout(N, ladder: ModeLadder) -> dict:
+    """Stokes readout of row-stacked occupations on a ladder, per row."""
+    deg = ladder.degeneracy.astype(float)
+    nl = ladder.n_left
+    # one BLAS dot per row and block, the call a lone readout makes
+    total_L = np.array([np.dot(deg[:nl], row) for row in N[:, :nl]])
+    total_R = np.array([np.dot(deg[nl:], row) for row in N[:, nl:]])
+    zeros = np.zeros(N.shape[0])
+    i_L, i_R = ladder.ground()
+    ground_L = zeros if i_L is None else N[:, i_L]
+    ground_R = zeros if i_R is None else N[:, i_R]
     total = total_R + total_L
+    ground_total = ground_R + ground_L
     defined = total >= S3_TOTAL_FLOOR
-    s3 = (total_R - total_L) / total if defined else float("nan")
-    ground_total = ground["R"] + ground["L"]
-    s3_ground = ((ground["R"] - ground["L"]) / ground_total
-                 if ground_total >= S3_TOTAL_FLOOR else float("nan"))
-    return Observables(S3=s3, S3_ground=s3_ground,
-                       N_L_total=total_L, N_R_total=total_R,
-                       N_ground_L=ground["L"], N_ground_R=ground["R"],
-                       p_e=steady.p_e, defined=defined)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s3 = np.where(defined, (total_R - total_L) / total, np.nan)
+        s3_ground = np.where(ground_total >= S3_TOTAL_FLOOR,
+                             (ground_R - ground_L) / ground_total, np.nan)
+    return {"N_L_total": total_L, "N_R_total": total_R,
+            "N_ground_L": ground_L, "N_ground_R": ground_R,
+            "S3": s3, "S3_ground": s3_ground, "defined": defined}
+
+
+def stokes_s3(steady: SteadyState,
+              modes: list[Mode] | ModeLadder) -> Observables:
+    """Degeneracy-weighted Stokes readout of a steady state.
+
+    `modes` is the mode list of the state, or its array ladder.
+    """
+    ladder = modes if isinstance(modes, ModeLadder) else ModeLadder.from_modes(
+        modes)
+    N = np.asarray(steady.N, dtype=float)
+    if N.size != ladder.size:
+        raise ValueError(
+            f"state holds {N.size} occupations for {ladder.size} modes")
+    obs = _readout(N[None, :], ladder)
+    return Observables(
+        S3=float(obs["S3"][0]), S3_ground=float(obs["S3_ground"][0]),
+        N_L_total=float(obs["N_L_total"][0]),
+        N_R_total=float(obs["N_R_total"][0]),
+        N_ground_L=float(obs["N_ground_L"][0]),
+        N_ground_R=float(obs["N_ground_R"][0]),
+        p_e=steady.p_e, defined=bool(obs["defined"][0]))
 
 
 # --- sweep specification and result --------------------------------------
@@ -163,11 +182,18 @@ _POINT_FIELDS = ["N_L_total", "N_R_total", "N_ground_L", "N_ground_R",
                  "converged"]
 
 
-def _point_fields(steady: SteadyState, modes: list[Mode]) -> list:
-    obs = stokes_s3(steady, modes)
-    return [obs.N_L_total, obs.N_R_total, obs.N_ground_L, obs.N_ground_R,
-            obs.S3, obs.S3_ground, obs.p_e, steady.residual_norm,
-            steady.iterations, steady.converged]
+def _point_rows(states: SteadyState, ladder: ModeLadder) -> list[list]:
+    """The _POINT_FIELDS of every row of a row-stacked steady state."""
+    obs = _readout(states.N, ladder)
+    obs.update(p_e=states.p_e, residual_norm=states.residual_norm,
+               iterations=states.iterations, converged=states.converged)
+    return [list(row) for row in
+            zip(*(np.asarray(obs[name]).tolist() for name in _POINT_FIELDS))]
+
+
+def _system(cavity, medium, dye, l_max, kappa_override):
+    ladder = mode_ladder(cavity, medium, l_max, kappa_override)
+    return ladder, RateSystem.from_ladder(ladder, dye)
 
 
 def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
@@ -197,24 +223,27 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     pumps = spec.grid()
     modes = build_mode_set(cavity, medium, l_max, kappa_override)
     rates = build_rate_table(dye, modes)
+    ladder = rates.ladder
 
-    i_L0 = next(i for i, m in enumerate(modes) if m.sigma == "L" and m.l == 0)
-    i_R0 = next(i for i, m in enumerate(modes) if m.sigma == "R" and m.l == 0)
+    i_R0 = ladder.n_left
     _, _, s3_pin = pinned_pair(
-        pumps, modes[i_L0].kappa, dye.gamma_down,
-        float(rates.gamma_up[i_L0]), float(rates.gamma_down[i_L0]),
+        pumps, float(ladder.kappa[0]), dye.gamma_down,
+        float(rates.gamma_up[0]), float(rates.gamma_down[0]),
         float(rates.gamma_up[i_R0]), float(rates.gamma_down[i_R0]), dye.M)
 
     columns = ["pump"] + _POINT_FIELDS[:6] + ["S3_pinned"] + _POINT_FIELDS[6:]
     rows = []
     seed = None
-    for k, pump in enumerate(pumps):
-        dye_k = replace(dye, gamma_up_pump=float(pump))
-        steady = find_steady_state(rates, modes, dye_k, solver, initial=seed)
+    for pump, pin in zip(pumps.tolist(), s3_pin.tolist()):
+        steady = find_steady_state(rates, modes,
+                                   replace(dye, gamma_up_pump=pump), solver,
+                                   initial=seed)
         seed = SystemState(N=steady.N, p_e=steady.p_e)
-        fields = _point_fields(steady, modes)
-        rows.append([float(pump)] + fields[:6] + [float(s3_pin[k])]
-                    + fields[6:])
+        obs = stokes_s3(steady, ladder)
+        rows.append([pump, obs.N_L_total, obs.N_R_total, obs.N_ground_L,
+                     obs.N_ground_R, obs.S3, obs.S3_ground, pin, obs.p_e,
+                     steady.residual_norm, steady.iterations,
+                     steady.converged])
     meta = _meta(rows, columns, time.perf_counter() - t0)
     meta.update(axis="pump", modes=len(modes))
     return SweepResult(columns=columns, rows=rows, meta=meta)
@@ -224,11 +253,10 @@ def _chi_point(args):
     (cavity, base_index, dye, l_max, solver, kappa_override,
      scale, chi, epsilon) = args
     dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
-    medium = refractive_indices(base_index, chi)
-    modes = build_mode_set(cavity, medium, l_max, kappa_override)
-    rates = build_rate_table(dye_s, modes)
-    steady = find_steady_state(rates, modes, dye_s, solver)
-    return [scale, chi, epsilon] + _point_fields(steady, modes)
+    ladder, sys_ = _system(cavity, refractive_indices(base_index, chi), dye_s,
+                           l_max, kappa_override)
+    states = steady_states(sys_, [dye_s.gamma_up_pump], solver)
+    return [scale, chi, epsilon] + _point_rows(states, ladder)[0]
 
 
 def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
@@ -265,17 +293,10 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
 def _grid_column(args):
     (cavity, base_index, dye, l_max, solver, kappa_override, chi,
      pumps) = args
-    medium = refractive_indices(base_index, chi)
-    modes = build_mode_set(cavity, medium, l_max, kappa_override)
-    rates = build_rate_table(dye, modes)
-    rows = []
-    seed = None
-    for pump in pumps:
-        dye_k = replace(dye, gamma_up_pump=float(pump))
-        steady = find_steady_state(rates, modes, dye_k, solver, initial=seed)
-        seed = SystemState(N=steady.N, p_e=steady.p_e)
-        rows.append([chi, float(pump)] + _point_fields(steady, modes))
-    return rows
+    ladder, sys_ = _system(cavity, refractive_indices(base_index, chi), dye,
+                           l_max, kappa_override)
+    fields = _point_rows(steady_states(sys_, pumps, solver), ladder)
+    return [[chi, pump] + f for pump, f in zip(pumps.tolist(), fields)]
 
 
 def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
@@ -335,11 +356,10 @@ class SensitivityReport:
 def _s3_at_epsilon(cavity, sample, solvent, dye, l_max, solver,
                    kappa_override, epsilon: float) -> float:
     chi = chi_from_sample(replace(sample, epsilon=epsilon), solvent)
-    medium = refractive_indices(solvent.base_index, chi)
-    modes = build_mode_set(cavity, medium, l_max, kappa_override)
-    rates = build_rate_table(dye, modes)
-    steady = find_steady_state(rates, modes, dye, solver)
-    return stokes_s3(steady, modes).S3
+    ladder, sys_ = _system(cavity, refractive_indices(solvent.base_index, chi),
+                           dye, l_max, kappa_override)
+    states = steady_states(sys_, [dye.gamma_up_pump], solver)
+    return float(_readout(states.N, ladder)["S3"][0])
 
 
 def sensitivity(cavity: CavityParams, sample: ChiralSample,

@@ -12,11 +12,13 @@ from polarbec import (
     CavityParams,
     MediumIndices,
     Mode,
+    ModeLadder,
     build_mode_set,
     cavity_decay,
     cutoff_frequency,
     effective_mass,
     lateral_frequency,
+    mode_ladder,
 )
 from polarbec.constants import C_LIGHT, HBAR
 
@@ -214,3 +216,34 @@ def test_mode_set_rejects_bad_arguments():
         build_mode_set(make_cavity(), medium, -1)
     with pytest.raises(ValueError):
         build_mode_set(make_cavity(), medium, 3, kappa_override=0.0)
+
+
+# --- array ladder ---------------------------------------------------------------
+
+
+def test_array_ladder_equals_the_mode_list_bitwise():
+    for medium, kappa in ((MediumIndices(n_L=1.3435, n_R=1.3395), KAPPA),
+                          (MediumIndices(n_L=1.34, n_R=1.34), None)):
+        ladder = mode_ladder(make_cavity(), medium, 200, kappa)
+        modes = build_mode_set(make_cavity(), medium, 200, kappa)
+        assert ladder.n_left == 201 and ladder.size == 402
+        assert np.array_equal(ladder.omega, [m.omega for m in modes])
+        assert np.array_equal(ladder.kappa, [m.kappa for m in modes])
+        assert np.array_equal(ladder.l, [m.l for m in modes])
+        assert np.array_equal(ladder.degeneracy, [m.degeneracy for m in modes])
+        assert ladder.ground() == (0, 201)
+
+
+def test_array_ladder_checks_every_mode():
+    medium = MediumIndices(n_L=1.3435, n_R=1.3395)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        mode_ladder(make_cavity(mirror_loss=0.0), medium, 3)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        build_mode_set(make_cavity(mirror_loss=0.0), medium, 3)
+    good = mode_ladder(make_cavity(), medium, 3, KAPPA)
+    fields = dict(l=good.l, degeneracy=good.degeneracy, omega=good.omega,
+                  kappa=good.kappa, n_left=good.n_left)
+    for name, bad in (("degeneracy", good.l), ("omega", -good.omega),
+                      ("l", good.l - 1), ("n_left", 9)):
+        with pytest.raises(ValueError):
+            ModeLadder(**{**fields, name: bad})

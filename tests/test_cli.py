@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from polarbec import cli
 from polarbec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -254,6 +255,34 @@ def test_out_of_range_chi_grid_exits_with_config_code(tmp_path, capsys):
                    str(out)) == EXIT_CONFIG
     assert "chi grid endpoint" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[medium]\ntheta_deg = 1e6\n",
+    "[sweep]\nsensitivity_epsilon = 1\n",
+    "[sweep]\nsensitivity_step = 0\n",
+])
+def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_a_fault_inside_a_command_is_not_an_io_error(tmp_path, monkeypatch,
+                                                     capsys):
+    def broken(args, config, out_dir):
+        raise RuntimeError("not an I/O problem")
+
+    monkeypatch.setitem(cli._COMMANDS, "threshold", broken)
+    out = tmp_path / "x"
+    with pytest.raises(RuntimeError, match="not an I/O problem"):
+        run_cli("threshold", "--out", str(out))
+    assert "I/O error" not in capsys.readouterr().err
+    # the lock is released on the way out
+    assert not (out / ".polarbec.lock").exists()
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):

@@ -167,6 +167,18 @@ def test_out_of_range_chi_grid_is_rejected(text):
 # --- medium routes -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[medium]\ntheta_deg = 1e6\n", "no valid index pair"),
+    ("[sweep]\nsensitivity_epsilon = 0\n", "sensitivity_epsilon"),
+    ("[sweep]\nsensitivity_epsilon = 1\n", "sensitivity_epsilon"),
+    ("[sweep]\nsensitivity_step = 0\n", "sensitivity_step"),
+    ("[sweep]\nsensitivity_step = 1.5\n", "sensitivity_step"),
+])
+def test_inputs_that_would_crash_later_are_rejected(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_sample_route_is_the_default():
     config = parse_config("")
     assert config.medium_kind == "sample"

@@ -21,15 +21,24 @@ from polarbec import (
     find_steady_state,
     full_derivatives,
     lateral_frequency,
+    mode_ladder,
     stokes_s3,
     total_rates,
 )
-from polarbec.dynamics import BALANCE_FTOL
+from polarbec import dynamics
+from polarbec.dynamics import (
+    BALANCE_FTOL,
+    CrosscheckError,
+    RateSystem,
+    crosscheck_bound,
+    steady_states,
+)
 
 from conftest import (
     KAPPA,
     SWEEP_INDICES,
     TAU_L0,
+    TEFF_L0,
     bisect_single_mode,
     make_cavity,
     make_dye,
@@ -342,3 +351,111 @@ def test_solver_invariants_hold_on_random_problems(n_base, split, l_max,
     obs = stokes_s3(steady, modes)
     if obs.defined:
         assert -1.0 <= obs.S3 <= 1.0
+
+
+# --- the batched exact solve ---------------------------------------------------
+
+# a 402-mode pump column across the condensation knee, far ends included
+KNEE_PUMPS = np.concatenate([[1e8, 6e8], np.linspace(0.9, 1.2, 13) * TEFF_L0,
+                             [2e9, 6e9, 1e10]])
+
+
+def ladder_system(medium, pump=0.0, l_max=200):
+    ladder = mode_ladder(make_cavity(), medium, l_max, KAPPA)
+    return ladder, RateSystem.from_ladder(ladder, make_dye(pump))
+
+
+def assert_rows_equal(a, b):
+    assert np.array_equal(a.N, b.N)
+    for name in ("p_e", "residual_norm", "iterations", "converged"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_batched_column_equals_point_solves_bitwise():
+    modes = build_mode_set(make_cavity(), SWEEP_INDICES, 200,
+                           kappa_override=KAPPA)
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    batch = steady_states(sys_, KNEE_PUMPS, SolverConfig())
+    assert batch.N.shape == (KNEE_PUMPS.size, 402)
+    for k, pump in enumerate(KNEE_PUMPS):
+        dye = make_dye(pump)
+        point = find_steady_state(build_rate_table(dye, modes), modes, dye)
+        assert np.array_equal(batch.N[k], point.N)
+        assert batch.iterations[k] == point.iterations
+        assert batch.residual_norm[k] == point.residual_norm
+        assert batch.p_e[k] == point.p_e
+        assert batch.converged[k] == point.converged
+    assert batch.converged.all()
+    assert 52 <= batch.iterations.min() and batch.iterations.max() <= 201
+
+
+def test_chunking_does_not_change_a_single_bit(monkeypatch):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    whole = steady_states(sys_, KNEE_PUMPS, SolverConfig())
+    monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 1)
+    one_row = steady_states(sys_, KNEE_PUMPS, SolverConfig())
+    monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 10**9)
+    one_chunk = steady_states(sys_, KNEE_PUMPS, SolverConfig())
+    assert_rows_equal(whole, one_row)
+    assert_rows_equal(whole, one_chunk)
+
+
+def test_batched_path_keeps_the_achiral_tie_and_the_relabel_swap():
+    _, tie = ladder_system(MediumIndices(1.34, 1.34))
+    tied = steady_states(tie, KNEE_PUMPS, SolverConfig())
+    assert np.array_equal(tied.N[:, :201], tied.N[:, 201:])
+    _, sys_a = ladder_system(MediumIndices(1.3435, 1.3395))
+    _, sys_b = ladder_system(MediumIndices(1.3395, 1.3435))
+    a = steady_states(sys_a, KNEE_PUMPS, SolverConfig())
+    b = steady_states(sys_b, KNEE_PUMPS, SolverConfig())
+    assert np.array_equal(a.N[:, :201], b.N[:, 201:])
+    assert np.array_equal(a.N[:, 201:], b.N[:, :201])
+    assert np.array_equal(a.p_e, b.p_e)
+    assert np.array_equal(a.iterations, b.iterations)
+
+
+def test_batched_rows_without_pump_or_molecules_stay_empty():
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    rows = steady_states(sys_, [0.0, 5e9, 0.0], SolverConfig())
+    assert np.all(rows.N[[0, 2]] == 0.0) and np.all(rows.N[1] > 0.0)
+    assert list(rows.iterations[[0, 2]]) == [0, 0]
+    assert rows.converged.all()
+    ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 20, KAPPA)
+    dark = RateSystem.from_ladder(ladder, make_dye(M=0.0))
+    assert np.all(steady_states(dark, [1e9, 5e9], SolverConfig()).N == 0.0)
+
+
+# --- the cross-check bound --------------------------------------------------------
+
+
+def test_crosscheck_bound_follows_the_convergence_contract():
+    assert crosscheck_bound() == 4.0 * BALANCE_FTOL
+
+
+def test_crosscheck_is_silent_on_correct_answers():
+    # 402 modes, 25 pumps across the knee: the pseudo-transient route is
+    # seeded along the column (as in the sweeps) and cold (one point)
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.logspace(8, 10, 25)
+    rows = steady_states(sys_, pumps, SolverConfig(mode="both_crosscheck"))
+    assert rows.converged.all()
+    modes = build_mode_set(make_cavity(), SWEEP_INDICES, 200,
+                           kappa_override=KAPPA)
+    for pump in pumps:
+        dye = make_dye(pump)
+        steady = find_steady_state(build_rate_table(dye, modes), modes, dye,
+                                   SolverConfig(mode="both_crosscheck"))
+        assert steady.converged
+
+
+def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
+    honest = dynamics._semi_dynamical
+
+    def off_by_ten_bounds(*args):
+        N, it, norm = honest(*args)
+        return N * (1.0 + 10.0 * crosscheck_bound()), it, norm
+
+    monkeypatch.setattr(dynamics, "_semi_dynamical", off_by_ten_bounds)
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    with pytest.raises(CrosscheckError, match="deviates"):
+        steady_states(sys_, [3e9], SolverConfig(mode="both_crosscheck"))

@@ -23,6 +23,9 @@ from polarbec import (
     stokes_s3,
 )
 
+from polarbec import dynamics
+from polarbec.dynamics import RateSystem
+
 from conftest import KAPPA, SWEEP_INDICES, make_cavity, make_dye
 
 SOLVER = SolverConfig()
@@ -236,6 +239,30 @@ def test_grid_sweep_layout_and_thread_invariance():
 
 
 # --- sensitivity probe -------------------------------------------------------------
+
+
+def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
+    chi_spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=2,
+                         spacing="linear")
+    pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=10)
+
+    def run():
+        return grid_sweep(make_cavity(), 1.34, make_dye(), 30, SOLVER,
+                          chi_spec, pump_spec, kappa_override=KAPPA)
+
+    whole = run()
+    chunks = []
+    bisect = RateSystem._bisect
+
+    def counted(self, pumps):
+        chunks.append(pumps.size)
+        return bisect(self, pumps)
+
+    monkeypatch.setattr(RateSystem, "_bisect", counted)
+    monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 3 * 62)
+    split = run()
+    assert chunks == [3, 3, 3, 1] * 2
+    assert split.rows == whole.rows
 
 
 def test_sensitivity_resolves_the_transition_slope():
