@@ -24,13 +24,17 @@ Two independent solvers find F(N) = 0:
 
 * fixed_point: the exact one-variable reduction.  Every occupation is a
   closed-form function of the winning mode's saturation margin u, so
-  bisecting the excitation balance h(u) = 0 gives the whole steady
-  state; the reported iteration count is the number of bisection steps.
-  A whole pump grid on one ladder is bisected in lock step: occupations
-  are held as (rows, modes) arrays, a row drops out when its bracket
-  stops shrinking, and rows are taken in chunks of at most
-  CHUNK_ELEMENTS occupations so the temporaries stay a few hundred kB
-  whatever the grid length.  Each row runs the same float operations
+  the root of the excitation balance h(u) = 0 gives the whole steady
+  state.  A safeguarded bracketing search finds it: geometric-mean
+  steps down to the root's scale from a photon-number lower bound, then
+  Illinois regula falsi steps with a bisection fallback, about 10-12
+  evaluations of h per point; the reported iteration count is the
+  number of h(u) evaluations.  A whole pump grid on one ladder is
+  searched in lock step: occupations are held as (rows, modes) arrays,
+  every live row's candidate is evaluated in one batched call, a row
+  drops out when its search ends, and rows are taken in chunks of at
+  most CHUNK_ELEMENTS occupations so the temporaries stay a few hundred
+  kB whatever the grid length.  Each row runs the same float operations
   as a lone solve, so batching changes no bit of any answer.
 * semi_dynamical: damped pseudo-time continuation.  Each step solves
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
@@ -64,6 +68,7 @@ solution exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +80,7 @@ from .dye import DyeParams, RateTable, absorption_rate, emission_rate
 BALANCE_FTOL = 1e-5
 # float64 cancellation allowance relative to the gross one-way flux
 CANCEL_EPS = 1e-15
-# most occupations one (rows, modes) array of the batched bisection
+# most occupations one (rows, modes) array of the batched root search
 # holds; longer pump grids are solved in chunks of rows
 CHUNK_ELEMENTS = 1 << 16
 
@@ -305,13 +310,29 @@ class RateSystem:
         Gu, Gd = self.totals(N, pump)
         return np.where(bad, np.inf, x * (Gu + Gd) - Gu)
 
-    def solve(self, pump):
-        """Exact occupations via bisection on the winner's margin.
+    def root_floor(self, pumps):
+        """Lower bound of the root u of h, one per pump.
 
-        `pump` is one pump or a 1-D array of them, one row each.  All
-        rows bisect in lock step, in chunks of at most CHUNK_ELEMENTS
-        occupations; a row leaves the loop when its bracket stops
-        shrinking or after 201 steps.  Returns (N, steps): N of shape
+        At the steady state the cavity loses photons no faster than the
+        pump excites molecules: sum_nu g_nu kap_nu N_nu = M (pump (1 - p_e)
+        - gamma_dn p_e) <= M pump, so the winner holds at most
+        N_w <= M pump / (g_w kap_w).  With N_w = M dn_w x / u and
+        x = (umax - u) / x_scale this gives u >= c (umax - u),
+        c = dn_w g_w kap_w / (pump x_scale), so u >= c umax / (1 + c).
+        The bound is halved to stay below the root after rounding.
+        """
+        w = self.w
+        c = self.dn[w] * self.deg[w] * self.kap[w] / (pumps * self.x_scale)
+        return 0.5 * c * self.umax / (1.0 + c)
+
+    def solve(self, pump):
+        """Exact occupations via a bracketing root search on the margin.
+
+        `pump` is one pump or a 1-D array of them, one row each.  Every
+        row runs its own _root_search of h(u) = 0 on [0, umax], and all
+        rows advance in lock step, in chunks of at most CHUNK_ELEMENTS
+        occupations: each step evaluates h at every live row's candidate
+        in one batched call.  Returns (N, steps): N of shape
         (rows, modes), steps the number of h(u) evaluations of each row.
         """
         pumps = np.asarray(pump, dtype=float).reshape(-1)
@@ -323,36 +344,92 @@ class RateSystem:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for start in range(0, live.size, chunk):
                 rows = live[start:start + chunk]
-                N[rows], steps[rows] = self._bisect(pumps[rows])
+                N[rows], steps[rows] = self._find_roots(pumps[rows])
         return N, steps
 
-    def _bisect(self, pumps):
-        # live rows are compacted as they finish; all of them have taken
-        # `step` steps, so a finishing row records that count
+    def _find_roots(self, pumps):
+        # every live row sends its last h value and receives its next
+        # candidate; finished rows drop out and report their bracket
+        searches = [_root_search(self.umax, floor)
+                    for floor in self.root_floor(pumps).tolist()]
         lo_end = np.zeros(pumps.size)
         hi_end = np.full(pumps.size, self.umax)
         steps = np.zeros(pumps.size, dtype=int)
-        rows = np.arange(pumps.size)
-        lo, hi = lo_end.copy(), hi_end.copy()
-        step = 0
-        while True:
-            mid = 0.5 * (lo + hi)
-            go = (mid > lo) & (mid < hi) & (step <= 200)
-            if not go.all():
-                done = rows[~go]
-                lo_end[done], hi_end[done], steps[done] = lo[~go], hi[~go], step
-                rows, lo, hi, mid, pumps = (rows[go], lo[go], hi[go], mid[go],
-                                            pumps[go])
-                if not rows.size:
-                    break
-            below = self.h_of_u(mid, pumps) < 0.0
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-            step += 1
+        rows, values = list(range(pumps.size)), [None] * pumps.size
+        while rows:
+            live, u = [], []
+            for r, value in zip(rows, values):
+                try:
+                    u.append(searches[r].send(value))
+                except StopIteration as end:
+                    lo_end[r], hi_end[r], steps[r] = end.value
+                else:
+                    live.append(r)
+            rows = live
+            if rows:
+                values = self.h_of_u(np.array(u), pumps[rows]).tolist()
         N, _, bad = self.occ_at_u(hi_end)
         if bad.any():
             N[bad] = self.occ_at_u(lo_end[bad])[0]
         return N, steps
+
+
+def _root_search(umax, floor):
+    """Safeguarded superlinear search for the root of h on [0, umax].
+
+    A generator: it yields each margin u to evaluate, is sent h(u), and
+    returns (lo, hi, evaluations).  h < 0 moves hi and anything else
+    (h = +inf where some mode margin is <= 0 included) moves lo.  The
+    root usually sits many decades below umax, and `floor` is a lower
+    bound of it (RateSystem.root_floor).  While hi exceeds 4 max(lo,
+    floor), or an end value is not yet a finite g of the right sign,
+    the search steps to the geometric mean of max(lo, floor) and hi.
+    Then it takes Illinois steps (Dowell & Jarratt, BIT 11, 168 (1971))
+    on g(u) = u h(u), which is nearly linear near the root because the
+    winner's occupation goes as 1/u, and bisects whenever the bracket
+    failed to halve over the last three steps.  Each candidate keeps
+    at least 4 ulps, and at most a quarter of the bracket, from either
+    end.  The search stops at an exact zero of h, returning it as both
+    ends, at a float-adjacent bracket, or after 201 evaluations.  All
+    arithmetic is on the row's own floats, so batching rows changes no
+    bit of any row.
+    """
+    lo, hi = 0.0, umax
+    g_lo = g_hi = math.nan          # u h(u) at the ends, once evaluated
+    widths = [math.inf] * 3         # bracket widths of the last 3 steps
+    moved = 0                       # end moved last: -1 lo, +1 hi
+    for evals in range(201):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi, evals
+        width = hi - lo
+        base = max(lo, floor)
+        illinois = False
+        if (hi > 4.0 * base
+                or not (0.0 < g_lo < math.inf and -math.inf < g_hi < 0.0)):
+            u = math.sqrt(base * hi)
+        elif width > 0.5 * widths[0]:
+            u = mid
+        else:
+            u = lo - g_lo * width / (g_hi - g_lo)
+            illinois = True
+        widths = widths[1:] + [width]
+        u = min(max(u, lo + min(4.0 * math.ulp(lo), 0.25 * width)),
+                hi - min(4.0 * math.ulp(hi), 0.25 * width))
+        if not lo < u < hi:
+            u = mid
+        h = yield u
+        if h == 0.0:
+            return u, u, evals + 1
+        if h < 0.0:
+            if illinois and moved > 0:
+                g_lo *= 0.5
+            hi, g_hi, moved = u, u * h, 1
+        else:
+            if illinois and moved < 0:
+                g_hi *= 0.5
+            lo, g_lo, moved = u, u * h, -1
+    return lo, hi, 201
 
 
 # --- public rate-equation operations ------------------------------------
@@ -484,7 +561,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
 
     Returns a SteadyState whose fields are row-stacked: N of shape
     (rows, modes), the rest one entry per pump.  The exact route solves
-    all rows in one lock-step bisection.  The pseudo-transient route
+    all rows in one lock-step root search.  The pseudo-transient route
     runs the pumps in order, seeding each from the previous answer and
     the first from `seed` (an occupation vector, or None for the empty
     cavity).  Cross-check mode runs both and raises CrosscheckError at

@@ -24,11 +24,12 @@ Sweep drivers:
   its rate system from the array ladder (mode_ladder); no Mode objects.
 * grid_sweep: chi x pump map.  Each chi column builds one rate system
   from the array ladder and solves its whole pump grid in one call
-  (steady_states: one lock-step bisection on the exact route, chunked
-  to bound memory; the seeded pseudo-transient loop otherwise), and
-  reads the observables from the row-stacked occupations.  Distinct chi
-  columns are independent and `threads` distributes them over a process
-  pool.  Row order and values do not depend on the worker count.
+  (steady_states: one lock-step root search on the exact route,
+  chunked to bound memory; the seeded pseudo-transient loop otherwise),
+  and reads the observables from the row-stacked occupations.  Distinct
+  chi columns are independent and `threads` distributes them over a
+  process pool.  Row order and values do not depend on the worker
+  count.
 * sensitivity: central-difference slope dS3/depsilon at an operating
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
@@ -197,12 +198,16 @@ def _system(cavity, medium, dye, l_max, kappa_override):
 
 
 def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
+    """Run summary for the manifest; everything but elapsed_s repeats."""
     i_conv = columns.index("converged")
     i_res = columns.index("residual_norm")
+    i_it = columns.index("iterations")
     return {
         "points": len(rows),
         "converged_points": sum(1 for r in rows if r[i_conv]),
         "max_residual_norm": max((r[i_res] for r in rows), default=0.0),
+        "iterations_total": sum(r[i_it] for r in rows),
+        "iterations_max": max((r[i_it] for r in rows), default=0),
         "elapsed_s": elapsed,
     }
 
@@ -305,9 +310,11 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
                threads: int = 1) -> SweepResult:
     """Chi x pump map of the steady state.
 
-    Each chi column runs its ascending pump grid with every point seeded
-    from the previous one; columns are independent and distribute over
-    `threads` workers without changing values or row order.
+    Each chi column solves its ascending pump grid in one steady_states
+    call: one lock-step root search on the exact route, while the
+    pseudo-transient route seeds every point from the previous one.
+    Columns are independent and distribute over `threads` workers
+    without changing values or row order.
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()

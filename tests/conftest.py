@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from polarbec import (
     CavityParams,
     DyeParams,
@@ -85,6 +87,44 @@ def bisect_single_mode(pump: float, kappa: float, gamma_down: float,
             lo = mid
         else:
             hi = mid
+
+
+def bisect_margin_roots(sys_, pumps):
+    """Exact occupations of a rate system by plain lock-step bisection.
+
+    The oracle for RateSystem.solve: halves the bracket [0, umax] of the
+    excitation balance h(u) (h < 0 moves hi, anything else moves lo)
+    until it is float-adjacent or 201 steps are spent, then reads the
+    occupations off at hi, or at lo for rows where hi is unphysical.
+    Returns (N, steps), one row per pump; every pump must be positive.
+    """
+    pumps = np.asarray(pumps, dtype=float)
+    lo_end = np.zeros(pumps.size)
+    hi_end = np.full(pumps.size, sys_.umax)
+    steps = np.zeros(pumps.size, dtype=int)
+    rows = np.arange(pumps.size)
+    lo, hi = lo_end.copy(), hi_end.copy()
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            go = (mid > lo) & (mid < hi) & (step <= 200)
+            if not go.all():
+                done = rows[~go]
+                lo_end[done], hi_end[done], steps[done] = (lo[~go], hi[~go],
+                                                           step)
+                rows, lo, hi, mid, pumps = (rows[go], lo[go], hi[go],
+                                            mid[go], pumps[go])
+                if not rows.size:
+                    break
+            below = sys_.h_of_u(mid, pumps) < 0.0
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+            step += 1
+        N, _, bad = sys_.occ_at_u(hi_end)
+        if bad.any():
+            N[bad] = sys_.occ_at_u(lo_end[bad])[0]
+    return N, steps
 
 
 # --- closed-form reference values, frozen from a 50-digit evaluation -------

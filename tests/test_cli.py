@@ -142,6 +142,23 @@ def test_manifest_replays_the_same_run(tmp_path, small_config):
         out_b / "pump_sweep.csv").read_bytes()
 
 
+def test_manifest_reports_the_solver_work(tmp_path, small_config):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("sweep-grid", "--config", small_config, "--out",
+                   str(out_a)) == EXIT_OK
+    rows = [r.split(",") for r in read_rows(out_a / "grid.csv")]
+    i_it = rows[0].index("iterations")
+    iterations = [int(r[i_it]) for r in rows[1:]]
+    run = json.loads((out_a / "manifest.json").read_text())["run"]
+    assert run["iterations_total"] == sum(iterations)
+    assert run["iterations_max"] == max(iterations) > 0
+    assert run_cli("sweep-grid", "--config", str(out_a / "manifest.json"),
+                   "--out", str(out_b)) == EXIT_OK
+    replay = json.loads((out_b / "manifest.json").read_text())["run"]
+    for key in ("iterations_total", "iterations_max"):
+        assert replay[key] == run[key]
+
+
 def test_manifest_with_retired_keys_replays(tmp_path, small_config):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_cli("sweep-pump", "--config", small_config, "--out", str(out_a))

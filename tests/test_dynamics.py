@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from polarbec import (
     full_derivatives,
     lateral_frequency,
     mode_ladder,
+    refractive_indices,
     stokes_s3,
     total_rates,
 )
@@ -35,10 +38,12 @@ from polarbec.dynamics import (
 )
 
 from conftest import (
+    BASE_INDEX,
     KAPPA,
     SWEEP_INDICES,
     TAU_L0,
     TEFF_L0,
+    bisect_margin_roots,
     bisect_single_mode,
     make_cavity,
     make_dye,
@@ -386,7 +391,8 @@ def test_batched_column_equals_point_solves_bitwise():
         assert batch.p_e[k] == point.p_e
         assert batch.converged[k] == point.converged
     assert batch.converged.all()
-    assert 52 <= batch.iterations.min() and batch.iterations.max() <= 201
+    # fewer h(u) evaluations than the fewest a bisection needs (52)
+    assert batch.iterations.max() <= 51
 
 
 def test_chunking_does_not_change_a_single_bit(monkeypatch):
@@ -423,6 +429,51 @@ def test_batched_rows_without_pump_or_molecules_stay_empty():
     ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 20, KAPPA)
     dark = RateSystem.from_ladder(ladder, make_dye(M=0.0))
     assert np.all(steady_states(dark, [1e9, 5e9], SolverConfig()).N == 0.0)
+
+
+# --- the root search against the bisection oracle -------------------------------
+
+# 1e8 .. 1e11 in tenths of a decade, plus the knee (TEFF_L0 itself included)
+HAZARD_PUMPS = np.concatenate([np.logspace(8, 11, 31),
+                               np.linspace(0.9, 1.2, 13) * TEFF_L0])
+
+
+def winner_margin(sys_, N):
+    """The winner's margin u of occupations N, from N_w = Mdn_w x / u."""
+    w = sys_.w
+    return sys_.Mdn[w] * sys_.umax / (N[..., w] * sys_.x_scale + sys_.Mdn[w])
+
+
+def assert_matches_the_oracle(sys_, pumps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = steady_states(sys_, pumps, SolverConfig())
+    N_oracle, _ = bisect_margin_roots(sys_, pumps)
+    assert rows.converged.all()
+    assert rows.iterations.max() <= 51
+    assert np.all(np.abs(rows.N - N_oracle) <= 1e-11 * N_oracle)
+    # the search starts its geometric steps from a bound below the root
+    assert np.all(sys_.root_floor(pumps) < winner_margin(sys_, N_oracle))
+
+
+@pytest.mark.parametrize("l_max", [0, 30, 200, 2000])
+def test_root_search_matches_the_bisection_oracle(l_max):
+    # the root sits decades below umax, behind a band where h = +inf
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    assert_matches_the_oracle(sys_, HAZARD_PUMPS)
+
+
+def test_root_search_survives_an_exact_zero_plateau():
+    # h(u) is exactly 0.0 over hundreds of ulps around this row's root,
+    # where a regula falsi step makes one-ulp progress
+    _, sys_ = ladder_system(refractive_indices(BASE_INDEX, -1.1476e-5))
+    pump = np.array([1.2644e9])
+    N_oracle, _ = bisect_margin_roots(sys_, pump)
+    u_root = float(winner_margin(sys_, N_oracle[0]))
+    u = u_root + np.arange(-400, 401) * math.ulp(u_root)
+    h = sys_.h_of_u(u, np.full(u.size, pump[0]))
+    assert np.count_nonzero(h == 0.0) > 100
+    assert_matches_the_oracle(sys_, pump)
 
 
 # --- the cross-check bound --------------------------------------------------------

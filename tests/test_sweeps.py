@@ -252,13 +252,13 @@ def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
 
     whole = run()
     chunks = []
-    bisect = RateSystem._bisect
+    find_roots = RateSystem._find_roots
 
     def counted(self, pumps):
         chunks.append(pumps.size)
-        return bisect(self, pumps)
+        return find_roots(self, pumps)
 
-    monkeypatch.setattr(RateSystem, "_bisect", counted)
+    monkeypatch.setattr(RateSystem, "_find_roots", counted)
     monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 3 * 62)
     split = run()
     assert chunks == [3, 3, 3, 1] * 2
