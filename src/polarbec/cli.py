@@ -17,9 +17,10 @@ Subcommands:
 
 Common flags: --config PATH (INI file, or a manifest.json from an
 earlier run to replay it), --out DIR (overrides [output] directory),
---threads N (process workers for independent grid points),
 --allow-partial (keep going and exit zero when some points failed to
-converge).
+converge).  Every command runs in one process.  The retired --threads N
+flag is still accepted, so earlier scripts keep working, and is ignored
+with one warning on stderr, as retired configuration keys are.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration or usage
 error, 3 unconverged points without --allow-partial, 4 I/O failure
@@ -63,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "from an earlier run to replay")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (overrides the configuration)")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="process workers for independent grid points")
+    common.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     common.add_argument("--allow-partial", action="store_true",
                         help="exit zero even if some points did not converge")
 
@@ -183,7 +183,7 @@ def _cmd_sweep_chi(args, config: RunConfig, out_dir: str) -> int:
     result = chi_sweep(config.cavity, config.base_index(), config.dye,
                        config.l_max, config.solver, spec,
                        config.kappa_override, scales=config.sweep.scales,
-                       epsilons=epsilons, threads=args.threads)
+                       epsilons=epsilons)
     write_csv(os.path.join(out_dir, "chi_sweep.csv"), result.columns,
               result.rows)
     with open(os.path.join(out_dir, "chi_sweep.gp"), "w",
@@ -198,8 +198,7 @@ def _cmd_sweep_grid(args, config: RunConfig, out_dir: str) -> int:
                         points=config.sweep.grid_pump_points)
     result = grid_sweep(config.cavity, config.base_index(), config.dye,
                         config.l_max, config.solver, config.sweep.chi,
-                        pump_spec, config.kappa_override,
-                        threads=args.threads)
+                        pump_spec, config.kappa_override)
     write_csv(os.path.join(out_dir, "grid.csv"), result.columns, result.rows)
     with open(os.path.join(out_dir, "grid.gp"), "w", encoding="utf-8") as fh:
         fh.write(gnuplot_grid("grid.csv", config.sweep.chi.points,
@@ -290,9 +289,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.threads is not None:
+        print("warning: --threads is retired and ignored; sweeps run in one "
+              "process", file=sys.stderr)
 
     try:
         config = _load_config(args)

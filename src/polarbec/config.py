@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -334,7 +335,9 @@ def parse_config(text: str) -> RunConfig:
     Missing keys take their defaults; unknown sections or keys, mixed
     medium descriptions, malformed quantities, chi grids whose endpoints
     give no valid index pair, a chiral sample that gives none at its own
-    excess, and a sensitivity excess or step outside (0, 1) are errors.
+    excess, a sensitivity excess or step outside (0, 1), a grid pump
+    count below 1 and an absorption scale that does not keep
+    gamma_up0 * scale positive and finite are errors.
     Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
@@ -442,6 +445,16 @@ def parse_config(text: str) -> RunConfig:
         )
         if l_max < 0:
             raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
+        if sweep.grid_pump_points < 1:
+            raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
+                              f"{sweep.grid_pump_points}")
+        for scale in sweep.scales:
+            # the chi sweep runs at gamma_up0 * scale, which DyeParams
+            # needs positive; a finite product also keeps the rates finite
+            if not 0.0 < dye.gamma_up0 * scale < math.inf:
+                raise ConfigError(
+                    f"[sweep] scales entry {scale!r} must keep [dye] "
+                    f"gamma_up0 * scale positive and finite")
         for key in ("sensitivity_epsilon", "sensitivity_step"):
             value = getattr(sweep, key)
             if not 0.0 < value < 1.0:

@@ -3,11 +3,11 @@
 Every table is written as RFC-4180-style CSV (comma separated, CRLF
 line endings, header row) with floats rendered at fixed significant
 digits, so repeated runs of the same configuration produce byte
-identical files regardless of worker count.  Each run directory gets a
-manifest.json recording the resolved configuration text, tool and
-library versions, convergence summary and timings; the embedded
-configuration is sufficient to replay the run.  A lock file makes sure
-a single process owns an output directory at a time.
+identical files.  Each run directory gets a manifest.json recording the
+resolved configuration text, tool and library versions, convergence
+summary and timings; the embedded configuration is sufficient to replay
+the run.  A lock file makes sure a single process owns an output
+directory at a time.
 """
 
 from __future__ import annotations

@@ -26,28 +26,27 @@ Sweep drivers:
   from the array ladder and solves its whole pump grid in one call
   (steady_states: one lock-step root search on the exact route,
   chunked to bound memory; the seeded pseudo-transient loop otherwise),
-  and reads the observables from the row-stacked occupations.  Distinct
-  chi columns are independent and `threads` distributes them over a
-  process pool.  Row order and values do not depend on the worker
-  count.
+  and reads the observables from the row-stacked occupations.
 * sensitivity: central-difference slope dS3/depsilon at an operating
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
 
-stokes_s3 and the batched drivers share one array readout, so a CSV
-row is the same bytes whichever driver produced it.
+chi_sweep, grid_sweep and sensitivity share one per-chi solve
+(_solve_at_chi) and run in one process, in grid order.  stokes_s3 and
+the batched drivers share one array readout, so a CSV row is the same
+bytes whichever driver produced it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import CavityParams, Mode, ModeLadder, build_mode_set, mode_ladder
+from .cavity import (CavityParams, Mode, ModeLadder, build_mode_set,
+                     cavity_decay, mode_ladder)
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
@@ -192,9 +191,13 @@ def _point_rows(states: SteadyState, ladder: ModeLadder) -> list[list]:
             zip(*(np.asarray(obs[name]).tolist() for name in _POINT_FIELDS))]
 
 
-def _system(cavity, medium, dye, l_max, kappa_override):
-    ladder = mode_ladder(cavity, medium, l_max, kappa_override)
-    return ladder, RateSystem.from_ladder(ladder, dye)
+def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
+                  chi, pumps):
+    """Ladder and row-stacked steady states at one chi, one row per pump."""
+    ladder = mode_ladder(cavity, refractive_indices(base_index, chi), l_max,
+                         kappa_override)
+    return ladder, steady_states(RateSystem.from_ladder(ladder, dye), pumps,
+                                 solver)
 
 
 def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
@@ -254,21 +257,10 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
-def _chi_point(args):
-    (cavity, base_index, dye, l_max, solver, kappa_override,
-     scale, chi, epsilon) = args
-    dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
-    ladder, sys_ = _system(cavity, refractive_indices(base_index, chi), dye_s,
-                           l_max, kappa_override)
-    states = steady_states(sys_, [dye_s.gamma_up_pump], solver)
-    return [scale, chi, epsilon] + _point_rows(states, ladder)[0]
-
-
 def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
               l_max: int, solver: SolverConfig, spec: SweepSpec,
               kappa_override: float | None = None,
-              scales=DEFAULT_SCALE_FAMILY, epsilons=None,
-              threads: int = 1) -> SweepResult:
+              scales=DEFAULT_SCALE_FAMILY, epsilons=None) -> SweepResult:
     """Steady states along an index-splitting grid at fixed pump.
 
     Every grid point is an independent cold solve, repeated for each
@@ -277,65 +269,53 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     (reported as NaN otherwise).
     """
     t0 = time.perf_counter()
-    chis = spec.grid()
+    chis = spec.grid().tolist()
     if epsilons is None:
         eps_col = [float("nan")] * len(chis)
     else:
         eps_col = [float(e) for e in epsilons]
         if len(eps_col) != len(chis):
             raise ValueError("epsilons must align with the chi grid")
-    jobs = [(cavity, base_index, dye, l_max, solver, kappa_override,
-             float(s), float(chi), eps_col[i])
-            for s in scales for i, chi in enumerate(chis)]
-    results = _run_jobs(_chi_point, jobs, threads)
+    rows = []
+    for scale in map(float, scales):
+        dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
+        for chi, epsilon in zip(chis, eps_col):
+            ladder, states = _solve_at_chi(cavity, base_index, dye_s, l_max,
+                                           kappa_override, solver, chi,
+                                           [dye_s.gamma_up_pump])
+            rows.append([scale, chi, epsilon]
+                        + _point_rows(states, ladder)[0])
     columns = ["scale", "chi", "epsilon"] + _POINT_FIELDS
-    meta = _meta(results, columns, time.perf_counter() - t0)
+    meta = _meta(rows, columns, time.perf_counter() - t0)
     meta.update(axis=spec.axis, scales=list(scales),
                 pump=dye.gamma_up_pump)
-    return SweepResult(columns=columns, rows=results, meta=meta)
-
-
-def _grid_column(args):
-    (cavity, base_index, dye, l_max, solver, kappa_override, chi,
-     pumps) = args
-    ladder, sys_ = _system(cavity, refractive_indices(base_index, chi), dye,
-                           l_max, kappa_override)
-    fields = _point_rows(steady_states(sys_, pumps, solver), ladder)
-    return [[chi, pump] + f for pump, f in zip(pumps.tolist(), fields)]
+    return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
 def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
                l_max: int, solver: SolverConfig, chi_spec: SweepSpec,
-               pump_spec: SweepSpec, kappa_override: float | None = None,
-               threads: int = 1) -> SweepResult:
-    """Chi x pump map of the steady state.
+               pump_spec: SweepSpec,
+               kappa_override: float | None = None) -> SweepResult:
+    """Chi x pump map of the steady state, one chi column after another.
 
     Each chi column solves its ascending pump grid in one steady_states
     call: one lock-step root search on the exact route, while the
     pseudo-transient route seeds every point from the previous one.
-    Columns are independent and distribute over `threads` workers
-    without changing values or row order.
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()
     pumps = pump_spec.grid()
-    jobs = [(cavity, base_index, dye, l_max, solver, kappa_override,
-             float(chi), pumps) for chi in chis]
-    columns_out = _run_jobs(_grid_column, jobs, threads)
-    rows = [row for col in columns_out for row in col]
+    rows = []
+    for chi in chis.tolist():
+        ladder, states = _solve_at_chi(cavity, base_index, dye, l_max,
+                                       kappa_override, solver, chi, pumps)
+        rows += [[chi, pump] + fields for pump, fields
+                 in zip(pumps.tolist(), _point_rows(states, ladder))]
     columns = ["chi", "pump"] + _POINT_FIELDS
     meta = _meta(rows, columns, time.perf_counter() - t0)
     meta.update(axis1=chi_spec.axis, axis2=pump_spec.axis,
                 shape=[len(chis), len(pumps)])
     return SweepResult(columns=columns, rows=rows, meta=meta)
-
-
-def _run_jobs(fn, jobs: list, threads: int) -> list:
-    """Run independent jobs, preserving input order in the output."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
 
 
 # --- sensitivity ----------------------------------------------------------
@@ -360,15 +340,6 @@ class SensitivityReport:
     noise_dominated: bool
 
 
-def _s3_at_epsilon(cavity, sample, solvent, dye, l_max, solver,
-                   kappa_override, epsilon: float) -> float:
-    chi = chi_from_sample(replace(sample, epsilon=epsilon), solvent)
-    ladder, sys_ = _system(cavity, refractive_indices(solvent.base_index, chi),
-                           dye, l_max, kappa_override)
-    states = steady_states(sys_, [dye.gamma_up_pump], solver)
-    return float(_readout(states.N, ladder)["S3"][0])
-
-
 def sensitivity(cavity: CavityParams, sample: ChiralSample,
                 solvent: SolventParams, dye: DyeParams, l_max: int,
                 solver: SolverConfig, epsilon: float, step: float = 0.01,
@@ -388,7 +359,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
         raise ValueError(f"step must lie in (0, 1), got {step}")
     kappa_ref = kappa_override
     if kappa_ref is None:
-        kappa_ref = min(_ground_kappas(cavity, solvent.base_index))
+        kappa_ref = cavity_decay(cavity, solvent.base_index)
     abs_tol = solver.abs_tol if solver.abs_tol is not None else 1e-6 * kappa_ref
     noise_floor = 10.0 * (2.0 * abs_tol / kappa_ref)
 
@@ -400,13 +371,16 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     while h > h_limit:
         h *= 0.5
 
+    def s3_at(eps: float) -> float:
+        chi = chi_from_sample(replace(sample, epsilon=eps), solvent)
+        ladder, states = _solve_at_chi(cavity, solvent.base_index, dye, l_max,
+                                       kappa_override, solver, chi,
+                                       [dye.gamma_up_pump])
+        return float(_readout(states.N, ladder)["S3"][0])
+
     def bracket(hh: float):
         lo, hi = epsilon - hh, epsilon + hh
-        s_lo = _s3_at_epsilon(cavity, sample, solvent, dye, l_max, solver,
-                              kappa_override, lo)
-        s_hi = _s3_at_epsilon(cavity, sample, solvent, dye, l_max, solver,
-                              kappa_override, hi)
-        return lo, hi, s_lo, s_hi
+        return lo, hi, s3_at(lo), s3_at(hi)
 
     lo, hi, s_lo, s_hi = bracket(h)
     doublings = 0
@@ -423,8 +397,3 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
                              S3_minus=s_lo, S3_plus=s_hi,
                              noise_dominated=noise_dominated)
 
-
-def _ground_kappas(cavity: CavityParams, base_index: float):
-    from .cavity import cavity_decay as _decay
-    medium = refractive_indices(base_index, 0.0)
-    return (_decay(cavity, medium.n_L), _decay(cavity, medium.n_R))

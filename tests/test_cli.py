@@ -249,9 +249,20 @@ def test_seed_less_flag_is_rejected(tmp_path, capsys):
     assert "--seed-less" in capsys.readouterr().err
 
 
-def test_thread_count_must_be_positive(tmp_path):
-    assert run_cli("modes", "--out", str(tmp_path / "x"),
-                   "--threads", "0") == EXIT_CONFIG
+def test_retired_threads_flag_warns_once_and_changes_nothing(tmp_path,
+                                                            small_config,
+                                                            capsys):
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert run_cli("sweep-grid", "--config", small_config, "--out",
+                   str(plain)) == EXIT_OK
+    assert "--threads" not in capsys.readouterr().err
+    assert run_cli("sweep-grid", "--config", small_config, "--out",
+                   str(flagged), "--threads", "2") == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("warning: --threads is retired and ignored; "
+                     "sweeps run in one process\n") == 1
+    assert (plain / "grid.csv").read_bytes() == (
+        flagged / "grid.csv").read_bytes()
 
 
 def test_config_errors_exit_with_config_code(tmp_path, capsys):
@@ -284,6 +295,22 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "x"
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep-grid", "[sweep]\ngrid_pump_points = 0\n"),
+    ("sweep-chi", "[sweep]\nscales = 1, 0\n"),
+    ("sweep-chi", "[sweep]\nscales = -1\n"),
+    ("sweep-chi", "[sweep]\nscales = nan\n"),
+])
+def test_sweep_inputs_that_would_crash_exit_with_config_code(tmp_path,
+                                                             command, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(cfg), "--out",
                    str(out)) == EXIT_CONFIG
     assert not out.exists()
 

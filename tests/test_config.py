@@ -173,6 +173,11 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[sweep]\nsensitivity_epsilon = 1\n", "sensitivity_epsilon"),
     ("[sweep]\nsensitivity_step = 0\n", "sensitivity_step"),
     ("[sweep]\nsensitivity_step = 1.5\n", "sensitivity_step"),
+    ("[sweep]\ngrid_pump_points = 0\n", "grid_pump_points"),
+    ("[sweep]\nscales = 1, 0\n", "scales"),
+    ("[sweep]\nscales = -2\n", "scales"),
+    ("[sweep]\nscales = nan\n", "scales"),
+    ("[sweep]\nscales = inf\n", "scales"),
 ])
 def test_inputs_that_would_crash_later_are_rejected(text, message):
     with pytest.raises(ConfigError, match=message):

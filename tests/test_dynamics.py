@@ -476,6 +476,76 @@ def test_root_search_survives_an_exact_zero_plateau():
     assert_matches_the_oracle(sys_, pump)
 
 
+def drive_root_search(h, umax=1.0, floor=1e-6):
+    """Run _root_search on a synthetic h(u); one (u, lo, hi) per evaluation.
+
+    lo and hi are the bracket the search held when it chose u; the last
+    entry is the bracket it returned.
+    """
+    search = dynamics._root_search(umax, floor)
+    lo, hi = 0.0, umax
+    trace = []
+    try:
+        u = next(search)
+        while True:
+            trace.append((u, lo, hi))
+            value = h(u)
+            if value < 0.0:
+                hi = u
+            else:
+                lo = u
+            u = search.send(value)
+    except StopIteration as end:
+        trace.append((math.nan,) + end.value[:2])
+    return trace
+
+
+def step_h(root, up, down):
+    """h = up below the root and -down above it: Illinois creeps here."""
+    return lambda u: up if u < root else -down
+
+
+# smooth roots, and jumps with no root that pull the regula falsi step
+# to within a few ulps of one end, where it creeps from that side
+SYNTHETIC_H = {
+    "reciprocal": lambda u: 1e-3 / u - 1.0,
+    "eighth_power": lambda u: (3e-4 / u) ** 8 - 1.0,
+    "tanh": lambda u: math.tanh(1e5 * (2e-3 - u)),
+    **{f"jump_at_{root:g}_from_{up:g}_to_{-down:g}": step_h(root, up, down)
+       for root in (1e-5, 0.7)
+       for up, down in ((1.0, 1e10), (1.0, 1e20), (1e10, 1.0), (1e20, 1.0))},
+}
+over_synthetic_h = pytest.mark.parametrize(
+    "h", list(SYNTHETIC_H.values()), ids=list(SYNTHETIC_H))
+
+
+@over_synthetic_h
+def test_root_search_candidates_keep_clear_of_the_bracket_ends(h):
+    # each candidate sits at least min(4 ulp, width / 4) inside the
+    # bracket, up to the rounding of the candidate itself
+    trace = drive_root_search(h)
+    for u, lo, hi in trace[:-1]:
+        slack = 0.5 * math.ulp(u)
+        assert u - lo >= min(4.0 * math.ulp(lo), 0.25 * (hi - lo)) - slack
+        assert hi - u >= min(4.0 * math.ulp(hi), 0.25 * (hi - lo)) - slack
+    lo, hi = trace[-1][1:]
+    assert lo <= hi and len(trace) - 1 <= 201
+
+
+@over_synthetic_h
+def test_root_search_halves_the_bracket_every_four_evaluations(h):
+    # once past the geometric phase (both ends evaluated, hi within
+    # 4 max(lo, floor)), no four evaluations pass without the bracket
+    # width halving
+    umax, floor = 1.0, 1e-6
+    trace = drive_root_search(h, umax, floor)
+    widths = [hi - lo for _, lo, hi in trace]
+    for k, (_, lo, hi) in enumerate(trace[:-1]):
+        geometric = lo == 0.0 or hi == umax or hi > 4.0 * max(lo, floor)
+        if k >= 3 and not geometric:
+            assert widths[k + 1] <= 0.5 * widths[k - 3] + math.ulp(hi), k
+
+
 # --- the cross-check bound --------------------------------------------------------
 
 

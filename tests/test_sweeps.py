@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from polarbec import (
     find_steady_state,
     grid_sweep,
     pump_sweep,
+    refractive_indices,
     sensitivity,
     stokes_s3,
 )
@@ -202,37 +205,45 @@ def test_chi_sweep_reports_the_excess_behind_each_point():
     assert list(res.column("epsilon")) == eps
 
 
-def test_chi_sweep_threads_do_not_change_values():
+def test_chi_sweep_rows_equal_per_point_solves():
     spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=5,
                      spacing="linear")
-    seq = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
-                    kappa_override=KAPPA, scales=(1.0, 2.0), threads=1)
-    par = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
-                    kappa_override=KAPPA, scales=(1.0, 2.0), threads=2)
-    for name in seq.columns:
-        assert np.array_equal(seq.column(name), par.column(name),
-                              equal_nan=True)
+    res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
+                    kappa_override=KAPPA, scales=(1.0, 2.0))
+    assert len(res.rows) == 10
+    for row in res.rows:
+        scale, chi = row[0], row[1]
+        dye = make_dye(5e9)
+        dye = replace(dye, gamma_up0=dye.gamma_up0 * scale)
+        modes = build_mode_set(make_cavity(), refractive_indices(1.34, chi),
+                               20, kappa_override=KAPPA)
+        steady = find_steady_state(build_rate_table(dye, modes), modes, dye,
+                                   SOLVER)
+        obs = stokes_s3(steady, modes)
+        point = [scale, chi, float("nan"), obs.N_L_total, obs.N_R_total,
+                 obs.N_ground_L, obs.N_ground_R, obs.S3, obs.S3_ground,
+                 obs.p_e, steady.residual_norm, steady.iterations,
+                 steady.converged]
+        assert np.array_equal(np.array(row, dtype=float),
+                              np.array(point, dtype=float), equal_nan=True)
 
 
 # --- chi x pump grid --------------------------------------------------------------
 
 
-def test_grid_sweep_layout_and_thread_invariance():
+def test_grid_sweep_layout_and_racemic_balance():
     chi_spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=3,
                          spacing="linear")
     pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=4)
-    seq = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
-                     pump_spec, kappa_override=KAPPA, threads=1)
-    par = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
-                     pump_spec, kappa_override=KAPPA, threads=2)
-    assert seq.columns[:2] == ["chi", "pump"]
-    assert len(seq.rows) == 12
-    chis = seq.column("chi")
+    res = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
+                     pump_spec, kappa_override=KAPPA)
+    assert res.columns[:2] == ["chi", "pump"]
+    assert len(res.rows) == 12
+    chis = res.column("chi")
     assert list(chis) == [-1e-5] * 4 + [0.0] * 4 + [1e-5] * 4
-    for name in seq.columns:
-        assert np.array_equal(seq.column(name), par.column(name))
+    assert list(res.column("pump")) == pump_spec.grid().tolist() * 3
     # the racemic column keeps exact balance; the chiral columns break it
-    s3 = seq.column("S3")
+    s3 = res.column("S3")
     assert np.all(s3[4:8] == 0.0)
     assert s3[3] > 0.9   # L-favouring chi at strong pump
     assert s3[11] < -0.9
