@@ -237,11 +237,15 @@ class RunConfig:
 # --- value parsing ----------------------------------------------------------
 
 
-def _parse_number(field: str, token: str) -> float:
+def _parse_number(field: str, token: str, scale: float = 1.0) -> float:
+    """`token` times its unit `scale`; nan and +-inf are config errors."""
     try:
-        return float(token)
+        value = float(token) * scale
     except ValueError:
         raise ConfigError(f"{field}: cannot read {token!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}: {token!r} is not a finite number")
+    return value
 
 
 def _parse_value(field: str, kind: str, raw: str):
@@ -265,7 +269,7 @@ def _parse_value(field: str, kind: str, raw: str):
             raise ConfigError(
                 f"{field}: unknown unit {unit!r} (expected one of "
                 f"{', '.join(table)})")
-        return _parse_number(field, number) * table[unit]
+        return _parse_number(field, number, table[unit])
     if kind == "float":
         if len(raw.split()) != 1:
             raise ConfigError(

@@ -42,9 +42,11 @@ Two independent solvers find F(N) = 0:
   inverts in O(n).  The step size grows geometrically on accepted steps
   (h -> infinity recovers Newton) and shrinks on rejection; candidate
   steps that would push any occupation strongly negative are rejected
-  outright and small negative undershoots are clamped to zero.  This is
-  the only route that reads a starting state, so the sweeps seed each
-  pump point from the previous one.
+  outright and small negative undershoots are clamped to zero.  F has
+  one definition, RateSystem.drift, evaluated once per candidate: its
+  norm decides acceptance and the next step reuses it.  This is the
+  only route that reads a starting state, so the sweeps seed each pump
+  point from the previous one.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
@@ -116,7 +118,7 @@ class SolverConfig:
     """Steady-state solver selection and tolerances.
 
     mode:      'fixed_point', 'semi_dynamical' or 'both_crosscheck'
-    abs_tol:   residual tolerance, 1/s; None resolves to 1e-6 * min(kappa)
+    abs_tol:   residual tolerance, 1/s; None means tolerance(kappa_min)
     max_iters: step budget of the pseudo-transient route
     """
 
@@ -132,6 +134,10 @@ class SolverConfig:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+    def tolerance(self, kappa_min: float) -> float:
+        """abs_tol, or 1e-6 * kappa_min when it is None (the default)."""
+        return self.abs_tol if self.abs_tol is not None else 1e-6 * kappa_min
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ class RateSystem:
     per polarisation block, and the block results are then combined.
     That makes every solver step exactly symmetric under relabelling the
     two blocks, and makes each row's arithmetic the same float
-    operations whatever the other rows hold.
+    operations whatever the other rows hold.  drift is the one F(N);
+    its users take it whole, so a candidate state is evaluated once.
     """
 
     def __init__(self, deg, up, dn, kap, M, gamma_dn, n_left):
@@ -237,49 +244,50 @@ class RateSystem:
         gd = self.gamma_dn + self.blocksum(t)
         return gu, gd
 
-    def parts(self, N, pump):
-        """Drift decomposition: (net drift G, source S, gross flux).
+    def drift(self, N, pump):
+        """The one slaved drift F(N), per row: (F, b, S, gross, Gu, Gd).
 
-        G = r (dn Gu - up Gd), S = r dn Gu and gross = kap N
-        + r (dn (N + 1) Gu + up N Gd), with r = M / (Gu + Gd); built in
-        place to hold few (rows, modes) temporaries at once.
+        F = b N + S, b = r (dn Gu - up Gd) - kap, S = r dn Gu, gross flux
+        kap N + r (dn (N + 1) Gu + up N Gd), r = M / (Gu + Gd); Gu, Gd
+        are the totals.  Built in place: few (rows, modes) temporaries.
         """
         Gu, Gd = self.totals(N, pump)
         r = _col(self.M / (Gu + Gd))
-        Gu, Gd = _col(Gu), _col(Gd)
-        G = self.dn * Gu
-        G -= self.up * Gd
-        G *= r
+        gu, gd = _col(Gu), _col(Gd)
+        b = self.dn * gu
+        b -= self.up * gd
+        b *= r
         S = r * self.dn
-        S *= Gu
+        S *= gu
         gross = N + 1.0
         gross *= self.dn
-        gross *= Gu
+        gross *= gu
         t = self.up * N
-        t *= Gd
+        t *= gd
         gross += t
         gross *= r
         np.multiply(self.kap, N, out=t)
         gross += t
-        return G, S, gross
+        b -= self.kap
+        F = np.multiply(b, N, out=t)
+        F += S
+        return F, b, S, gross, Gu, Gd
 
-    def scaled_norm(self, N, pump, abs_tol):
+    def scaled_norm(self, N, pump, abs_tol, drift=None):
         """Balance-scaled residual norm per row; <= abs_tol means converged.
 
-        The residual f = N (G - kap) + S is measured against the floor
-        abs_tol + BALANCE_FTOL (S + |drift|) + CANCEL_EPS gross.
+        The residual F is measured against the floor abs_tol
+        + BALANCE_FTOL (S + |b N|) + CANCEL_EPS gross.  A `drift` the
+        caller holds (self.drift(N, pump)) is read, never modified.
         """
-        drift, S, gross = self.parts(N, pump)
-        drift -= self.kap
-        drift *= N
-        f = drift + S
-        floor = np.abs(drift)
+        F, b, S, gross, _, _ = self.drift(N, pump) if drift is None else drift
+        floor = b * N
+        np.abs(floor, out=floor)
         floor += S
         floor *= BALANCE_FTOL
         floor += abs_tol
-        gross *= CANCEL_EPS
-        floor += gross
-        np.abs(f, out=f)
+        floor += gross * CANCEL_EPS
+        f = np.abs(F)
         f /= floor
         return np.maximum.reduce(f, axis=-1) * abs_tol
 
@@ -471,41 +479,32 @@ def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
     """Photon drift with the molecular fraction slaved to the occupations.
 
     Equals the photon part of full_derivatives evaluated at
-    p_e = Gamma_up / (Gamma_up + Gamma_dn); with no molecules it reduces
-    to pure cavity decay.
+    p_e = Gamma_up / (Gamma_up + Gamma_dn): RateSystem.drift, the F(N)
+    of both routes.  With no molecules it reduces to pure cavity decay.
     """
     N = np.asarray(N, dtype=float)
     _check_alignment(N.size, rates, modes)
-    sys_ = RateSystem.from_tables(rates, modes, dye)
-    Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
-    D = Gu + Gd
-    if D == 0.0:
-        return -sys_.kap * N
-    return (-sys_.kap * N
-            + (sys_.M / D) * (sys_.dn * (N + 1.0) * Gu - sys_.up * N * Gd))
+    return RateSystem.from_tables(rates, modes, dye).drift(
+        N, dye.gamma_up_pump)[0]
 
 
 # --- steady-state solvers ------------------------------------------------
 
 
-def _pt_step(sys_: RateSystem, N, pump, h):
-    """One linearly implicit pseudo-time step, solved in O(n).
+def _pt_step(sys_: RateSystem, N, drift, h):
+    """One linearly implicit pseudo-time step from N, solved in O(n).
 
-    The Jacobian of the adiabatic drift is diagonal plus rank one, so
-    (I/h - J) inverts by the Sherman-Morrison identity.  The step is
-    capped so that no locally growing direction is amplified past its
-    linear-regime horizon.
+    `drift` is sys_.drift(N, pump).  The Jacobian of F is diagonal (the
+    net rates b) plus rank one, so (I/h - J) inverts by the
+    Sherman-Morrison identity.  The step is capped so that no locally
+    growing direction is amplified past its linear-regime horizon.
     """
-    Gu, Gd = sys_.totals(N, pump)
-    D = Gu + Gd
-    F = (-sys_.kap * N
-         + (sys_.M / D) * (sys_.dn * (N + 1.0) * Gu - sys_.up * N * Gd))
-    b = -sys_.kap + (sys_.M / D) * (sys_.dn * Gu - sys_.up * Gd)
+    F, b, _, _, Gu, Gd = drift
     bpos = b[b > 0]
     if bpos.size:
         h = min(h, 0.7 / float(bpos.max()))
     w = sys_.M * (sys_.dn * (N + 1.0) + sys_.up * N)
-    c = sys_.deg * (sys_.up * Gd - sys_.dn * Gu) / D**2
+    c = sys_.deg * (sys_.up * Gd - sys_.dn * Gu) / (Gu + Gd)**2
     d = 1.0 / h - b
     y = F / d
     wd = w / d
@@ -523,18 +522,20 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     h_min = 1e-3 / kap0
     h_max = 1e12 / kap0
     it = 0
-    norm = sys_.scaled_norm(N, pump, abs_tol)
+    drift = sys_.drift(N, pump)
+    norm = sys_.scaled_norm(N, pump, abs_tol, drift)
     while it < max_iters and norm > abs_tol:
-        raw = _pt_step(sys_, N, pump, h)
+        raw = _pt_step(sys_, N, drift, h)
         it += 1
         if float(np.min(raw / (N + 1.0))) < -0.1:
             # candidate would drive occupations strongly negative
             h = max(h * 0.25, h_min)
             continue
         cand = np.maximum(raw, 0.0)
-        cand_norm = sys_.scaled_norm(cand, pump, abs_tol)
+        cand_drift = sys_.drift(cand, pump)
+        cand_norm = sys_.scaled_norm(cand, pump, abs_tol, cand_drift)
         if cand_norm <= 4.0 * norm:
-            N, norm = cand, cand_norm
+            N, norm, drift = cand, cand_norm, cand_drift
             h = min(h * 2.0, h_max)
         else:
             h = max(h * 0.25, h_min)
@@ -569,8 +570,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     the exact result is returned on success.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
-    kap_min = float(np.min(sys_.kap))
-    abs_tol = config.abs_tol if config.abs_tol is not None else 1e-6 * kap_min
+    abs_tol = config.tolerance(float(np.min(sys_.kap)))
 
     if config.mode != "semi_dynamical":
         N, iters = sys_.solve(pumps)

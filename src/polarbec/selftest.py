@@ -19,7 +19,8 @@ from .cavity import (CavityParams, MediumIndices, Mode, build_mode_set,
 from .chiral import ChiralSample, SolventParams, chi_from_sample, chi_quick
 from .constants import C_LIGHT, HBAR
 from .dye import DyeParams, RateTable, build_rate_table
-from .dynamics import SolverConfig, find_steady_state
+from .dynamics import (SolverConfig, SystemState, adiabatic_derivative,
+                       find_steady_state, full_derivatives, total_rates)
 from .sweeps import stokes_s3
 
 _CAVITY = CavityParams(mirror_radius=1.0, mirror_separation=1.46e-6,
@@ -151,19 +152,17 @@ def check_polarisation_symmetry():
 
 
 def check_adiabatic_identity():
-    from .dynamics import SystemState, adiabatic_derivative, full_derivatives
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
     modes = build_mode_set(_CAVITY, medium, 60, kappa_override=_KAPPA)
     rates = build_rate_table(_DYE, modes)
     steady = find_steady_state(rates, modes, _DYE, SolverConfig())
-    from .dynamics import RateSystem
-    sys_ = RateSystem.from_tables(rates, modes, _DYE)
-    Gu, Gd = sys_.totals(steady.N, _DYE.gamma_up_pump)
+    Gu, Gd = total_rates(SystemState(N=steady.N, p_e=0.0), rates, modes, _DYE)
     p_slaved = Gu / (Gu + Gd)
     state = SystemState(N=steady.N, p_e=p_slaved)
     dN_full, _ = full_derivatives(state, rates, modes, _DYE)
     dN_adia = adiabatic_derivative(steady.N, rates, modes, _DYE)
-    scale = np.maximum(np.abs(dN_adia), sys_.kap * (steady.N + 1.0))
+    kappa = np.array([m.kappa for m in modes])
+    scale = np.maximum(np.abs(dN_adia), kappa * (steady.N + 1.0))
     worst = float(np.max(np.abs(dN_full - dN_adia) / scale))
     if worst > 1e-10:
         return False, f"full vs adiabatic drift deviates by {worst:.2e}"

@@ -360,7 +360,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     kappa_ref = kappa_override
     if kappa_ref is None:
         kappa_ref = cavity_decay(cavity, solvent.base_index)
-    abs_tol = solver.abs_tol if solver.abs_tol is not None else 1e-6 * kappa_ref
+    abs_tol = solver.tolerance(kappa_ref)
     noise_floor = 10.0 * (2.0 * abs_tol / kappa_ref)
 
     h_limit = min(epsilon, 1.0 - epsilon)

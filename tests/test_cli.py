@@ -304,6 +304,14 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-chi", "[sweep]\nscales = 1, 0\n"),
     ("sweep-chi", "[sweep]\nscales = -1\n"),
     ("sweep-chi", "[sweep]\nscales = nan\n"),
+    ("sweep-pump", "[cavity]\nkappa_override = inf Hz\n"),
+    ("sweep-pump", "[dye]\nOmega0 = inf Hz\n"),
+    ("sweep-pump", "[dye]\nlinewidth = inf Hz\n"),
+    ("sweep-pump", "[sweep]\npump_stop = inf Hz\n"),
+    ("sweep-pump", "[dye]\nM = inf\n"),
+    ("sweep-pump", "[solver]\nabs_tol = inf Hz\n"),
+    ("sweep-pump", "[dye]\ngamma_down = inf Hz\n"),
+    ("sweep-pump", "[dye]\ngamma_up_pump = inf Hz\n"),
 ])
 def test_sweep_inputs_that_would_crash_exit_with_config_code(tmp_path,
                                                              command, text):

@@ -178,6 +178,18 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[sweep]\nscales = -2\n", "scales"),
     ("[sweep]\nscales = nan\n", "scales"),
     ("[sweep]\nscales = inf\n", "scales"),
+    # non-finite numbers: a traceback, exit 3 or a meaningless success
+    ("[cavity]\nkappa_override = inf Hz\n", "kappa_override"),
+    ("[dye]\nOmega0 = inf Hz\n", "Omega0"),
+    ("[dye]\nlinewidth = inf Hz\n", "linewidth"),
+    ("[sweep]\npump_stop = inf Hz\n", "pump_stop"),
+    ("[dye]\nM = inf\n", "M"),
+    ("[solver]\nabs_tol = inf Hz\n", "abs_tol"),
+    ("[dye]\ngamma_down = inf Hz\n", "gamma_down"),
+    ("[dye]\ngamma_up_pump = inf Hz\n", "gamma_up_pump"),
+    ("[dye]\ngamma_down = nan Hz\n", "not a finite number"),
+    ("[dye]\nM = -inf\n", "not a finite number"),
+    ("[dye]\nOmega0 = 1e300 THz\n", "not a finite number"),
 ])
 def test_inputs_that_would_crash_later_are_rejected(text, message):
     with pytest.raises(ConfigError, match=message):

@@ -580,3 +580,27 @@ def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
     _, sys_ = ladder_system(SWEEP_INDICES)
     with pytest.raises(CrosscheckError, match="deviates"):
         steady_states(sys_, [3e9], SolverConfig(mode="both_crosscheck"))
+
+
+def test_each_pseudo_transient_candidate_costs_one_drift(monkeypatch):
+    # one totals call per row for its seed's drift, one per candidate
+    # step (its drift serves the norm and the next step), one for p_e;
+    # the route reaches its answer through F(N) alone, never the margin
+    # reduction of the exact route
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    calls = []
+    totals = RateSystem.totals
+
+    def counted(self, N, pump):
+        calls.append(1)
+        return totals(self, N, pump)
+
+    def forbidden(*args):
+        raise AssertionError("the exact route's reduction was called")
+
+    monkeypatch.setattr(RateSystem, "totals", counted)
+    monkeypatch.setattr(RateSystem, "occ_at_u", forbidden)
+    monkeypatch.setattr(RateSystem, "h_of_u", forbidden)
+    rows = steady_states(sys_, KNEE_PUMPS, SolverConfig(mode="semi_dynamical"))
+    assert rows.converged.all()
+    assert len(calls) <= rows.iterations.sum() + KNEE_PUMPS.size + 1
