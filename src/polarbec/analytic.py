@@ -153,12 +153,21 @@ def pinned_pair(pumps, kappa: float, gamma_down: float,
     Below the smaller effective threshold both modes follow their exact
     single-mode law independently; above it the winner keeps following
     its law while the loser stays pinned at its value at the winner's
-    crossing.  An exact tie leaves both modes evolving.  Returns
-    (N_L, N_R, S3) arrays; S3 is zero where both occupations vanish.
+    crossing.  An exact tie leaves both modes evolving.  A mode whose
+    gain M * dn never exceeds kappa has no knee (its threshold is taken
+    as +inf), so it never wins: if neither mode can condense, both
+    follow their single-mode laws at every pump.  Returns (N_L, N_R, S3)
+    arrays; S3 is zero where both occupations vanish.
     """
     pumps = np.asarray(pumps, dtype=float)
-    teff_L = effective_threshold(kappa, gamma_down, up_L, dn_L, M)
-    teff_R = effective_threshold(kappa, gamma_down, up_R, dn_R, M)
+
+    def knee(up: float, dn: float) -> float:
+        if not M * dn > kappa:
+            return math.inf
+        return effective_threshold(kappa, gamma_down, up, dn, M)
+
+    teff_L = knee(up_L, dn_L)
+    teff_R = knee(up_R, dn_R)
     t_win = min(teff_L, teff_R)
 
     N_L = np.array([single_mode_exact(p, kappa, gamma_down, up_L, dn_L, M)

@@ -17,10 +17,14 @@ The [medium] section takes exactly one of two descriptions:
                      number_density, wavelength, base_index
   (the index splitting is then derived from the sample).
 
-parse_config resolves everything to SI floats and validated parameter
-objects; render_config emits a canonical resolved INI that parses back
-to the identical configuration, which is what the run manifest embeds
-for byte-for-byte replay.
+One key table, _KEYS, is the only list of sections, keys, kinds and
+defaults; default_config_text() prints it.  Every key has a default
+except n_L and n_R, which only the explicit-index route takes and then
+needs both of.  parse_config resolves everything to SI floats and
+validated parameter objects, filling each parameter dataclass field by
+field from the table; render_config walks the same table to emit a
+canonical resolved INI that parses back to the identical configuration,
+which is what the run manifest embeds for byte-for-byte replay.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import configparser
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .cavity import CavityParams, MediumIndices
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
@@ -60,60 +64,66 @@ _BASE_UNIT = {"frequency": "Hz", "rate": "Hz", "length": "m",
               "density": "/m^3"}
 
 
-# --- schema ---------------------------------------------------------------
+# --- key table ------------------------------------------------------------
 
-_SCHEMA = {
+# The one list of configuration keys: section -> key -> (kind, default).
+# Parsing, the canonical text and the default file all walk it in this
+# order.  A default of None marks a key without one: n_L and n_R, which
+# only the explicit-index description of [medium] takes.
+_KEYS = {
     "cavity": {
-        "mirror_radius": "length",
-        "mirror_separation": "length",
-        "longitudinal_index": "int",
-        "mirror_loss": "float",
-        "l_max": "int",
-        "kappa_override": "rate?",     # "none" selects the mirror-loss formula
+        "mirror_radius": ("length", "1 m"),
+        "mirror_separation": ("length", "1.46 um"),
+        "longitudinal_index": ("int", "7"),
+        "mirror_loss": ("float", "0.01"),
+        "l_max": ("int", "200"),
+        # "none" selects the mirror-loss formula
+        "kappa_override": ("rate?", "100 MHz"),
     },
     "medium": {
-        "n_L": "float",
-        "n_R": "float",
-        "theta_deg": "float",
-        "molar_mass_u": "float",
-        "alpha": "float",
-        "epsilon": "float",
-        "dominant": "choice:L,R",
-        "number_density": "density",
-        "wavelength": "length",
-        "base_index": "float",
+        "n_L": ("float", None),
+        "n_R": ("float", None),
+        "theta_deg": ("float", "44"),
+        "molar_mass_u": ("float", "180"),
+        "alpha": ("float", "0.4"),
+        "epsilon": ("float", "0.5"),
+        "dominant": ("choice:L,R", "R"),
+        "number_density": ("density", "1.488e28 /m^3"),
+        "wavelength": ("length", "546 nm"),
+        "base_index": ("float", "1.34"),
     },
     "dye": {
-        "Omega0": "frequency",
-        "DeltaOmega": "frequency",
-        "linewidth": "frequency",
-        "gamma_down0": "rate",
-        "gamma_up0": "rate",
-        "gamma_down": "rate",
-        "gamma_up_pump": "rate",
-        "M": "float",
+        "Omega0": ("frequency", "3456 THz"),
+        "DeltaOmega": ("frequency", "4.18 THz"),
+        "linewidth": ("frequency", "50 THz"),
+        "gamma_down0": ("rate", "10 Hz"),
+        "gamma_up0": ("rate", "10 Hz"),
+        "gamma_down": ("rate", "1 GHz"),
+        "gamma_up_pump": ("rate", "10 GHz"),
+        "M": ("float", "1e9"),
     },
     "solver": {
-        "mode": "choice:" + ",".join(SOLVER_MODES),
-        "abs_tol": "rate?",            # "auto" resolves against min(kappa)
-        "max_iters": "int",
+        "mode": ("choice:" + ",".join(SOLVER_MODES), "fixed_point"),
+        # "auto" resolves against min(kappa)
+        "abs_tol": ("rate?", "auto"),
+        "max_iters": ("int", "200000"),
     },
     "sweep": {
-        "pump_start": "rate",
-        "pump_stop": "rate",
-        "pump_points": "int",
-        "pump_spacing": "choice:log,linear",
-        "chi_start": "float",
-        "chi_stop": "float",
-        "chi_points": "int",
-        "chi_spacing": "choice:log,linear",
-        "grid_pump_points": "int",
-        "scales": "floatlist",
-        "sensitivity_epsilon": "float",
-        "sensitivity_step": "float",
+        "pump_start": ("rate", "100 MHz"),
+        "pump_stop": ("rate", "10 GHz"),
+        "pump_points": ("int", "100"),
+        "pump_spacing": ("choice:log,linear", "log"),
+        "chi_start": ("float", "-3e-5"),
+        "chi_stop": ("float", "3e-5"),
+        "chi_points": ("int", "61"),
+        "chi_spacing": ("choice:log,linear", "linear"),
+        "grid_pump_points": ("int", "50"),
+        "scales": ("floatlist", "0.5, 1, 2, 10"),
+        "sensitivity_epsilon": ("float", "0.5"),
+        "sensitivity_step": ("float", "0.01"),
     },
     "output": {
-        "directory": "str",
+        "directory": ("str", "out"),
     },
 }
 
@@ -124,62 +134,10 @@ _RETIRED = {
     "sweep": ("warm_start",),
 }
 
-_INDEX_KEYS = ("n_L", "n_R")
-_SAMPLE_KEYS = ("theta_deg", "molar_mass_u", "alpha", "epsilon", "dominant",
-                "number_density", "wavelength", "base_index")
-
-_DEFAULTS = {
-    "cavity": {
-        "mirror_radius": "1 m",
-        "mirror_separation": "1.46 um",
-        "longitudinal_index": "7",
-        "mirror_loss": "0.01",
-        "l_max": "200",
-        "kappa_override": "100 MHz",
-    },
-    "medium": {
-        "theta_deg": "44",
-        "molar_mass_u": "180",
-        "alpha": "0.4",
-        "epsilon": "0.5",
-        "dominant": "R",
-        "number_density": "1.488e28 /m^3",
-        "wavelength": "546 nm",
-        "base_index": "1.34",
-    },
-    "dye": {
-        "Omega0": "3456 THz",
-        "DeltaOmega": "4.18 THz",
-        "linewidth": "50 THz",
-        "gamma_down0": "10 Hz",
-        "gamma_up0": "10 Hz",
-        "gamma_down": "1 GHz",
-        "gamma_up_pump": "10 GHz",
-        "M": "1e9",
-    },
-    "solver": {
-        "mode": "fixed_point",
-        "abs_tol": "auto",
-        "max_iters": "200000",
-    },
-    "sweep": {
-        "pump_start": "100 MHz",
-        "pump_stop": "10 GHz",
-        "pump_points": "100",
-        "pump_spacing": "log",
-        "chi_start": "-3e-5",
-        "chi_stop": "3e-5",
-        "chi_points": "61",
-        "chi_spacing": "linear",
-        "grid_pump_points": "50",
-        "scales": "0.5, 1, 2, 10",
-        "sensitivity_epsilon": "0.5",
-        "sensitivity_step": "0.01",
-    },
-    "output": {
-        "directory": "out",
-    },
-}
+# the explicit-index description of [medium]; its other keys describe
+# the chiral sample
+_INDEX_KEYS = tuple(key for key, (_, default) in _KEYS["medium"].items()
+                    if default is None)
 
 
 # --- resolved configuration ------------------------------------------------
@@ -230,7 +188,6 @@ class RunConfig:
         """Signed chi at full excess, or None on the explicit-index route."""
         if self.medium_kind != "sample":
             return None
-        from dataclasses import replace
         return chi_from_sample(replace(self.sample, epsilon=1.0), self.solvent)
 
 
@@ -347,19 +304,19 @@ def parse_config(text: str) -> RunConfig:
     parser = _read_ini(text)
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
             if key in _RETIRED.get(section, ()):
                 warnings.warn(f"[{section}] {key} is retired and ignored",
                               stacklevel=2)
-            elif key not in _SCHEMA[section]:
+            elif key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     # medium: exactly one of the two descriptions
     medium_raw = dict(parser["medium"]) if parser.has_section("medium") else {}
     has_index = any(k in medium_raw for k in _INDEX_KEYS)
-    has_sample = any(k in medium_raw for k in _SAMPLE_KEYS)
+    has_sample = any(k not in _INDEX_KEYS for k in medium_raw)
     if has_index and has_sample:
         raise ConfigError(
             "[medium] must give either explicit indices (n_L, n_R) or a "
@@ -367,86 +324,39 @@ def parse_config(text: str) -> RunConfig:
     medium_kind = "indices" if has_index else "sample"
 
     def resolve(section: str, key: str):
-        kind = _SCHEMA[section][key]
+        kind, raw = _KEYS[section][key]
         if parser.has_section(section) and key in parser[section]:
             raw = parser[section][key]
-        else:
-            raw = _DEFAULTS[section].get(key)
-            if raw is None:
-                raise ConfigError(f"missing required key {key} in [{section}]")
         return _parse_value(f"[{section}] {key}", kind, raw)
 
+    def build(cls, section: str, prefix: str = "", **given):
+        # one keyword per dataclass field, resolved in field order
+        return cls(**{f.name: given[f.name] if f.name in given
+                      else resolve(section, prefix + f.name)
+                      for f in fields(cls)})
+
     try:
-        cavity = CavityParams(
-            mirror_radius=resolve("cavity", "mirror_radius"),
-            mirror_separation=resolve("cavity", "mirror_separation"),
-            longitudinal_index=resolve("cavity", "longitudinal_index"),
-            mirror_loss=resolve("cavity", "mirror_loss"),
-        )
+        cavity = build(CavityParams, "cavity")
         l_max = resolve("cavity", "l_max")
         kappa_override = resolve("cavity", "kappa_override")
 
+        indices = sample = solvent = None
         if medium_kind == "indices":
             for key in _INDEX_KEYS:
                 if key not in medium_raw:
                     raise ConfigError(
                         f"[medium] explicit-index description needs {key}")
-            indices = MediumIndices(
-                n_L=_parse_value("[medium] n_L", "float", medium_raw["n_L"]),
-                n_R=_parse_value("[medium] n_R", "float", medium_raw["n_R"]),
-            )
-            sample = None
-            solvent = None
+            indices = build(MediumIndices, "medium")
         else:
-            indices = None
-            sample = ChiralSample(
-                theta_deg=resolve("medium", "theta_deg"),
-                molar_mass_u=resolve("medium", "molar_mass_u"),
-                alpha=resolve("medium", "alpha"),
-                epsilon=resolve("medium", "epsilon"),
-                dominant=resolve("medium", "dominant"),
-            )
-            solvent = SolventParams(
-                number_density=resolve("medium", "number_density"),
-                base_index=resolve("medium", "base_index"),
-                wavelength=resolve("medium", "wavelength"),
-            )
+            sample = build(ChiralSample, "medium")
+            solvent = build(SolventParams, "medium")
 
-        dye = DyeParams(
-            Omega0=resolve("dye", "Omega0"),
-            DeltaOmega=resolve("dye", "DeltaOmega"),
-            linewidth=resolve("dye", "linewidth"),
-            gamma_down0=resolve("dye", "gamma_down0"),
-            gamma_up0=resolve("dye", "gamma_up0"),
-            gamma_down=resolve("dye", "gamma_down"),
-            gamma_up_pump=resolve("dye", "gamma_up_pump"),
-            M=resolve("dye", "M"),
-        )
-        solver = SolverConfig(
-            mode=resolve("solver", "mode"),
-            abs_tol=resolve("solver", "abs_tol"),
-            max_iters=resolve("solver", "max_iters"),
-        )
-        sweep = SweepSettings(
-            pump=SweepSpec(
-                axis="pump",
-                start=resolve("sweep", "pump_start"),
-                stop=resolve("sweep", "pump_stop"),
-                points=resolve("sweep", "pump_points"),
-                spacing=resolve("sweep", "pump_spacing"),
-            ),
-            chi=SweepSpec(
-                axis="chi",
-                start=resolve("sweep", "chi_start"),
-                stop=resolve("sweep", "chi_stop"),
-                points=resolve("sweep", "chi_points"),
-                spacing=resolve("sweep", "chi_spacing"),
-            ),
-            grid_pump_points=resolve("sweep", "grid_pump_points"),
-            scales=resolve("sweep", "scales"),
-            sensitivity_epsilon=resolve("sweep", "sensitivity_epsilon"),
-            sensitivity_step=resolve("sweep", "sensitivity_step"),
-        )
+        dye = build(DyeParams, "dye")
+        solver = build(SolverConfig, "solver")
+        sweep = build(
+            SweepSettings, "sweep",
+            pump=build(SweepSpec, "sweep", "pump_", axis="pump"),
+            chi=build(SweepSpec, "sweep", "chi_", axis="chi"))
         if l_max < 0:
             raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
         if sweep.grid_pump_points < 1:
@@ -492,64 +402,37 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _field_values(obj, prefix: str = "") -> dict:
+    """{prefix + field name: value} over a dataclass instance's fields."""
+    return {prefix + f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def render_config(config: RunConfig) -> str:
     """Canonical resolved INI; parse_config(render_config(c)) == c."""
+    sweep = config.sweep
+    if config.medium_kind == "indices":
+        medium = _field_values(config.indices)
+    else:
+        medium = {**_field_values(config.sample),
+                  **_field_values(config.solvent)}
+    # section -> key -> value; entries that are not table keys go unused
+    values = {
+        "cavity": {**_field_values(config.cavity), "l_max": config.l_max,
+                   "kappa_override": config.kappa_override},
+        "medium": medium,
+        "dye": _field_values(config.dye),
+        "solver": _field_values(config.solver),
+        "sweep": {**_field_values(sweep), **_field_values(sweep.pump, "pump_"),
+                  **_field_values(sweep.chi, "chi_")},
+        "output": {"directory": config.output_dir},
+    }
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-
-    def put(section: str, key: str, value):
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser[section][key] = _render_value(_SCHEMA[section][key], value)
-
-    put("cavity", "mirror_radius", config.cavity.mirror_radius)
-    put("cavity", "mirror_separation", config.cavity.mirror_separation)
-    put("cavity", "longitudinal_index", config.cavity.longitudinal_index)
-    put("cavity", "mirror_loss", config.cavity.mirror_loss)
-    put("cavity", "l_max", config.l_max)
-    put("cavity", "kappa_override", config.kappa_override)
-
-    if config.medium_kind == "indices":
-        put("medium", "n_L", config.indices.n_L)
-        put("medium", "n_R", config.indices.n_R)
-    else:
-        put("medium", "theta_deg", config.sample.theta_deg)
-        put("medium", "molar_mass_u", config.sample.molar_mass_u)
-        put("medium", "alpha", config.sample.alpha)
-        put("medium", "epsilon", config.sample.epsilon)
-        put("medium", "dominant", config.sample.dominant)
-        put("medium", "number_density", config.solvent.number_density)
-        put("medium", "wavelength", config.solvent.wavelength)
-        put("medium", "base_index", config.solvent.base_index)
-
-    put("dye", "Omega0", config.dye.Omega0)
-    put("dye", "DeltaOmega", config.dye.DeltaOmega)
-    put("dye", "linewidth", config.dye.linewidth)
-    put("dye", "gamma_down0", config.dye.gamma_down0)
-    put("dye", "gamma_up0", config.dye.gamma_up0)
-    put("dye", "gamma_down", config.dye.gamma_down)
-    put("dye", "gamma_up_pump", config.dye.gamma_up_pump)
-    put("dye", "M", config.dye.M)
-
-    put("solver", "mode", config.solver.mode)
-    put("solver", "abs_tol", config.solver.abs_tol)
-    put("solver", "max_iters", config.solver.max_iters)
-
-    put("sweep", "pump_start", config.sweep.pump.start)
-    put("sweep", "pump_stop", config.sweep.pump.stop)
-    put("sweep", "pump_points", config.sweep.pump.points)
-    put("sweep", "pump_spacing", config.sweep.pump.spacing)
-    put("sweep", "chi_start", config.sweep.chi.start)
-    put("sweep", "chi_stop", config.sweep.chi.stop)
-    put("sweep", "chi_points", config.sweep.chi.points)
-    put("sweep", "chi_spacing", config.sweep.chi.spacing)
-    put("sweep", "grid_pump_points", config.sweep.grid_pump_points)
-    put("sweep", "scales", config.sweep.scales)
-    put("sweep", "sensitivity_epsilon", config.sweep.sensitivity_epsilon)
-    put("sweep", "sensitivity_step", config.sweep.sensitivity_step)
-
-    put("output", "directory", config.output_dir)
-
+    for section, keys in _KEYS.items():
+        parser.add_section(section)
+        for key, (kind, _) in keys.items():
+            if key in values[section]:
+                parser[section][key] = _render_value(kind, values[section][key])
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -562,10 +445,10 @@ def default_config_text() -> str:
         "# frequency-kind values are angular: THz means 1e12 rad/s",
         "",
     ]
-    for section, keys in _DEFAULTS.items():
+    for section, keys in _KEYS.items():
         lines.append(f"[{section}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {value}")
+        lines.extend(f"{key} = {default}"
+                     for key, (_, default) in keys.items() if default is not None)
         lines.append("")
     return "\n".join(lines)
 

@@ -52,7 +52,9 @@ Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
 mode, with an extra term covering float64 cancellation of the two
 nearly-equal fluxes.  The reported residual_norm is normalised so that
-converged means residual_norm <= abs_tol.
+converged means residual_norm <= abs_tol.  The reported p_e comes from
+the totals of the drift that residual was measured on; only a row
+clamped for negative occupations has its totals evaluated again.
 
 Cross-checking runs both routes and errors if any occupation differs
 by more than the convergence floor allows two converged routes to
@@ -515,7 +517,9 @@ def _pt_step(sys_: RateSystem, N, drift, h):
 
 
 def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
-                    max_iters: int):
+                    max_iters: int, totals):
+    # returns (N, steps, norm); `totals` (length 2) receives the
+    # (Gamma_up, Gamma_dn) of N, read off the drift its norm was taken on
     kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
     N = np.zeros(sys_.n) if N0 is None else np.asarray(N0, dtype=float).copy()
     h = 0.1 / kap0
@@ -539,6 +543,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
             h = min(h * 2.0, h_max)
         else:
             h = max(h * 0.25, h_min)
+    totals[:] = drift[4], drift[5]
     return N, it, norm
 
 
@@ -572,18 +577,23 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
     abs_tol = config.tolerance(float(np.min(sys_.kap)))
 
+    # Gu, Gd: the totals of each row's answer, read off the drift its
+    # route evaluated there
     if config.mode != "semi_dynamical":
         N, iters = sys_.solve(pumps)
-        norm = sys_.scaled_norm(N, pumps, abs_tol)
+        drift = sys_.drift(N, pumps)
+        norm = sys_.scaled_norm(N, pumps, abs_tol, drift)
+        Gu, Gd = drift[4], drift[5]
     else:
         N = np.empty((pumps.size, sys_.n))
         iters = np.empty(pumps.size, dtype=int)
-        norm = np.empty(pumps.size)
+        norm, Gu, Gd = np.empty((3, pumps.size))
     if config.mode != "fixed_point":
         bound = crosscheck_bound()
+        totals_sd = np.empty(2)
         for k, pump in enumerate(pumps):
             N_sd, it_sd, norm_sd = _semi_dynamical(
-                sys_, float(pump), seed, abs_tol, config.max_iters)
+                sys_, float(pump), seed, abs_tol, config.max_iters, totals_sd)
             if config.mode == "both_crosscheck":
                 dev = np.abs(N[k] - N_sd) / (np.maximum(N[k], N_sd) + 1.0)
                 worst = int(np.argmax(dev))
@@ -595,12 +605,14 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                 iters[k] += it_sd
             else:
                 N[k], iters[k], norm[k] = N_sd, it_sd, norm_sd
+                Gu[k], Gd[k] = totals_sd
             seed = N[k] if not np.any(N[k] < 0.0) else np.maximum(N[k], 0.0)
 
     # negative occupations indicate a failed step; clamp and flag
     negative = np.any(N < 0.0, axis=-1)
-    N[negative] = np.maximum(N[negative], 0.0)
-    Gu, Gd = sys_.totals(N, pumps)
+    if negative.any():
+        N[negative] = np.maximum(N[negative], 0.0)
+        Gu[negative], Gd[negative] = sys_.totals(N[negative], pumps[negative])
     D = Gu + Gd
     with np.errstate(divide="ignore", invalid="ignore"):
         p_e = np.where(D > 0.0, Gu / D, 0.0)

@@ -225,7 +225,10 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
 
     Runs sequentially so every point can be seeded from its neighbour;
     the frozen-loser ground-mode trace is evaluated on the same grid and
-    reported in the S3_pinned column.
+    reported in the S3_pinned column.  A ground mode whose gain never
+    exceeds its loss (M * gamma_dn_nu <= kappa, e.g. M = 0) never reaches
+    its knee, so it is never the winner: with neither mode able to
+    condense, S3_pinned follows the two single-mode laws at every pump.
     """
     t0 = time.perf_counter()
     pumps = spec.grid()

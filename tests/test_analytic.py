@@ -245,3 +245,42 @@ def test_pinned_pair_exact_tie_keeps_zero_stokes():
                                UP_L0, DN_L0, M)
     assert np.array_equal(N_L, N_R)
     assert np.all(S3 == 0.0)
+
+
+def test_pinned_pair_never_pins_to_a_mode_below_loss():
+    # L's gain M * dn sits below kappa: it has no knee (+inf), so R wins
+    # at its own knee and L stays pinned at its value there
+    kappa = M * DN_L0 * 1.01
+    assert not M * DN_L0 > kappa and M * DN_R0 > kappa
+    t_R = effective_threshold(kappa, GAMMA_DOWN, UP_R0, DN_R0, M)
+    pumps = np.array([0.5, 2.0, 8.0]) * t_R
+    N_L, N_R, S3 = pinned_pair(pumps, kappa, GAMMA_DOWN, UP_L0, DN_L0,
+                               UP_R0, DN_R0, M)
+    for i, p in enumerate(pumps):
+        assert N_R[i] == single_mode_exact(p, kappa, GAMMA_DOWN,
+                                           UP_R0, DN_R0, M)
+    assert N_L[0] == single_mode_exact(pumps[0], kappa, GAMMA_DOWN,
+                                       UP_L0, DN_L0, M)
+    frozen = single_mode_exact(t_R, kappa, GAMMA_DOWN, UP_L0, DN_L0, M)
+    assert N_L[1] == N_L[2] == frozen
+    assert N_R[2] > N_R[1] > frozen
+    assert np.all(np.isfinite(S3)) and S3[2] > S3[1] > 0.0
+    # relabelling the blocks mirrors the result
+    N_L2, N_R2, S3_sw = pinned_pair(pumps, kappa, GAMMA_DOWN, UP_R0,
+                                    DN_R0, UP_L0, DN_L0, M)
+    assert np.array_equal(N_L, N_R2) and np.array_equal(S3, -S3_sw)
+
+
+def test_pinned_pair_follows_both_laws_when_neither_mode_condenses():
+    pumps = np.logspace(8, 11, 7)
+    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
+                               UP_R0, DN_R0, 1.0)
+    for i, p in enumerate(pumps):
+        assert N_L[i] == single_mode_exact(p, KAPPA, GAMMA_DOWN, UP_L0,
+                                           DN_L0, 1.0)
+        assert N_R[i] == single_mode_exact(p, KAPPA, GAMMA_DOWN, UP_R0,
+                                           DN_R0, 1.0)
+    # undoped: no photons at all, and S3 reads zero rather than nan
+    _, _, S3_0 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
+                             UP_R0, DN_R0, 0.0)
+    assert np.all(S3_0 == 0.0)

@@ -125,6 +125,24 @@ def test_sweep_pump_writes_csv_plot_and_manifest(tmp_path, small_config):
     assert manifest["run"]["converged_points"] == 6
 
 
+@pytest.mark.parametrize("text", [
+    SMALL_CONFIG + "[dye]\nM = 0\n",           # the undoped limit
+    SMALL_CONFIG + "[dye]\nM = 1\n",           # gain below loss
+    SMALL_CONFIG.replace("[cavity]\n",          # loss above any gain
+                         "[cavity]\nkappa_override = 1e30 Hz\n"),
+], ids=["M=0", "M=1", "kappa=1e30Hz"])
+def test_sweep_pump_runs_when_no_ground_mode_can_condense(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "sp"
+    assert run_cli("sweep-pump", "--config", str(path), "--out",
+                   str(out)) == EXIT_OK
+    rows = read_rows(out / "pump_sweep.csv")
+    assert len(rows) == 7
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["run"]["converged_points"] == 6
+
+
 def test_sweep_pump_repeats_byte_identically(tmp_path, small_config):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_cli("sweep-pump", "--config", small_config, "--out", str(out_a))

@@ -71,6 +71,172 @@ def test_default_values_land_in_si_units():
     assert config.output_dir == "out"
 
 
+# --- canonical text ---------------------------------------------------------------
+
+CANONICAL_CAVITY = """\
+[cavity]
+mirror_radius = 1.0 m
+mirror_separation = 1.46e-06 m
+longitudinal_index = 7
+mirror_loss = 0.01
+l_max = 200
+kappa_override = 100000000.0 Hz
+
+"""
+
+CANONICAL_REST = """\
+[dye]
+Omega0 = 3456000000000000.0 Hz
+DeltaOmega = 4179999999999.9995 Hz
+linewidth = 50000000000000.0 Hz
+gamma_down0 = 10.0 Hz
+gamma_up0 = 10.0 Hz
+gamma_down = 1000000000.0 Hz
+gamma_up_pump = 10000000000.0 Hz
+M = 1000000000.0
+
+[solver]
+mode = fixed_point
+abs_tol = none
+max_iters = 200000
+
+[sweep]
+pump_start = 100000000.0 Hz
+pump_stop = 10000000000.0 Hz
+pump_points = 100
+pump_spacing = log
+chi_start = -3e-05
+chi_stop = 3e-05
+chi_points = 61
+chi_spacing = linear
+grid_pump_points = 50
+scales = 0.5, 1.0, 2.0, 10.0
+sensitivity_epsilon = 0.5
+sensitivity_step = 0.01
+
+[output]
+directory = out
+
+"""
+
+
+def test_canonical_text_of_the_defaults_is_pinned():
+    # manifests embed this text for replay: any change to it is a
+    # change to every manifest written from now on
+    assert render_config(default_config()) == CANONICAL_CAVITY + """\
+[medium]
+theta_deg = 44.0
+molar_mass_u = 180.0
+alpha = 0.4
+epsilon = 0.5
+dominant = R
+number_density = 1.488e+28 /m^3
+wavelength = 5.46e-07 m
+base_index = 1.34
+
+""" + CANONICAL_REST
+
+
+def test_canonical_text_of_the_index_route_is_pinned():
+    config = parse_config("[medium]\nn_L = 1.35\nn_R = 1.34\n")
+    assert render_config(config) == CANONICAL_CAVITY + """\
+[medium]
+n_L = 1.35
+n_R = 1.34
+
+""" + CANONICAL_REST
+    assert config.canonical_text == render_config(config)
+
+
+NON_DEFAULT = """
+[cavity]
+mirror_radius = 2 m
+mirror_separation = 1.5 um
+longitudinal_index = 8
+mirror_loss = 0.02
+l_max = 30
+kappa_override = none
+
+[medium]
+{medium}
+
+[dye]
+Omega0 = 3400 THz
+DeltaOmega = 4 THz
+linewidth = 40 THz
+gamma_down0 = 20 Hz
+gamma_up0 = 5 Hz
+gamma_down = 2 GHz
+gamma_up_pump = 5 GHz
+M = 2e8
+
+[solver]
+mode = semi_dynamical
+abs_tol = 5 Hz
+max_iters = 1000
+
+[sweep]
+pump_start = 200 MHz
+pump_stop = 5 GHz
+pump_points = 7
+pump_spacing = linear
+chi_start = 1e-6
+chi_stop = 2e-5
+chi_points = 5
+chi_spacing = log
+grid_pump_points = 3
+scales = 1, 3
+sensitivity_epsilon = 0.3
+sensitivity_step = 0.05
+
+[output]
+directory = results
+"""
+
+NON_DEFAULT_SAMPLE = """\
+theta_deg = 40
+molar_mass_u = 150
+alpha = 0.3
+epsilon = 0.25
+dominant = L
+number_density = 1.2e22 /cm^3
+wavelength = 500 nm
+base_index = 1.4"""
+
+
+def canonical_values(text):
+    """(section, key) -> rendered value of a canonical text."""
+    values, section = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line and not line.startswith("#"):
+            key, value = line.split(" = ")
+            values[section, key] = value
+    return values
+
+
+@pytest.mark.parametrize("medium", [NON_DEFAULT_SAMPLE,
+                                    "n_L = 1.3435\nn_R = 1.3395"],
+                         ids=["sample", "indices"])
+def test_every_key_survives_the_round_trip(medium):
+    config = parse_config(NON_DEFAULT.format(medium=medium))
+    assert parse_config(render_config(config)) == config
+    values = canonical_values(render_config(config))
+    defaults = canonical_values(render_config(default_config()))
+    # the default file lists every key but the index pair, which has no
+    # default; the text sets each key of its medium route away from it
+    listed = set(canonical_values(default_config_text()))
+    assert listed == set(defaults)
+    if medium == NON_DEFAULT_SAMPLE:
+        assert set(values) == listed
+    else:
+        assert set(values) == ({key for key in listed if key[0] != "medium"}
+                               | {("medium", "n_L"), ("medium", "n_R")})
+    for key, value in values.items():
+        assert value != defaults.get(key), key
+
+
 # --- unit handling --------------------------------------------------------------
 
 

@@ -604,3 +604,71 @@ def test_each_pseudo_transient_candidate_costs_one_drift(monkeypatch):
     rows = steady_states(sys_, KNEE_PUMPS, SolverConfig(mode="semi_dynamical"))
     assert rows.converged.all()
     assert len(calls) <= rows.iterations.sum() + KNEE_PUMPS.size + 1
+
+
+def count_totals(monkeypatch):
+    calls = []
+    totals = RateSystem.totals
+
+    def counted(self, N, pump):
+        calls.append(1)
+        return totals(self, N, pump)
+
+    monkeypatch.setattr(RateSystem, "totals", counted)
+    return calls
+
+
+def test_exact_route_reads_p_e_off_the_norm_drift(monkeypatch):
+    # one totals call per lock step of the root search (one chunk), one
+    # for the drift that gives both the residual norm and p_e
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    assert KNEE_PUMPS.size * sys_.n <= dynamics.CHUNK_ELEMENTS
+    calls = count_totals(monkeypatch)
+    rows = steady_states(sys_, KNEE_PUMPS, SolverConfig())
+    assert rows.converged.all()
+    assert len(calls) == rows.iterations.max() + 1
+    # and p_e is the slaved fraction of the returned occupations
+    Gu, Gd = sys_.totals(rows.N, KNEE_PUMPS)
+    assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
+
+
+def test_pseudo_transient_route_reads_p_e_off_its_last_drift(monkeypatch):
+    # a seed drift per row and one drift per candidate step; p_e comes
+    # from the last accepted drift, so every totals call is a drift's
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    calls = count_totals(monkeypatch)
+    drifts = []
+    drift = RateSystem.drift
+
+    def counted_drift(self, N, pump):
+        drifts.append(1)
+        return drift(self, N, pump)
+
+    monkeypatch.setattr(RateSystem, "drift", counted_drift)
+    rows = steady_states(sys_, KNEE_PUMPS, SolverConfig(mode="semi_dynamical"))
+    assert rows.converged.all()
+    assert len(calls) == len(drifts)
+    assert len(calls) <= rows.iterations.sum() + KNEE_PUMPS.size
+    # and p_e is the slaved fraction of the returned occupations
+    Gu, Gd = sys_.totals(rows.N, KNEE_PUMPS)
+    assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
+
+
+def test_clamped_rows_read_p_e_off_the_clamped_occupations(monkeypatch):
+    # a row with a negative occupation is clamped and flagged; its p_e
+    # is that of the clamped state, the other rows keep their own
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.array([6e8, 2e9])
+    honest = RateSystem.solve
+
+    def one_bad_row(self, pump):
+        N, steps = honest(self, pump)
+        N[1, 3] = -1.0
+        return N, steps
+
+    monkeypatch.setattr(RateSystem, "solve", one_bad_row)
+    rows = steady_states(sys_, pumps, SolverConfig())
+    assert list(rows.converged) == [True, False]
+    assert np.all(rows.N >= 0.0)
+    Gu, Gd = sys_.totals(rows.N, pumps)
+    assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
