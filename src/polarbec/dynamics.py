@@ -46,7 +46,12 @@ Two independent solvers find F(N) = 0:
   one definition, RateSystem.drift, evaluated once per candidate: its
   norm decides acceptance and the next step reuses it.  This is the
   only route that reads a starting state, so the sweeps seed each pump
-  point from the previous one.
+  point from the previous one.  A cold start (the empty cavity) grows
+  h from 0.1 / kappa_min; a seeded one starts at Newton scale (h_max,
+  still under the growth cap) and, at its first rejected candidate or
+  after SEEDED_STEPS unconverged steps, restarts from the seed on the
+  cold schedule.  Steps taken before such a restart count toward the
+  reported iterations and toward max_iters.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
@@ -87,6 +92,9 @@ CANCEL_EPS = 1e-15
 # most occupations one (rows, modes) array of the batched root search
 # holds; longer pump grids are solved in chunks of rows
 CHUNK_ELEMENTS = 1 << 16
+# most pseudo-time steps a seeded solve takes at Newton scale before it
+# restarts from its seed on the cold schedule
+SEEDED_STEPS = 12
 
 SOLVER_MODES = ("fixed_point", "semi_dynamical", "both_crosscheck")
 
@@ -519,18 +527,32 @@ def _pt_step(sys_: RateSystem, N, drift, h):
 def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
                     max_iters: int, totals):
     # returns (N, steps, norm); `totals` (length 2) receives the
-    # (Gamma_up, Gamma_dn) of N, read off the drift its norm was taken on
+    # (Gamma_up, Gamma_dn) of N, read off the drift its norm was taken on.
+    # N0 is None (the empty cavity) or a float array, never written to.
+    # A cold start grows h from 0.1 / kappa_min.  A seed starts at h_max,
+    # Newton scale; at its first rejected candidate, or once SEEDED_STEPS
+    # steps have not converged, it restarts from the seed on the cold
+    # schedule, evaluating the seed's drift again rather than holding it.
+    # Steps before a restart count toward `steps` and max_iters.
     kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
-    N = np.zeros(sys_.n) if N0 is None else np.asarray(N0, dtype=float).copy()
-    h = 0.1 / kap0
+    N = np.zeros(sys_.n) if N0 is None else N0
+    h_cold = 0.1 / kap0
     h_min = 1e-3 / kap0
     h_max = 1e12 / kap0
+    fast = N0 is not None
+    h = h_max if fast else h_cold
     it = 0
     drift = sys_.drift(N, pump)
     norm = sys_.scaled_norm(N, pump, abs_tol, drift)
+    rejected = False
     while it < max_iters and norm > abs_tol:
+        if fast and (rejected or it == SEEDED_STEPS):
+            N, h, fast = N0, h_cold, False
+            drift = sys_.drift(N, pump)
+            norm = sys_.scaled_norm(N, pump, abs_tol, drift)
         raw = _pt_step(sys_, N, drift, h)
         it += 1
+        rejected = True
         if float(np.min(raw / (N + 1.0))) < -0.1:
             # candidate would drive occupations strongly negative
             h = max(h * 0.25, h_min)
@@ -541,6 +563,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
         if cand_norm <= 4.0 * norm:
             N, norm, drift = cand, cand_norm, cand_drift
             h = min(h * 2.0, h_max)
+            rejected = False
         else:
             h = max(h * 0.25, h_min)
     totals[:] = drift[4], drift[5]
@@ -570,12 +593,22 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     all rows in one lock-step root search.  The pseudo-transient route
     runs the pumps in order, seeding each from the previous answer and
     the first from `seed` (an occupation vector, or None for the empty
-    cavity).  Cross-check mode runs both and raises CrosscheckError at
-    the first row whose routes disagree by more than crosscheck_bound();
-    the exact result is returned on success.
+    cavity); a seed that route reads must hold one finite, non-negative
+    occupation per mode, or ValueError is raised.  Cross-check mode runs
+    both and raises CrosscheckError at the first row whose routes
+    disagree by more than crosscheck_bound(); the exact result is
+    returned on success.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
     abs_tol = config.tolerance(float(np.min(sys_.kap)))
+    if seed is not None and config.mode != "fixed_point":
+        seed = np.asarray(seed, dtype=float)
+        if seed.ndim != 1 or seed.size != sys_.n:
+            raise ValueError(
+                f"seed holds {seed.size} occupations for {sys_.n} modes")
+        if not (np.isfinite(seed).all() and (seed >= 0.0).all()):
+            raise ValueError(
+                "seed occupations must be finite and non-negative")
 
     # Gu, Gd: the totals of each row's answer, read off the drift its
     # route evaluated there

@@ -672,3 +672,85 @@ def test_clamped_rows_read_p_e_off_the_clamped_occupations(monkeypatch):
     assert np.all(rows.N >= 0.0)
     Gu, Gd = sys_.totals(rows.N, pumps)
     assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
+
+
+# --- seeded pseudo-transient solves ---------------------------------------------
+
+PT = SolverConfig(mode="semi_dynamical")
+
+
+def max_route_gap(a, b):
+    """Largest relative occupation gap, as the cross-check measures it."""
+    return float(np.max(np.abs(a - b) / (np.maximum(a, b) + 1.0)))
+
+
+@pytest.mark.parametrize("seed", [np.ones(1), np.full(402, np.nan),
+                                  np.full(402, -1.0)],
+                         ids=["wrong_length", "not_finite", "negative"])
+def test_a_bad_seed_is_rejected(seed):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    with pytest.raises(ValueError, match="seed"):
+        steady_states(sys_, [3e9], PT, seed)
+    modes = build_mode_set(make_cavity(), SWEEP_INDICES, 200,
+                           kappa_override=KAPPA)
+    dye = make_dye(3e9)
+    with pytest.raises(ValueError, match="seed"):
+        find_steady_state(build_rate_table(dye, modes), modes, dye, PT,
+                          initial=SystemState(seed, 0.5))
+
+
+def assert_seeded_solves_are_safeguarded(sys_, pumps, pairs):
+    # seeded from the exact answer at pumps[i], the solve at pumps[j]
+    # converges within the cross-check bound and takes at most 12 steps
+    # (the Newton-scale budget) more than the cold schedule from the same
+    # seed, which is a seeded solve with no budget
+    exact = steady_states(sys_, pumps, SolverConfig())
+
+    def solves():
+        return [steady_states(sys_, pumps[j:j + 1], PT, exact.N[i])
+                for i, j in pairs]
+
+    seeded = solves()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "SEEDED_STEPS", 0)
+        cold = solves()
+    for (i, j), fast, slow in zip(pairs, seeded, cold):
+        assert fast.converged[0] and slow.converged[0], (i, j)
+        assert fast.iterations[0] <= slow.iterations[0] + 12, (i, j)
+        assert max_route_gap(fast.N[0], exact.N[j]) <= crosscheck_bound()
+
+
+def test_seeded_solves_never_cost_more_than_the_budget():
+    # every ascending pair of a grid across seven decades and the knee
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.logspace(6, 13, 15)
+    pairs = [(i, j) for i in range(pumps.size)
+             for j in range(i + 1, pumps.size)]
+    assert_seeded_solves_are_safeguarded(sys_, pumps, pairs)
+
+
+@pytest.mark.parametrize("pumps", [
+    np.logspace(7, 11, 8), np.logspace(7, 11, 5), np.logspace(7, 11, 3),
+    np.logspace(8, 10, 20), np.linspace(1.2e9, 1.4e9, 9),
+    np.logspace(6, 13, 12)], ids=lambda p: f"{p[0]:.1e}-{p[-1]:.1e}x{p.size}")
+def test_coarse_sweeps_never_cost_more_than_the_budget(pumps):
+    # each point seeded from its neighbour below, as the sweeps run
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pairs = [(k - 1, k) for k in range(1, pumps.size)]
+    assert_seeded_solves_are_safeguarded(sys_, pumps, pairs)
+    column = steady_states(sys_, pumps, PT)
+    exact = steady_states(sys_, pumps, SolverConfig())
+    assert column.converged.all()
+    assert max_route_gap(column.N, exact.N) <= crosscheck_bound()
+
+
+def test_a_seeded_column_starts_at_newton_scale():
+    # 200 ascending pumps across the knee: the cold schedule from each
+    # seed takes 14.4 steps per row on average, Newton-scale starts 2.7
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.logspace(8, 10, 200)
+    rows = steady_states(sys_, pumps, PT)
+    exact = steady_states(sys_, pumps, SolverConfig())
+    assert rows.converged.all()
+    assert rows.iterations.mean() <= 4.0
+    assert max_route_gap(rows.N, exact.N) <= crosscheck_bound()
