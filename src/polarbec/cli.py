@@ -1,19 +1,11 @@
 """Command-line entry point.
 
-Subcommands:
-
-    modes        mode table of the configured cavity and medium
-    spectrum     dye rate profiles on a dense frequency grid, with the
-                 cavity modes marked
-    sweep-pump   steady states along the pump grid (plus the frozen-loser
-                 comparison trace)
-    sweep-chi    steady states along the index-splitting grid at fixed
-                 pump, one curve per absorption-scale factor
-    sweep-grid   chi x pump map
-    sensitivity  dS3/depsilon at the configured operating excess
-    threshold    gain-balance thresholds of the two polarisation ground
-                 modes
-    selftest     built-in consistency checks
+`polarbec --help` lists the subcommands; `_COMMANDS` maps each name to
+its handler, whose docstring is its help line.  A file-writing handler
+writes its tables and returns (files, meta); `_finish` then writes
+manifest.json (meta becomes its `run` section), prints one `wrote ...`
+line, with the converged-points tally when meta counts points, and
+picks the exit code.  `selftest` writes no files and prints its checks.
 
 Common flags: --config PATH (INI file, or a manifest.json from an
 earlier run to replay it), --out DIR (overrides [output] directory),
@@ -23,8 +15,10 @@ flag is still accepted, so earlier scripts keep working, and is ignored
 with one warning on stderr, as retired configuration keys are.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration or usage
-error, 3 unconverged points without --allow-partial, 4 I/O failure
-(an OSError, or a foreign lock on the output directory).  Any other
+error, 3 unconverged points without --allow-partial (in every command
+that solves steady states, sensitivity included) or a failed
+cross-check, 4 I/O failure (an OSError, or a foreign lock on the output
+directory).  Any other
 exception is a fault of the program and ends the run with its
 traceback (exit status 1).
 """
@@ -34,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -75,17 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"polarbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("modes", "write the cavity mode table"),
-        ("spectrum", "write the dye rate profiles and mode markers"),
-        ("sweep-pump", "sweep the pump rate"),
-        ("sweep-chi", "sweep the index splitting"),
-        ("sweep-grid", "map the chi x pump plane"),
-        ("sensitivity", "slope of S3 against enantiomeric excess"),
-        ("threshold", "ground-mode threshold report"),
-        ("selftest", "run the built-in consistency checks"),
-    ]:
-        sub.add_parser(name, parents=[common], help=helptext)
+    for name, handler in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=handler.__doc__)
     return parser
 
 
@@ -102,36 +87,46 @@ def _load_config(args) -> RunConfig:
     return parse_config(text)
 
 
-def _finish_sweep(args, config, command, out_dir, result, files) -> int:
-    converged = result.meta["converged_points"]
-    points = result.meta["points"]
-    manifest = build_manifest(command, config, files, meta=result.meta)
+def _finish(args, config: RunConfig, out_dir: str, files: list[str],
+            meta: dict) -> int:
+    """Write the manifest, print the summary line and pick the exit code."""
+    manifest = build_manifest(args.command, config, files, meta=meta)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
-    print(f"wrote {', '.join(files)} and manifest.json to {out_dir} "
-          f"({converged}/{points} points converged)")
-    if converged < points and not args.allow_partial:
+    tally = ""
+    if "points" in meta:
+        tally = (f" ({meta['converged_points']}/{meta['points']} points "
+                 f"converged)")
+    print(f"wrote {', '.join(files)} and manifest.json to {out_dir}{tally}")
+    unconverged = meta.get("points", 0) - meta.get("converged_points", 0)
+    if unconverged and not args.allow_partial:
         print("some points did not converge (rerun with --allow-partial "
               "to accept)", file=sys.stderr)
         return EXIT_UNCONVERGED
     return EXIT_OK
 
 
-def _cmd_modes(args, config: RunConfig, out_dir: str) -> int:
+def _write_sweep(out_dir: str, name: str, result, plot, *plot_args):
+    """The sweep's CSV and its gnuplot script; returns both file names."""
+    files = [f"{name}.csv", f"{name}.gp"]
+    write_csv(os.path.join(out_dir, files[0]), result.columns, result.rows)
+    with open(os.path.join(out_dir, files[1]), "w", encoding="utf-8") as fh:
+        fh.write(plot(files[0], *plot_args))
+    return files
+
+
+def _cmd_modes(args, config: RunConfig, out_dir: str):
+    """write the cavity mode table"""
     modes = build_mode_set(config.cavity, config.medium_indices(),
                            config.l_max, config.kappa_override)
     columns = ["sigma", "l", "j", "omega", "degeneracy", "kappa"]
     rows = [[m.sigma, m.l, m.j, m.omega, m.degeneracy, m.kappa]
             for m in modes]
     write_csv(os.path.join(out_dir, "modes.csv"), columns, rows)
-    manifest = build_manifest("modes", config, ["modes.csv"],
-                              meta={"modes": len(modes)})
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
-    print(f"wrote modes.csv ({len(modes)} modes) and manifest.json "
-          f"to {out_dir}")
-    return EXIT_OK
+    return ["modes.csv"], {"modes": len(modes)}
 
 
-def _cmd_spectrum(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_spectrum(args, config: RunConfig, out_dir: str):
+    """write the dye rate profiles and mode markers"""
     modes = build_mode_set(config.cavity, config.medium_indices(),
                            config.l_max, config.kappa_override)
     dye = config.dye
@@ -152,29 +147,21 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: str) -> int:
     with open(os.path.join(out_dir, "spectrum.gp"), "w",
               encoding="utf-8") as fh:
         fh.write(gnuplot_spectrum("dye_spectrum.csv", "mode_markers.csv"))
-    files = ["dye_spectrum.csv", "mode_markers.csv", "spectrum.gp"]
-    manifest = build_manifest("spectrum", config, files,
-                              meta={"grid_points": len(grid),
-                                    "modes": len(modes)})
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
-    print(f"wrote {', '.join(files)} and manifest.json to {out_dir}")
-    return EXIT_OK
+    return (["dye_spectrum.csv", "mode_markers.csv", "spectrum.gp"],
+            {"grid_points": len(grid), "modes": len(modes)})
 
 
-def _cmd_sweep_pump(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_sweep_pump(args, config: RunConfig, out_dir: str):
+    """sweep the pump rate"""
     result = pump_sweep(config.cavity, config.medium_indices(), config.dye,
                         config.l_max, config.solver, config.sweep.pump,
                         config.kappa_override)
-    write_csv(os.path.join(out_dir, "pump_sweep.csv"), result.columns,
-              result.rows)
-    with open(os.path.join(out_dir, "pump_sweep.gp"), "w",
-              encoding="utf-8") as fh:
-        fh.write(gnuplot_pump_sweep("pump_sweep.csv"))
-    return _finish_sweep(args, config, "sweep-pump", out_dir, result,
-                         ["pump_sweep.csv", "pump_sweep.gp"])
+    return (_write_sweep(out_dir, "pump_sweep", result, gnuplot_pump_sweep),
+            result.meta)
 
 
-def _cmd_sweep_chi(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_sweep_chi(args, config: RunConfig, out_dir: str):
+    """sweep the index splitting"""
     spec = config.sweep.chi
     epsilons = None
     chi_unit = config.chi_per_epsilon()
@@ -184,30 +171,24 @@ def _cmd_sweep_chi(args, config: RunConfig, out_dir: str) -> int:
                        config.l_max, config.solver, spec,
                        config.kappa_override, scales=config.sweep.scales,
                        epsilons=epsilons)
-    write_csv(os.path.join(out_dir, "chi_sweep.csv"), result.columns,
-              result.rows)
-    with open(os.path.join(out_dir, "chi_sweep.gp"), "w",
-              encoding="utf-8") as fh:
-        fh.write(gnuplot_chi_sweep("chi_sweep.csv", config.sweep.scales))
-    return _finish_sweep(args, config, "sweep-chi", out_dir, result,
-                         ["chi_sweep.csv", "chi_sweep.gp"])
+    return (_write_sweep(out_dir, "chi_sweep", result, gnuplot_chi_sweep,
+                         config.sweep.scales), result.meta)
 
 
-def _cmd_sweep_grid(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_sweep_grid(args, config: RunConfig, out_dir: str):
+    """map the chi x pump plane"""
     pump_spec = replace(config.sweep.pump,
                         points=config.sweep.grid_pump_points)
     result = grid_sweep(config.cavity, config.base_index(), config.dye,
                         config.l_max, config.solver, config.sweep.chi,
                         pump_spec, config.kappa_override)
-    write_csv(os.path.join(out_dir, "grid.csv"), result.columns, result.rows)
-    with open(os.path.join(out_dir, "grid.gp"), "w", encoding="utf-8") as fh:
-        fh.write(gnuplot_grid("grid.csv", config.sweep.chi.points,
-                              pump_spec.points))
-    return _finish_sweep(args, config, "sweep-grid", out_dir, result,
-                         ["grid.csv", "grid.gp"])
+    return (_write_sweep(out_dir, "grid", result, gnuplot_grid,
+                         config.sweep.chi.points, pump_spec.points),
+            result.meta)
 
 
-def _cmd_sensitivity(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_sensitivity(args, config: RunConfig, out_dir: str):
+    """slope of S3 against enantiomeric excess"""
     if config.medium_kind != "sample":
         raise ConfigError(
             "sensitivity needs the chiral-sample medium description "
@@ -217,30 +198,18 @@ def _cmd_sensitivity(args, config: RunConfig, out_dir: str) -> int:
                          config.sweep.sensitivity_epsilon,
                          config.sweep.sensitivity_step,
                          config.kappa_override)
-    payload = {
-        "epsilon": report.epsilon,
-        "slope": report.slope,
-        "step": report.step,
-        "epsilon_minus": report.epsilon_minus,
-        "epsilon_plus": report.epsilon_plus,
-        "S3_minus": report.S3_minus,
-        "S3_plus": report.S3_plus,
-        "noise_dominated": report.noise_dominated,
-    }
+    payload = asdict(report)
     write_manifest(os.path.join(out_dir, "sensitivity.json"), payload)
-    manifest = build_manifest("sensitivity", config, ["sensitivity.json"],
-                              meta=payload)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"dS3/depsilon = {report.slope:.6g} at epsilon = {report.epsilon:g} "
           f"(bracket [{report.epsilon_minus:g}, {report.epsilon_plus:g}])")
     if report.noise_dominated:
         print("warning: S3 difference is below the solver noise floor; "
               "the slope is not resolved", file=sys.stderr)
-    print(f"wrote sensitivity.json and manifest.json to {out_dir}")
-    return EXIT_OK
+    return ["sensitivity.json"], payload
 
 
-def _cmd_threshold(args, config: RunConfig, out_dir: str) -> int:
+def _cmd_threshold(args, config: RunConfig, out_dir: str):
+    """ground-mode threshold report"""
     modes = build_mode_set(config.cavity, config.medium_indices(),
                            config.l_max, config.kappa_override)
     rates = build_rate_table(config.dye, modes)
@@ -248,18 +217,13 @@ def _cmd_threshold(args, config: RunConfig, out_dir: str) -> int:
     write_csv(os.path.join(out_dir, "threshold.csv"),
               ["tau_L", "tau_R", "winner"],
               [[report.tau_L, report.tau_R, report.winner]])
-    manifest = build_manifest("threshold", config, ["threshold.csv"],
-                              meta={"tau_L": report.tau_L,
-                                    "tau_R": report.tau_R,
-                                    "winner": report.winner})
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"tau_L = {report.tau_L:.6e} 1/s, tau_R = {report.tau_R:.6e} 1/s, "
           f"winner: {report.winner}")
-    print(f"wrote threshold.csv and manifest.json to {out_dir}")
-    return EXIT_OK
+    return ["threshold.csv"], asdict(report)
 
 
 def _cmd_selftest(args, config: RunConfig, out_dir: str | None) -> int:
+    """run the built-in consistency checks"""
     from .selftest import run_all
     results = run_all()
     failures = 0
@@ -274,6 +238,7 @@ def _cmd_selftest(args, config: RunConfig, out_dir: str | None) -> int:
     return EXIT_OK
 
 
+# every subcommand, in --help order
 _COMMANDS = {
     "modes": _cmd_modes,
     "spectrum": _cmd_spectrum,
@@ -282,6 +247,7 @@ _COMMANDS = {
     "sweep-grid": _cmd_sweep_grid,
     "sensitivity": _cmd_sensitivity,
     "threshold": _cmd_threshold,
+    "selftest": _cmd_selftest,
 }
 
 
@@ -306,7 +272,8 @@ def main(argv=None) -> int:
     try:
         with output_lock(out_dir):
             try:
-                return _COMMANDS[args.command](args, config, out_dir)
+                files, meta = _COMMANDS[args.command](args, config, out_dir)
+                return _finish(args, config, out_dir, files, meta)
             except ConfigError as exc:
                 print(f"configuration error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG

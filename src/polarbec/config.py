@@ -297,8 +297,9 @@ def parse_config(text: str) -> RunConfig:
     medium descriptions, malformed quantities, chi grids whose endpoints
     give no valid index pair, a chiral sample that gives none at its own
     excess, a sensitivity excess or step outside (0, 1), a grid pump
-    count below 1 and an absorption scale that does not keep
-    gamma_up0 * scale positive and finite are errors.
+    count below 1, an absorption scale that does not keep
+    gamma_up0 * scale positive and finite, and a lossless cavity
+    (mirror_loss = 0) without a kappa_override are errors.
     Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
@@ -339,6 +340,10 @@ def parse_config(text: str) -> RunConfig:
         cavity = build(CavityParams, "cavity")
         l_max = resolve("cavity", "l_max")
         kappa_override = resolve("cavity", "kappa_override")
+        if cavity.mirror_loss == 0 and kappa_override is None:
+            # the ladder needs a positive kappa for every mode
+            raise ConfigError("[cavity] mirror_loss = 0 gives the modes no "
+                              "decay rate; set [cavity] kappa_override")
 
         indices = sample = solvent = None
         if medium_kind == "indices":

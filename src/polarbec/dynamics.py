@@ -221,17 +221,10 @@ class RateSystem:
     @classmethod
     def from_tables(cls, rates: RateTable, modes: list[Mode],
                     dye: DyeParams) -> "RateSystem":
-        if len(rates) != len(modes):
-            raise ValueError("rate table and mode list lengths differ")
-        if tuple(modes) == rates.modes:
-            # the table's own modes: reuse its array form, built once
-            ladder = rates.ladder
-        else:
-            ladder = ModeLadder.from_modes(modes)
-            for m, tm in zip(modes, rates.modes):
-                if (m.sigma, m.j, m.l) != (tm.sigma, tm.j, tm.l):
-                    raise ValueError(
-                        "rate table was built for a different mode list")
+        if tuple(modes) != rates.modes:
+            # the rates were evaluated at the table's own omegas
+            raise ValueError("rate table was built for a different mode list")
+        ladder = rates.ladder
         return cls(ladder.degeneracy, rates.gamma_up, rates.gamma_down,
                    ladder.kappa, dye.M, dye.gamma_down, ladder.n_left)
 

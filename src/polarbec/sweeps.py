@@ -330,7 +330,8 @@ class SensitivityReport:
 
     noise_dominated marks a bracket whose S3 difference is within ten
     times what the solver tolerance can resolve; the slope value is then
-    an upper-bound artefact, not a measurement.
+    an upper-bound artefact, not a measurement.  points counts the
+    bracket-end solves and converged_points those that converged.
     """
 
     epsilon: float
@@ -341,6 +342,8 @@ class SensitivityReport:
     S3_minus: float
     S3_plus: float
     noise_dominated: bool
+    points: int
+    converged_points: int
 
 
 def sensitivity(cavity: CavityParams, sample: ChiralSample,
@@ -374,11 +377,14 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     while h > h_limit:
         h *= 0.5
 
+    converged = []
+
     def s3_at(eps: float) -> float:
         chi = chi_from_sample(replace(sample, epsilon=eps), solvent)
         ladder, states = _solve_at_chi(cavity, solvent.base_index, dye, l_max,
                                        kappa_override, solver, chi,
                                        [dye.gamma_up_pump])
+        converged.append(bool(states.converged[0]))
         return float(_readout(states.N, ladder)["S3"][0])
 
     def bracket(hh: float):
@@ -398,5 +404,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     return SensitivityReport(epsilon=epsilon, slope=slope, step=h,
                              epsilon_minus=lo, epsilon_plus=hi,
                              S3_minus=s_lo, S3_plus=s_hi,
-                             noise_dominated=noise_dominated)
+                             noise_dominated=noise_dominated,
+                             points=len(converged),
+                             converged_points=sum(converged))
 

@@ -12,6 +12,7 @@ from polarbec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_UNCONVERGED,
     main,
 )
 
@@ -249,12 +250,58 @@ def test_sensitivity_writes_report(tmp_path, small_config):
     assert report["epsilon"] == 0.5
 
 
+UNCONVERGED_CONFIG = """
+[cavity]
+l_max = 30
+
+[solver]
+mode = semi_dynamical
+max_iters = 1
+"""
+
+
+def test_sensitivity_exits_unconverged_unless_partial_is_allowed(tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(UNCONVERGED_CONFIG, encoding="utf-8")
+    assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(tmp_path / "strict")) == EXIT_UNCONVERGED
+    assert "points converged)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "strict" / "sensitivity.json").read_text())
+    assert report["converged_points"] < report["points"]
+    assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(tmp_path / "partial"), "--allow-partial") == EXIT_OK
+
+
 def test_sensitivity_needs_a_sample_medium(tmp_path):
     cfg = tmp_path / "idx.ini"
     cfg.write_text("[medium]\nn_L = 1.3435\nn_R = 1.3395\n",
                    encoding="utf-8")
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
                    str(tmp_path / "s")) == EXIT_CONFIG
+
+
+# --- the one finishing path ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["modes", "spectrum", "sweep-pump",
+                                     "sweep-chi", "sweep-grid", "sensitivity",
+                                     "threshold"])
+def test_every_command_finishes_with_a_matching_manifest(tmp_path,
+                                                         small_config,
+                                                         capsys, command):
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", small_config, "--out",
+                   str(out)) == EXIT_OK
+    summary = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("wrote ")]
+    assert len(summary) == 1
+    listed = summary[0][len("wrote "):].split(" and manifest.json to ")[0]
+    files = listed.split(", ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == sorted(files)
+    assert all((out / name).is_file() for name in files)
 
 
 # --- flags and failure modes --------------------------------------------------------
@@ -330,6 +377,8 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-pump", "[solver]\nabs_tol = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_down = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_up_pump = inf Hz\n"),
+    ("modes", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
+    ("sweep-pump", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
 ])
 def test_sweep_inputs_that_would_crash_exit_with_config_code(tmp_path,
                                                              command, text):

@@ -356,6 +356,8 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[dye]\ngamma_down = nan Hz\n", "not a finite number"),
     ("[dye]\nM = -inf\n", "not a finite number"),
     ("[dye]\nOmega0 = 1e300 THz\n", "not a finite number"),
+    # a lossless cavity leaves the ladder without a decay rate
+    ("[cavity]\nmirror_loss = 0\nkappa_override = none\n", "mirror_loss"),
 ])
 def test_inputs_that_would_crash_later_are_rejected(text, message):
     with pytest.raises(ConfigError, match=message):

@@ -147,6 +147,21 @@ def test_state_and_alignment_guards():
         adiabatic_derivative(np.zeros(1), rates, modes, dye)
 
 
+def test_a_rate_table_solves_only_its_own_mode_list():
+    # same (sigma, j, l) labels, omegas about 4 % apart: the table's rates
+    # were evaluated at its own omegas, so the other list is refused
+    cavity, dye = make_cavity(), make_dye(5e9)
+
+    def modes_at(n):
+        return build_mode_set(cavity, MediumIndices(n_L=n, n_R=n), 3,
+                              kappa_override=KAPPA)
+
+    rates = build_rate_table(dye, modes_at(1.34))
+    assert find_steady_state(rates, modes_at(1.34), dye).converged
+    with pytest.raises(ValueError, match="different mode list"):
+        find_steady_state(rates, modes_at(1.40), dye)
+
+
 # --- single-mode steady state vs the independent bisection root --------------
 
 

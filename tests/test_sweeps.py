@@ -298,6 +298,15 @@ def test_sensitivity_flags_the_saturated_plateau():
     assert abs(rep.slope) < 1e-2
 
 
+def test_sensitivity_counts_its_converged_solves():
+    dye = make_dye(1e10)
+    rep = sensitivity(make_cavity(), GLUCOSE, METHANOL, dye, 10, SOLVER,
+                      epsilon=0.5, kappa_override=KAPPA)
+    # every bracket the step doubling tried counts, two solves each
+    assert rep.points >= 2 and rep.points % 2 == 0
+    assert rep.converged_points == rep.points
+
+
 def test_sensitivity_is_antisymmetric_in_the_dominant_enantiomer():
     dye = make_dye(1e10)
     right = sensitivity(make_cavity(), ChiralSample(44.0, 180.0, 0.4, 1e-6,
