@@ -3,8 +3,8 @@
 The dye molecules exchange photons with each cavity mode at rates set by
 two mirror-image Lorentzian profiles.  Measuring frequency from the
 dye's electronic resonance Omega0, the emission profile peaks a
-rovibrational offset DeltaOmega below the resonance-crossing point and
-the absorption profile the same offset above:
+rovibrational offset DeltaOmega above the resonance and the absorption
+profile the same offset below:
 
     delta_nu     = omega_nu - Omega0
     gamma_dn(nu) = linewidth**2 * gamma_down0
@@ -18,11 +18,20 @@ Hamiltonian behind these profiles (electronic and rovibrational
 frequencies, Huang-Rhys factor, mode couplings) never enters: the two
 fitted Lorentzians carry all of the physics the rate equations need.
 
-What drives mode competition is the ratio gamma_dn / gamma_up.  Over a
-mode ladder sitting far below the resonance (as here, tens of THz red
-of Omega0 and beyond the stationary point of the ratio), the ratio
-decreases strictly with frequency, so the lowest-frequency block of
-modes enjoys the most favourable gain-to-loss balance.
+What drives mode competition is the saturated molecular fraction
+(kappa_nu / M + gamma_up_nu) / (gamma_up_nu + gamma_dn_nu): the mode
+with the smallest one condenses.  At a given gamma_up it falls as the
+ratio gamma_dn / gamma_up rises, and that ratio is not monotone.  With
+s = sqrt(linewidth**2 / 4 + DeltaOmega**2) it has a minimum at detuning
+-s and a maximum at +s (0.717 at -25.3e12 rad/s and 1.395 at
++25.3e12 rad/s for the default dye), and it decreases strictly with
+frequency only below -s and above +s.  The default ladder (l_max = 200,
+detunings -86e12 to -49e12 rad/s) lies below -s, so its lowest-frequency
+modes enjoy the most favourable balance and a ground mode wins.  A
+longer ladder reaches past -s, where an excited mode can win: with the
+default cavity and dye, the ladder's top mode from l_max = 407 on
+(its larger absorption outweighs its smaller ratio), and the R mode
+with l = 597, next to the ratio's maximum, from about l_max = 600 on.
 """
 
 from __future__ import annotations

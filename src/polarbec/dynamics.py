@@ -36,6 +36,17 @@ Two independent solvers find F(N) = 0:
   most CHUNK_ELEMENTS occupations so the temporaries stay a few hundred
   kB whatever the grid length.  Each row runs the same float operations
   as a lone solve, so batching changes no bit of any answer.
+
+  h(u) is the cost of this route, and two kernels make it.  occ_at_u
+  writes every mode's margin m1 x + m0 + u into one (rows, modes)
+  buffer, from per-mode coefficients RateSystem precomputes (m1 = m0 = 0
+  exactly at the winner, whose margin stays u), takes the minimum to flag
+  unphysical rows, and turns the buffer into N = M dn x / margin in
+  place.  totals then needs only the weighted sums sum g up N and
+  sum g dn N, which it takes as BLAS dot products, one per row, weight
+  and block (row_dot).  One dot per row keeps each row's bits those of a
+  lone row; a single gemv over all rows would round each row
+  differently depending on how many rows there are.
 * semi_dynamical: damped pseudo-time continuation.  Each step solves
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
   rank-one coupling through the saturated molecular bath and therefore
@@ -174,6 +185,18 @@ def _col(a):
     return np.asarray(a)[..., None]
 
 
+def row_dot(a, c):
+    """sum_nu a_nu c_nu along the last axis; the leading axes broadcast.
+
+    Each pair of rows is stacked as (1, n) @ (n, 1), for which numpy's
+    matmul makes one BLAS dot call, so every row gets the bits of a lone
+    np.dot whatever the number of rows.  A plain (rows, n) @ (n,) is one
+    gemv call, whose rounding differs from the lone dot once there are
+    two rows.
+    """
+    return (a[..., None, :] @ c[..., None])[..., 0, 0]
+
+
 class RateSystem:
     """Per-mode rate arrays plus molecule parameters, with L/R block slices.
 
@@ -184,6 +207,14 @@ class RateSystem:
     two blocks, and makes each row's arithmetic the same float
     operations whatever the other rows hold.  drift is the one F(N);
     its users take it whole, so a candidate state is evaluated once.
+
+    The constructor precomputes what h(u) reads, per mode:
+    m1 = M ((dn_w - dn) - (up - up_w)) and m0 = M (up - up_w)
+    + (kap - kap_w), the margin's coefficients against the winner w;
+    Mdn = M dn; and the stacked weights w_ud = (g up, g dn) with
+    gd0 = gamma_dn + sum g dn, so that Gamma_up = pump + sum g up N and
+    Gamma_dn = gd0 + sum g dn N.  blockdot takes those sums with
+    row_dot, so a row's totals do not depend on its neighbours.
     """
 
     def __init__(self, deg, up, dn, kap, M, gamma_dn, n_left):
@@ -202,14 +233,26 @@ class RateSystem:
             self.w = int(np.argmin(xnu))
         else:
             self.w = 0
-        # per-mode constants of occ_at_u, relative to the winner
+        # per-mode coefficients of occ_at_u: the margin is m1 x + m0 + u,
+        # and m1 = m0 = 0 exactly at the winner, whose margin is u itself
         w = self.w
         self.umax = self.kap[w] + self.M * self.up[w]
         self.x_scale = self.M * (self.dn[w] + self.up[w])
-        self.dn_gap = self.dn[w] - self.dn
-        self.up_gap = self.up - self.up[w]
-        self.kap_gap = self.kap - self.kap[w]
+        up_gap = self.up - self.up[w]
+        self.m1 = self.dn[w] - self.dn          # M ((dn_w - dn) - up_gap)
+        self.m1 -= up_gap
+        self.m1 *= self.M
+        self.m0 = up_gap * self.M               # M up_gap + (kap - kap_w)
+        self.m0 += self.kap - self.kap[w]
         self.Mdn = self.M * self.dn
+        # weights of totals, Gu = pump + sum wu N and Gd = gd0 + sum wd N,
+        # stacked as the rows (wu, wd) so one matmul per block gives both
+        self.w_ud = np.empty((2, self.n))
+        np.multiply(self.deg, self.up, out=self.w_ud[0])
+        np.multiply(self.deg, self.dn, out=self.w_ud[1])
+        wd = self.w_ud[1]
+        self.gd0 = self.gamma_dn + (np.add.reduce(wd[self.bL])
+                                    + np.add.reduce(wd[self.bR]))
 
     @classmethod
     def from_ladder(cls, ladder: ModeLadder, dye: DyeParams) -> "RateSystem":
@@ -228,24 +271,15 @@ class RateSystem:
         return cls(ladder.degeneracy, rates.gamma_up, rates.gamma_down,
                    ladder.kappa, dye.M, dye.gamma_down, ladder.n_left)
 
-    def blocksum(self, arr):
-        return (np.add.reduce(arr[..., self.bL], axis=-1)
-                + np.add.reduce(arr[..., self.bR], axis=-1))
-
-    def blockdot(self, x, y) -> float:
-        return (float(np.dot(x[self.bL], y[self.bL]))
-                + float(np.dot(x[self.bR], y[self.bR])))
+    def blockdot(self, a, c):
+        """row_dot(a, c), taken per block and then combined."""
+        return (row_dot(a[..., self.bL], c[..., self.bL])
+                + row_dot(a[..., self.bR], c[..., self.bR]))
 
     def totals(self, N, pump):
         """Collective molecular rates (Gamma_up, Gamma_dn), one per row."""
-        t = self.deg * N
-        t *= self.up
-        gu = pump + self.blocksum(t)
-        np.add(N, 1.0, out=t)
-        t *= self.deg
-        t *= self.dn
-        gd = self.gamma_dn + self.blocksum(t)
-        return gu, gd
+        t = self.blockdot(N[..., None, :], self.w_ud)
+        return pump + t[..., 0], self.gd0 + t[..., 1]
 
     def drift(self, N, pump):
         """The one slaved drift F(N), per row: (F, b, S, gross, Gu, Gd).
@@ -305,14 +339,12 @@ class RateSystem:
         """
         x = (self.umax - u) / self.x_scale
         xc = x[:, None]
-        margin = self.dn_gap * xc
-        margin += self.up_gap * (1.0 - xc)
-        margin *= self.M
-        margin += self.kap_gap
-        margin += u[:, None]
-        bad = (np.minimum.reduce(margin, axis=-1) <= 0.0) | (x <= 0.0)
-        N = self.Mdn * xc
-        N /= margin
+        N = self.m1 * xc             # the margins, then N = Mdn x / margin
+        N += self.m0
+        N += u[:, None]
+        bad = (np.minimum.reduce(N, axis=-1) <= 0.0) | (x <= 0.0)
+        np.divide(self.Mdn, N, out=N)
+        N *= xc
         return N, x, bad
 
     def h_of_u(self, u, pump):

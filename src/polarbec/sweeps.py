@@ -51,7 +51,7 @@ from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_ind
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
 from .dynamics import (RateSystem, SolverConfig, SteadyState, SystemState,
-                       find_steady_state, steady_states)
+                       find_steady_state, row_dot, steady_states)
 
 # totals below this hold no measurable light; S3 is flagged undefined
 S3_TOTAL_FLOOR = 1e-6
@@ -86,8 +86,8 @@ def _readout(N, ladder: ModeLadder) -> dict:
     deg = ladder.degeneracy.astype(float)
     nl = ladder.n_left
     # one BLAS dot per row and block, the call a lone readout makes
-    total_L = np.array([np.dot(deg[:nl], row) for row in N[:, :nl]])
-    total_R = np.array([np.dot(deg[nl:], row) for row in N[:, nl:]])
+    total_L = row_dot(N[:, :nl], deg[:nl])
+    total_R = row_dot(N[:, nl:], deg[nl:])
     zeros = np.zeros(N.shape[0])
     i_L, i_R = ladder.ground()
     ground_L = zeros if i_L is None else N[:, i_L]
@@ -366,6 +366,12 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     kappa_ref = kappa_override
     if kappa_ref is None:
         kappa_ref = cavity_decay(cavity, solvent.base_index)
+    if not kappa_ref > 0.0:
+        # the noise floor below is measured in units of the photon loss
+        raise ValueError(
+            f"mirror_loss = {cavity.mirror_loss} and kappa_override = "
+            f"{kappa_override} give the modes no decay rate; set a "
+            "positive kappa_override")
     abs_tol = solver.tolerance(kappa_ref)
     noise_floor = 10.0 * (2.0 * abs_tol / kappa_ref)
 

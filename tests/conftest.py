@@ -127,6 +127,35 @@ def bisect_margin_roots(sys_, pumps):
     return N, steps
 
 
+def direct_occ_at_u(sys_, u):
+    """RateSystem.occ_at_u by the direct formula of the exact reduction.
+
+    The oracle for the precomputed-coefficient kernel: each mode's
+    margin is M (dn_gap x + up_gap (1 - x)) + kap_gap + u, with the gaps
+    taken against the winner w, and N = M dn x / margin.  Also returns
+    each margin's cancellation condition number, the sum of the
+    magnitudes of its terms over the margin: two kernels that round the
+    same margin differently may differ relatively by a few ulps times it.
+    """
+    w = sys_.w
+    x = (sys_.umax - u) / sys_.x_scale
+    xc = x[:, None]
+    dn_gap, up_gap = sys_.dn[w] - sys_.dn, sys_.up - sys_.up[w]
+    kap_gap = sys_.kap - sys_.kap[w]
+    margin = (sys_.M * (dn_gap * xc + up_gap * (1.0 - xc)) + kap_gap
+              + u[:, None])
+    terms = (sys_.M * (np.abs(dn_gap * xc) + np.abs(up_gap * (1.0 - xc)))
+             + np.abs(kap_gap) + np.abs(u[:, None]))
+    bad = (np.min(margin, axis=-1) <= 0.0) | (x <= 0.0)
+    return sys_.M * sys_.dn * xc / margin, x, bad, terms / np.abs(margin)
+
+
+def direct_totals(sys_, N, pump):
+    """RateSystem.totals by the direct sums of its definition."""
+    return (pump + np.sum(sys_.deg * N * sys_.up, axis=-1),
+            sys_.gamma_dn + np.sum(sys_.deg * (N + 1.0) * sys_.dn, axis=-1))
+
+
 # --- closed-form reference values, frozen from a 50-digit evaluation -------
 # (mpmath oracle, independent of the package arithmetic)
 

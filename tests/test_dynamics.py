@@ -45,6 +45,8 @@ from conftest import (
     TEFF_L0,
     bisect_margin_roots,
     bisect_single_mode,
+    direct_occ_at_u,
+    direct_totals,
     make_cavity,
     make_dye,
     single_mode_problem,
@@ -444,6 +446,66 @@ def test_batched_rows_without_pump_or_molecules_stay_empty():
     ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 20, KAPPA)
     dark = RateSystem.from_ladder(ladder, make_dye(M=0.0))
     assert np.all(steady_states(dark, [1e9, 5e9], SolverConfig()).N == 0.0)
+
+
+# --- the h(u) kernels ----------------------------------------------------------
+
+
+def kernel_rows(sys_):
+    """Margins u, one per row, with their pumps.
+
+    The roots at pumps over three decades and at eleven pumps across the
+    knee, then a geometric spread of u up to umax / 2, where some rows
+    leave the physical range.
+    """
+    pumps = np.concatenate([np.logspace(8, 11, 7),
+                            np.linspace(0.95, 1.05, 11) * TEFF_L0])
+    roots = winner_margin(sys_, steady_states(sys_, pumps, SolverConfig()).N)
+    u = np.concatenate([roots, np.geomspace(1e-12, 0.5, 9) * sys_.umax])
+    return u, np.concatenate([pumps, np.full(9, 2e9)])
+
+
+@pytest.mark.parametrize("l_max", [0, 30, 200, 2000])
+def test_h_kernels_agree_with_the_direct_formulas(l_max):
+    # the precomputed coefficients round differently from the direct
+    # formula: 1e-12 relatively per mode, widened only where a near-tied
+    # mode's margin cancels (condition number up to about 4e4 here)
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    u, pumps = kernel_rows(sys_)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        N, x, bad = sys_.occ_at_u(u)
+        N_ref, x_ref, bad_ref, cond = direct_occ_at_u(sys_, u)
+        h = sys_.h_of_u(u, pumps)
+        Gu_ref, Gd_ref = direct_totals(sys_, N_ref, pumps)
+    assert np.array_equal(x, x_ref) and np.array_equal(bad, bad_ref)
+    ok = ~bad
+    assert ok[:18].all()
+    tol = 1e-12 + 8.0 * np.finfo(float).eps * cond[ok]
+    assert np.all(np.abs(N[ok] - N_ref[ok]) <= tol * N_ref[ok])
+    Gu, Gd = sys_.totals(N_ref[ok], pumps[ok])
+    assert np.all(np.abs(Gu - Gu_ref[ok]) <= 1e-12 * Gu_ref[ok])
+    assert np.all(np.abs(Gd - Gd_ref[ok]) <= 1e-12 * Gd_ref[ok])
+    # h = x (Gu + Gd) - Gu, to 1e-12 of its larger term
+    scale = x_ref[ok] * (Gu_ref[ok] + Gd_ref[ok])
+    assert np.all(np.abs(h[ok] - (scale - Gu_ref[ok])) <= 1e-12 * scale)
+    assert np.all(h[bad] == np.inf)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 17])
+@pytest.mark.parametrize("l_max", [30, 200, 2000])
+def test_stacked_rows_get_the_bits_of_lone_rows(l_max, rows):
+    # totals takes one BLAS dot per row and block, as a lone row does; a
+    # single gemv over the stack would round the rows differently
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    pumps = np.logspace(8.5, 10.0, rows)
+    u = winner_margin(sys_, steady_states(sys_, pumps, SolverConfig()).N)
+    N = sys_.occ_at_u(u)[0]
+    Gu, Gd = sys_.totals(N, pumps)
+    h = sys_.h_of_u(u, pumps)
+    for k in range(rows):
+        assert np.array_equal(sys_.occ_at_u(u[k:k + 1])[0][0], N[k])
+        assert (Gu[k], Gd[k]) == sys_.totals(N[k], pumps[k])
+        assert h[k] == sys_.h_of_u(u[k:k + 1], pumps[k:k + 1])[0]
 
 
 # --- the root search against the bisection oracle -------------------------------

@@ -327,3 +327,10 @@ def test_sensitivity_rejects_an_excess_outside_range():
     with pytest.raises(ValueError):
         sensitivity(make_cavity(), GLUCOSE, METHANOL, dye, 10, SOLVER,
                     epsilon=1.5, kappa_override=KAPPA)
+
+
+def test_sensitivity_rejects_a_lossless_cavity_without_kappa_override():
+    # the noise floor is measured in units of the photon loss rate
+    with pytest.raises(ValueError, match="mirror_loss = 0.0 and kappa_"):
+        sensitivity(make_cavity(mirror_loss=0.0), GLUCOSE, METHANOL,
+                    make_dye(1e10), 10, SOLVER, epsilon=0.5)
