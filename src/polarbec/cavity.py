@@ -23,14 +23,16 @@ every L mode sits below its R partner.
 
 The ladder is computed once, as arrays (mode_ladder); the Mode list of
 build_mode_set is made from those arrays for tables and the object API,
-while the sweeps work on the arrays directly.
+while the sweeps work on the arrays directly.  Neither stores the
+degeneracy: both derive it from l, as the 2D harmonic trap fixes it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,31 +117,29 @@ class Mode:
     l:          transverse ladder index (0 = ground mode of the block)
     sigma:      circular polarisation, 'L' or 'R'
     omega:      angular frequency, rad/s
-    degeneracy: number of degenerate transverse orbitals, always l + 1
     kappa:      photon loss rate of the mode, 1/s
+    degeneracy: transverse orbitals, l + 1; derived from l, not stored
     """
 
     j: int
     l: int
     sigma: str
     omega: float
-    degeneracy: int = field(default=-1)
-    kappa: float = 0.0
+    kappa: float
 
     def __post_init__(self):
         if self.sigma not in POLARISATIONS:
             raise ValueError(f"sigma must be 'L' or 'R', got {self.sigma!r}")
         if self.l < 0:
             raise ValueError(f"l must be >= 0, got {self.l}")
-        if self.degeneracy == -1:
-            object.__setattr__(self, "degeneracy", self.l + 1)
-        if self.degeneracy != self.l + 1:
-            raise ValueError(
-                f"degeneracy must equal l + 1 = {self.l + 1}, got {self.degeneracy}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
+
+    @property
+    def degeneracy(self) -> int:
+        return self.l + 1
 
 
 # --- mode-structure formulas -------------------------------------------
@@ -185,33 +185,27 @@ class ModeLadder:
     """Polarised mode ladder held as arrays, L block first then R block.
 
     l:          transverse ladder index per mode
-    degeneracy: transverse orbitals per mode, always l + 1
     omega:      angular frequency per mode, rad/s
     kappa:      photon loss rate per mode, 1/s
     n_left:     modes [0, n_left) are L-polarised, the rest R
+    degeneracy: l + 1 per mode; derived from l on first use, then cached
 
     The checks Mode makes one mode at a time run here on whole arrays.
     """
 
     l: np.ndarray
-    degeneracy: np.ndarray
     omega: np.ndarray
     kappa: np.ndarray
     n_left: int
 
     def __post_init__(self):
         n = self.l.size
-        if not self.degeneracy.size == self.omega.size == self.kappa.size == n:
+        if not self.omega.size == self.kappa.size == n:
             raise ValueError("ladder arrays must have one entry per mode")
         if not 0 <= self.n_left <= n:
             raise ValueError(f"n_left must lie in [0, {n}], got {self.n_left}")
         if np.any(self.l < 0):
             raise ValueError(f"l must be >= 0, got {int(np.min(self.l))}")
-        wrong = self.degeneracy != self.l + 1
-        if np.any(wrong):
-            i = int(np.argmax(wrong))
-            raise ValueError(f"degeneracy must equal l + 1 = {self.l[i] + 1}, "
-                             f"got {self.degeneracy[i]}")
         for name, arr in (("omega", self.omega), ("kappa", self.kappa)):
             bad = ~(arr > 0)
             if np.any(bad):
@@ -226,8 +220,6 @@ class ModeLadder:
         if sigmas != ["L"] * n_left + ["R"] * (len(modes) - n_left):
             raise ValueError("modes must list the L block before the R block")
         return cls(l=np.array([m.l for m in modes], dtype=int),
-                   degeneracy=np.array([m.degeneracy for m in modes],
-                                       dtype=int),
                    omega=np.array([m.omega for m in modes], dtype=float),
                    kappa=np.array([m.kappa for m in modes], dtype=float),
                    n_left=n_left)
@@ -235,6 +227,10 @@ class ModeLadder:
     @property
     def size(self) -> int:
         return self.l.size
+
+    @cached_property
+    def degeneracy(self) -> np.ndarray:
+        return self.l + 1
 
     def ground(self) -> tuple[int | None, int | None]:
         """Indices of the l = 0 mode of the L and of the R block.
@@ -273,8 +269,7 @@ def mode_ladder(cavity: CavityParams, medium: MediumIndices, l_max: int,
         omegas.append(omega0 + l * spacing)
         kappas.append(np.full(l.size, kappa))
     both = np.concatenate([l, l])
-    return ModeLadder(l=both, degeneracy=both + 1,
-                      omega=np.concatenate(omegas),
+    return ModeLadder(l=both, omega=np.concatenate(omegas),
                       kappa=np.concatenate(kappas), n_left=l.size)
 
 

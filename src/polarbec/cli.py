@@ -162,15 +162,10 @@ def _cmd_sweep_pump(args, config: RunConfig, out_dir: str):
 
 def _cmd_sweep_chi(args, config: RunConfig, out_dir: str):
     """sweep the index splitting"""
-    spec = config.sweep.chi
-    epsilons = None
-    chi_unit = config.chi_per_epsilon()
-    if chi_unit is not None and chi_unit != 0.0:
-        epsilons = [chi / chi_unit for chi in spec.grid()]
     result = chi_sweep(config.cavity, config.base_index(), config.dye,
-                       config.l_max, config.solver, spec,
+                       config.l_max, config.solver, config.sweep.chi,
                        config.kappa_override, scales=config.sweep.scales,
-                       epsilons=epsilons)
+                       chi_per_epsilon=config.chi_per_epsilon())
     return (_write_sweep(out_dir, "chi_sweep", result, gnuplot_chi_sweep,
                          config.sweep.scales), result.meta)
 

@@ -34,6 +34,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .cavity import CavityParams, MediumIndices
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
@@ -157,12 +158,14 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description (SI values, validated objects)."""
+    """Fully resolved run description (SI values, validated objects).
+
+    Either `indices` or `sample` and `solvent` describe the medium.
+    """
 
     cavity: CavityParams
     l_max: int
     kappa_override: float | None
-    medium_kind: str                      # 'indices' or 'sample'
     indices: MediumIndices | None
     sample: ChiralSample | None
     solvent: SolventParams | None
@@ -170,7 +173,16 @@ class RunConfig:
     solver: SolverConfig
     sweep: SweepSettings
     output_dir: str
-    canonical_text: str = ""
+
+    @property
+    def medium_kind(self) -> str:
+        """'sample' for the chiral-sample description, else 'indices'."""
+        return "sample" if self.indices is None else "indices"
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """render_config(self), rendered on first use."""
+        return render_config(self)
 
     def medium_indices(self) -> MediumIndices:
         """The index pair the run operates at."""
@@ -322,7 +334,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             "[medium] must give either explicit indices (n_L, n_R) or a "
             "chiral sample description, not both")
-    medium_kind = "indices" if has_index else "sample"
 
     def resolve(section: str, key: str):
         kind, raw = _KEYS[section][key]
@@ -346,7 +357,7 @@ def parse_config(text: str) -> RunConfig:
                               "decay rate; set [cavity] kappa_override")
 
         indices = sample = solvent = None
-        if medium_kind == "indices":
+        if has_index:
             for key in _INDEX_KEYS:
                 if key not in medium_raw:
                     raise ConfigError(
@@ -387,23 +398,21 @@ def parse_config(text: str) -> RunConfig:
 
     config = RunConfig(
         cavity=cavity, l_max=l_max, kappa_override=kappa_override,
-        medium_kind=medium_kind, indices=indices, sample=sample,
-        solvent=solvent, dye=dye, solver=solver, sweep=sweep,
-        output_dir=output_dir)
+        indices=indices, sample=sample, solvent=solvent, dye=dye,
+        solver=solver, sweep=sweep, output_dir=output_dir)
     for chi in (sweep.chi.start, sweep.chi.stop):
         try:
             refractive_indices(config.base_index(), chi)
         except ValueError as exc:
             raise ConfigError(
                 f"[sweep] chi grid endpoint {chi!r}: {exc}") from None
-    if medium_kind == "sample":
+    if sample is not None:
         try:
             config.medium_indices()
         except ValueError as exc:
             raise ConfigError(
                 f"[medium] the chiral sample gives no valid index pair at "
                 f"epsilon = {sample.epsilon!r}: {exc}") from None
-    object.__setattr__(config, "canonical_text", render_config(config))
     return config
 
 

@@ -310,14 +310,14 @@ class RateSystem:
         F += S
         return F, b, S, gross, Gu, Gd
 
-    def scaled_norm(self, N, pump, abs_tol, drift=None):
+    def scaled_norm(self, N, abs_tol, drift):
         """Balance-scaled residual norm per row; <= abs_tol means converged.
 
         The residual F is measured against the floor abs_tol
-        + BALANCE_FTOL (S + |b N|) + CANCEL_EPS gross.  A `drift` the
-        caller holds (self.drift(N, pump)) is read, never modified.
+        + BALANCE_FTOL (S + |b N|) + CANCEL_EPS gross.  `drift` is
+        self.drift(N, pump), read and never modified.
         """
-        F, b, S, gross, _, _ = self.drift(N, pump) if drift is None else drift
+        F, b, S, gross, _, _ = drift
         floor = b * N
         np.abs(floor, out=floor)
         floor += S
@@ -568,13 +568,13 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     h = h_max if fast else h_cold
     it = 0
     drift = sys_.drift(N, pump)
-    norm = sys_.scaled_norm(N, pump, abs_tol, drift)
+    norm = sys_.scaled_norm(N, abs_tol, drift)
     rejected = False
     while it < max_iters and norm > abs_tol:
         if fast and (rejected or it == SEEDED_STEPS):
             N, h, fast = N0, h_cold, False
             drift = sys_.drift(N, pump)
-            norm = sys_.scaled_norm(N, pump, abs_tol, drift)
+            norm = sys_.scaled_norm(N, abs_tol, drift)
         raw = _pt_step(sys_, N, drift, h)
         it += 1
         rejected = True
@@ -584,7 +584,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
             continue
         cand = np.maximum(raw, 0.0)
         cand_drift = sys_.drift(cand, pump)
-        cand_norm = sys_.scaled_norm(cand, pump, abs_tol, cand_drift)
+        cand_norm = sys_.scaled_norm(cand, abs_tol, cand_drift)
         if cand_norm <= 4.0 * norm:
             N, norm, drift = cand, cand_norm, cand_drift
             h = min(h * 2.0, h_max)
@@ -616,11 +616,12 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     Returns a SteadyState whose fields are row-stacked: N of shape
     (rows, modes), the rest one entry per pump.  The exact route solves
     all rows in one lock-step root search.  The pseudo-transient route
-    runs the pumps in order, seeding each from the previous answer and
-    the first from `seed` (an occupation vector, or None for the empty
-    cavity); a seed that route reads must hold one finite, non-negative
-    occupation per mode, or ValueError is raised.  Cross-check mode runs
-    both and raises CrosscheckError at the first row whose routes
+    runs the pumps in order, seeding each from its own previous answer
+    and the first from `seed` (an occupation vector, or None for the
+    empty cavity); a seed that route reads must hold one finite,
+    non-negative occupation per mode, or ValueError is raised.
+    Cross-check mode runs both, never seeding the check from the answer
+    it checks, and raises CrosscheckError at the first row whose routes
     disagree by more than crosscheck_bound(); the exact result is
     returned on success.
     """
@@ -640,7 +641,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     if config.mode != "semi_dynamical":
         N, iters = sys_.solve(pumps)
         drift = sys_.drift(N, pumps)
-        norm = sys_.scaled_norm(N, pumps, abs_tol, drift)
+        norm = sys_.scaled_norm(N, abs_tol, drift)
         Gu, Gd = drift[4], drift[5]
     else:
         N = np.empty((pumps.size, sys_.n))
@@ -664,7 +665,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
             else:
                 N[k], iters[k], norm[k] = N_sd, it_sd, norm_sd
                 Gu[k], Gd[k] = totals_sd
-            seed = N[k] if not np.any(N[k] < 0.0) else np.maximum(N[k], 0.0)
+            seed = N_sd
 
     # negative occupations indicate a failed step; clamp and flag
     negative = np.any(N < 0.0, axis=-1)

@@ -56,8 +56,8 @@ from .dynamics import (RateSystem, SolverConfig, SteadyState, SystemState,
 # totals below this hold no measurable light; S3 is flagged undefined
 S3_TOTAL_FLOOR = 1e-6
 
-# absorption-scale factors of the default chi-sweep family
-DEFAULT_SCALE_FAMILY = (0.5, 1.0, 2.0, 10.0)
+# most times sensitivity doubles its bracket to clear the noise floor
+MAX_DOUBLINGS = 6
 
 
 # --- observables ---------------------------------------------------------
@@ -262,23 +262,20 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
 
 def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
               l_max: int, solver: SolverConfig, spec: SweepSpec,
-              kappa_override: float | None = None,
-              scales=DEFAULT_SCALE_FAMILY, epsilons=None) -> SweepResult:
+              kappa_override: float | None = None, *, scales,
+              chi_per_epsilon: float | None = None) -> SweepResult:
     """Steady states along an index-splitting grid at fixed pump.
 
     Every grid point is an independent cold solve, repeated for each
-    absorption-scale factor in `scales`.  `epsilons`, when given, maps
-    grid points back to the enantiomeric excess that produced each chi
-    (reported as NaN otherwise).
+    absorption-scale factor in `scales`.  chi is linear in the
+    enantiomeric excess, so `chi_per_epsilon`, the chi at full excess,
+    maps each point back to the excess behind it, chi / chi_per_epsilon;
+    the epsilon column is NaN when it is None or 0.
     """
     t0 = time.perf_counter()
     chis = spec.grid().tolist()
-    if epsilons is None:
-        eps_col = [float("nan")] * len(chis)
-    else:
-        eps_col = [float(e) for e in epsilons]
-        if len(eps_col) != len(chis):
-            raise ValueError("epsilons must align with the chi grid")
+    eps_col = [chi / chi_per_epsilon if chi_per_epsilon else math.nan
+               for chi in chis]
     rows = []
     for scale in map(float, scales):
         dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
@@ -349,15 +346,14 @@ class SensitivityReport:
 def sensitivity(cavity: CavityParams, sample: ChiralSample,
                 solvent: SolventParams, dye: DyeParams, l_max: int,
                 solver: SolverConfig, epsilon: float, step: float = 0.01,
-                kappa_override: float | None = None,
-                max_doublings: int = 6) -> SensitivityReport:
+                kappa_override: float | None = None) -> SensitivityReport:
     """Slope dS3/depsilon at an operating excess, by central difference.
 
     The step is halved until the bracket fits inside [0, 1], then
-    doubled (within the bracket limit) while the S3 difference stays
-    below the solver noise floor.  The final bracket is reported either
-    way, with the noise flag set when even the widest usable bracket
-    cannot resolve a slope.
+    doubled (within the bracket limit, at most MAX_DOUBLINGS times) while
+    the S3 difference stays below the solver noise floor.  The final
+    bracket is reported either way, with the noise flag set when even the
+    widest usable bracket cannot resolve a slope.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -399,7 +395,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
 
     lo, hi, s_lo, s_hi = bracket(h)
     doublings = 0
-    while (abs(s_hi - s_lo) < noise_floor and doublings < max_doublings
+    while (abs(s_hi - s_lo) < noise_floor and doublings < MAX_DOUBLINGS
            and 2.0 * h <= h_limit):
         h *= 2.0
         doublings += 1

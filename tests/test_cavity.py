@@ -197,8 +197,6 @@ def test_mode_guards():
         Mode(j=7, l=0, sigma="Q", omega=1e15, kappa=KAPPA)
     with pytest.raises(ValueError):
         Mode(j=7, l=0, sigma="L", omega=1e15, kappa=0.0)
-    with pytest.raises(ValueError):
-        Mode(j=7, l=3, sigma="L", omega=1e15, kappa=KAPPA, degeneracy=3)
     assert Mode(j=7, l=3, sigma="L", omega=1e15, kappa=KAPPA).degeneracy == 4
 
 
@@ -241,9 +239,9 @@ def test_array_ladder_checks_every_mode():
     with pytest.raises(ValueError, match="kappa must be positive"):
         build_mode_set(make_cavity(mirror_loss=0.0), medium, 3)
     good = mode_ladder(make_cavity(), medium, 3, KAPPA)
-    fields = dict(l=good.l, degeneracy=good.degeneracy, omega=good.omega,
-                  kappa=good.kappa, n_left=good.n_left)
-    for name, bad in (("degeneracy", good.l), ("omega", -good.omega),
-                      ("l", good.l - 1), ("n_left", 9)):
+    fields = dict(l=good.l, omega=good.omega, kappa=good.kappa,
+                  n_left=good.n_left)
+    for name, bad in (("omega", -good.omega), ("l", good.l - 1),
+                      ("n_left", 9)):
         with pytest.raises(ValueError):
             ModeLadder(**{**fields, name: bad})

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from polarbec import cli
+from polarbec import cli, dynamics
 from polarbec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -238,6 +238,27 @@ def test_sweep_grid_threads_are_byte_identical(tmp_path, small_config):
                    str(out_b), "--threads", "2") == EXIT_OK
     assert (out_a / "grid.csv").read_bytes() == (
         out_b / "grid.csv").read_bytes()
+
+
+def test_sweep_grid_crosscheck_passes_and_fails_through_the_cli(
+        tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "xcheck.ini"
+    cfg.write_text(SMALL_CONFIG + "\n[solver]\nmode = both_crosscheck\n",
+                   encoding="utf-8")
+    assert run_cli("sweep-grid", "--config", str(cfg), "--out",
+                   str(tmp_path / "ok")) == EXIT_OK
+    assert "cross-check" not in capsys.readouterr().err
+
+    honest = dynamics._semi_dynamical
+
+    def off_by_ten_bounds(*args):
+        N, it, norm = honest(*args)
+        return N * (1.0 + 10.0 * dynamics.crosscheck_bound()), it, norm
+
+    monkeypatch.setattr(dynamics, "_semi_dynamical", off_by_ten_bounds)
+    assert run_cli("sweep-grid", "--config", str(cfg), "--out",
+                   str(tmp_path / "bad")) == EXIT_UNCONVERGED
+    assert "cross-check failure" in capsys.readouterr().err
 
 
 def test_sensitivity_writes_report(tmp_path, small_config):

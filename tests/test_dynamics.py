@@ -659,6 +659,26 @@ def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
         steady_states(sys_, [3e9], SolverConfig(mode="both_crosscheck"))
 
 
+def test_crosscheck_seeds_each_row_from_its_own_previous_answer(monkeypatch):
+    # the check's start must not be the exact answer it checks
+    honest = dynamics._semi_dynamical
+    seeds, answers = [], []
+
+    def recorded(sys_, pump, N0, *rest):
+        seeds.append(N0)
+        out = honest(sys_, pump, N0, *rest)
+        answers.append(out[0])
+        return out
+
+    monkeypatch.setattr(dynamics, "_semi_dynamical", recorded)
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    steady_states(sys_, np.logspace(8, 10, 6),
+                  SolverConfig(mode="both_crosscheck"))
+    assert len(seeds) == 6 and seeds[0] is None
+    for k in range(1, 6):
+        assert seeds[k] is answers[k - 1]
+
+
 def test_each_pseudo_transient_candidate_costs_one_drift(monkeypatch):
     # one totals call per row for its seed's drift, one per candidate
     # step (its drift serves the norm and the next step), one for p_e;

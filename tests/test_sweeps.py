@@ -199,10 +199,14 @@ def test_chi_sweep_scale_family_layout():
 def test_chi_sweep_reports_the_excess_behind_each_point():
     spec = SweepSpec(axis="chi", start=1e-6, stop=3e-6, points=3,
                      spacing="linear")
-    eps = [0.1, 0.2, 0.3]
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
-                    kappa_override=KAPPA, scales=(1.0,), epsilons=eps)
-    assert list(res.column("epsilon")) == eps
+                    kappa_override=KAPPA, scales=(1.0,), chi_per_epsilon=1e-5)
+    assert list(res.column("epsilon")) == [chi / 1e-5 for chi in spec.grid()]
+    for unit in (None, 0.0):
+        res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
+                        kappa_override=KAPPA, scales=(1.0,),
+                        chi_per_epsilon=unit)
+        assert np.all(np.isnan(res.column("epsilon")))
 
 
 def test_chi_sweep_rows_equal_per_point_solves():
