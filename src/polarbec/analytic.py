@@ -127,6 +127,7 @@ def single_mode_exact(pump: float, kappa: float, gamma_down: float,
 def ground_thresholds(rates: RateTable, modes: list[Mode],
                       dye: DyeParams) -> ThresholdReport:
     """Gain-balance thresholds of the l = 0 mode of each block."""
+    rates.ladder_for(modes)
     taus = {}
     for sigma in ("L", "R"):
         ground = [i for i, m in enumerate(modes)

@@ -84,7 +84,12 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
     if text.lstrip().startswith("{"):
         text = config_text_from_manifest(text)
-    return parse_config(text)
+    config = parse_config(text)
+    if args.command == "sensitivity" and config.medium_kind != "sample":
+        raise ConfigError(
+            "sensitivity needs the chiral-sample medium description "
+            "(epsilon enters through the sample)")
+    return config
 
 
 def _finish(args, config: RunConfig, out_dir: str, files: list[str],
@@ -184,10 +189,6 @@ def _cmd_sweep_grid(args, config: RunConfig, out_dir: str):
 
 def _cmd_sensitivity(args, config: RunConfig, out_dir: str):
     """slope of S3 against enantiomeric excess"""
-    if config.medium_kind != "sample":
-        raise ConfigError(
-            "sensitivity needs the chiral-sample medium description "
-            "(epsilon enters through the sample)")
     report = sensitivity(config.cavity, config.sample, config.solvent,
                          config.dye, config.l_max, config.solver,
                          config.sweep.sensitivity_epsilon,
@@ -269,9 +270,6 @@ def main(argv=None) -> int:
             try:
                 files, meta = _COMMANDS[args.command](args, config, out_dir)
                 return _finish(args, config, out_dir, files, meta)
-            except ConfigError as exc:
-                print(f"configuration error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
             except CrosscheckError as exc:
                 print(f"cross-check failure: {exc}", file=sys.stderr)
                 return EXIT_UNCONVERGED

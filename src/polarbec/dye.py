@@ -120,6 +120,13 @@ class RateTable:
         """Array form of the mode list, built once per table."""
         return ModeLadder.from_modes(list(self.modes))
 
+    def ladder_for(self, modes: list[Mode]) -> ModeLadder:
+        """The ladder, once `modes` is checked to be the table's mode list."""
+        if tuple(modes) != self.modes:
+            # the rates were evaluated at the table's own omegas
+            raise ValueError("rate table was built for a different mode list")
+        return self.ladder
+
 
 def emission_rate(dye: DyeParams, omega):
     """Dye emission rate into a mode at angular frequency omega, 1/s.
@@ -144,8 +151,6 @@ def absorption_rate(dye: DyeParams, omega):
 
 def build_rate_table(dye: DyeParams, modes: list[Mode]) -> RateTable:
     """Evaluate both rate profiles at every mode frequency."""
-    if len(modes) == 0:
-        raise ValueError("cannot build a rate table for an empty mode list")
     omegas = np.array([m.omega for m in modes], dtype=float)
     return RateTable(
         modes=tuple(modes),

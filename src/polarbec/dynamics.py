@@ -72,13 +72,11 @@ converged means residual_norm <= abs_tol.  The reported p_e comes from
 the totals of the drift that residual was measured on; only a row
 clamped for negative occupations has its totals evaluated again.
 
-Cross-checking runs both routes and errors if any occupation differs
-by more than the convergence floor allows two converged routes to
-differ (crosscheck_bound, 4 * BALANCE_FTOL).
-
-steady_states is the engine: one rate system, a grid of pumps, one
-row per pump.  find_steady_state is its one-row call on the mode-list
-API.
+steady_states is the engine: one rate system, a grid of pumps, one row
+per pump.  Each route returns one row-stacked record (N, iterations,
+norm, Gamma_up, Gamma_dn); steady_states picks one, or compares two and
+errors at the first row where they differ by more than crosscheck_bound
+(4 * BALANCE_FTOL).  find_steady_state is its one-row call.
 
 All block reductions (sums, dot products) are taken per polarisation
 block and then combined, so a perfectly achiral system relaxes to a
@@ -264,10 +262,7 @@ class RateSystem:
     @classmethod
     def from_tables(cls, rates: RateTable, modes: list[Mode],
                     dye: DyeParams) -> "RateSystem":
-        if tuple(modes) != rates.modes:
-            # the rates were evaluated at the table's own omegas
-            raise ValueError("rate table was built for a different mode list")
-        ladder = rates.ladder
+        ladder = rates.ladder_for(modes)
         return cls(ladder.degeneracy, rates.gamma_up, rates.gamma_down,
                    ladder.kappa, dye.M, dye.gamma_down, ladder.n_left)
 
@@ -478,9 +473,7 @@ def _root_search(umax, floor):
 # --- public rate-equation operations ------------------------------------
 
 
-def _check_alignment(n_state: int, rates: RateTable, modes: list[Mode]):
-    if len(rates) != len(modes):
-        raise ValueError("rate table and mode list lengths differ")
+def _check_alignment(n_state: int, modes: list[Mode]):
     if n_state != len(modes):
         raise ValueError(
             f"state holds {n_state} occupations for {len(modes)} modes")
@@ -489,7 +482,7 @@ def _check_alignment(n_state: int, rates: RateTable, modes: list[Mode]):
 def total_rates(state: SystemState, rates: RateTable, modes: list[Mode],
                 dye: DyeParams) -> tuple[float, float]:
     """Collective molecular rates (Gamma_up, Gamma_dn) at a given state."""
-    _check_alignment(state.N.size, rates, modes)
+    _check_alignment(state.N.size, modes)
     sys_ = RateSystem.from_tables(rates, modes, dye)
     gu, gd = sys_.totals(state.N, dye.gamma_up_pump)
     return float(gu), float(gd)
@@ -498,7 +491,7 @@ def total_rates(state: SystemState, rates: RateTable, modes: list[Mode],
 def full_derivatives(state: SystemState, rates: RateTable, modes: list[Mode],
                      dye: DyeParams) -> tuple[np.ndarray, float]:
     """(dN/dt, dp_e/dt) of the coupled photon-molecule equations."""
-    _check_alignment(state.N.size, rates, modes)
+    _check_alignment(state.N.size, modes)
     sys_ = RateSystem.from_tables(rates, modes, dye)
     N, p_e = state.N, state.p_e
     Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
@@ -518,7 +511,7 @@ def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
     of both routes.  With no molecules it reduces to pure cavity decay.
     """
     N = np.asarray(N, dtype=float)
-    _check_alignment(N.size, rates, modes)
+    _check_alignment(N.size, modes)
     return RateSystem.from_tables(rates, modes, dye).drift(
         N, dye.gamma_up_pump)[0]
 
@@ -550,9 +543,9 @@ def _pt_step(sys_: RateSystem, N, drift, h):
 
 
 def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
-                    max_iters: int, totals):
-    # returns (N, steps, norm); `totals` (length 2) receives the
-    # (Gamma_up, Gamma_dn) of N, read off the drift its norm was taken on.
+                    max_iters: int):
+    # returns the one-row record (N, steps, norm, Gamma_up, Gamma_dn), the
+    # totals read off the drift the norm was taken on.
     # N0 is None (the empty cavity) or a float array, never written to.
     # A cold start grows h from 0.1 / kappa_min.  A seed starts at h_max,
     # Newton scale; at its first rejected candidate, or once SEEDED_STEPS
@@ -591,8 +584,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
             rejected = False
         else:
             h = max(h * 0.25, h_min)
-    totals[:] = drift[4], drift[5]
-    return N, it, norm
+    return N, it, norm, drift[4], drift[5]
 
 
 def crosscheck_bound() -> float:
@@ -609,21 +601,38 @@ def crosscheck_bound() -> float:
     return 4.0 * BALANCE_FTOL
 
 
+def _exact(sys_, pumps, abs_tol):
+    # record of the exact route: one lock-step root search over all rows
+    N, steps = sys_.solve(pumps)
+    drift = sys_.drift(N, pumps)
+    return N, steps, sys_.scaled_norm(N, abs_tol, drift), drift[4], drift[5]
+
+
+def _pseudo_transient(sys_, pumps, seed, abs_tol, max_iters):
+    # record of the pseudo-transient route: rows solved in pump order,
+    # row k + 1 seeded with row k's answer and the first with `seed`
+    rows = []
+    for pump in pumps.tolist():
+        rows.append(_semi_dynamical(sys_, pump, seed, abs_tol, max_iters))
+        seed = rows[-1][0]
+    steps, norm, Gu, Gd = np.array([r[1:] for r in rows]).reshape(-1, 4).T
+    return (np.array([r[0] for r in rows]).reshape(pumps.size, sys_.n),
+            steps.astype(int), norm, Gu, Gd)
+
+
 def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                   seed=None) -> SteadyState:
     """Stationary points of one rate system at every pump of a grid.
 
     Returns a SteadyState whose fields are row-stacked: N of shape
-    (rows, modes), the rest one entry per pump.  The exact route solves
-    all rows in one lock-step root search.  The pseudo-transient route
-    runs the pumps in order, seeding each from its own previous answer
-    and the first from `seed` (an occupation vector, or None for the
-    empty cavity); a seed that route reads must hold one finite,
-    non-negative occupation per mode, or ValueError is raised.
-    Cross-check mode runs both, never seeding the check from the answer
-    it checks, and raises CrosscheckError at the first row whose routes
-    disagree by more than crosscheck_bound(); the exact result is
-    returned on success.
+    (rows, modes), the rest one entry per pump.  fixed_point returns
+    the exact route's record and semi_dynamical the pseudo-transient
+    one, seeded from its own previous rows and first from `seed`: None
+    for the empty cavity, or one finite, non-negative occupation per
+    mode, else ValueError.  both_crosscheck computes both and raises
+    CrosscheckError at the first row where an occupation's gap
+    |N - N_pt| / (max(N, N_pt) + 1) exceeds crosscheck_bound(); else it
+    returns the exact record, with both routes' steps as iterations.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
     abs_tol = config.tolerance(float(np.min(sys_.kap)))
@@ -636,36 +645,23 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
             raise ValueError(
                 "seed occupations must be finite and non-negative")
 
-    # Gu, Gd: the totals of each row's answer, read off the drift its
-    # route evaluated there
-    if config.mode != "semi_dynamical":
-        N, iters = sys_.solve(pumps)
-        drift = sys_.drift(N, pumps)
-        norm = sys_.scaled_norm(N, abs_tol, drift)
-        Gu, Gd = drift[4], drift[5]
-    else:
-        N = np.empty((pumps.size, sys_.n))
-        iters = np.empty(pumps.size, dtype=int)
-        norm, Gu, Gd = np.empty((3, pumps.size))
-    if config.mode != "fixed_point":
+    N, iters, norm, Gu, Gd = (
+        _pseudo_transient(sys_, pumps, seed, abs_tol, config.max_iters)
+        if config.mode == "semi_dynamical" else _exact(sys_, pumps, abs_tol))
+    if config.mode == "both_crosscheck":
+        N_pt, iters_pt = _pseudo_transient(
+            sys_, pumps, seed, abs_tol, config.max_iters)[:2]
+        dev = np.abs(N - N_pt) / (np.maximum(N, N_pt) + 1.0)
         bound = crosscheck_bound()
-        totals_sd = np.empty(2)
-        for k, pump in enumerate(pumps):
-            N_sd, it_sd, norm_sd = _semi_dynamical(
-                sys_, float(pump), seed, abs_tol, config.max_iters, totals_sd)
-            if config.mode == "both_crosscheck":
-                dev = np.abs(N[k] - N_sd) / (np.maximum(N[k], N_sd) + 1.0)
-                worst = int(np.argmax(dev))
-                if float(dev[worst]) > bound:
-                    raise CrosscheckError(
-                        f"steady-state routes disagree at pump {pump:.6g}: "
-                        f"mode index {worst} deviates by "
-                        f"{float(dev[worst]):.3e} (allowed {bound:.3e})")
-                iters[k] += it_sd
-            else:
-                N[k], iters[k], norm[k] = N_sd, it_sd, norm_sd
-                Gu[k], Gd[k] = totals_sd
-            seed = N_sd
+        failing = np.flatnonzero(np.max(dev, axis=-1) > bound)
+        if failing.size:
+            k = failing[0]
+            worst = int(np.argmax(dev[k]))
+            raise CrosscheckError(
+                f"steady-state routes disagree at pump {pumps[k]:.6g}: "
+                f"mode index {worst} deviates by "
+                f"{float(dev[k, worst]):.3e} (allowed {bound:.3e})")
+        iters = iters + iters_pt
 
     # negative occupations indicate a failed step; clamp and flag
     negative = np.any(N < 0.0, axis=-1)

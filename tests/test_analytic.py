@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarbec import (
+    MediumIndices,
     ThresholdReport,
     build_mode_set,
     build_rate_table,
@@ -34,6 +35,7 @@ from conftest import (
     bisect_single_mode,
     make_cavity,
     make_dye,
+    single_mode_problem,
 )
 
 GAMMA_DOWN = 1e9
@@ -102,6 +104,24 @@ def test_ground_thresholds_degenerate_for_achiral_medium():
     report = ground_thresholds(build_rate_table(dye, modes), modes, dye)
     assert report.tau_L == report.tau_R
     assert report.winner == "degenerate"
+
+
+def test_ground_thresholds_refuses_a_rate_table_of_another_mode_list():
+    # the mirrored ladder has the same labels with the blocks' omegas
+    # swapped, so the original table would report the original winner
+    cavity, dye = make_cavity(), make_dye(0.0)
+    mirrored = MediumIndices(n_L=SWEEP_INDICES.n_R, n_R=SWEEP_INDICES.n_L)
+    a = build_mode_set(cavity, SWEEP_INDICES, 5, kappa_override=KAPPA)
+    b = build_mode_set(cavity, mirrored, 5, kappa_override=KAPPA)
+    assert ground_thresholds(build_rate_table(dye, b), b, dye).winner == "R"
+    with pytest.raises(ValueError, match="different mode list"):
+        ground_thresholds(build_rate_table(dye, a), b, dye)
+
+
+def test_ground_thresholds_needs_a_ground_mode_in_each_block():
+    modes, rates, dye = single_mode_problem(0.0)
+    with pytest.raises(ValueError, match="exactly one R ground mode"):
+        ground_thresholds(rates, modes, dye)
 
 
 # --- single-mode occupation laws ------------------------------------------------

@@ -245,3 +245,10 @@ def test_array_ladder_checks_every_mode():
                       ("n_left", 9)):
         with pytest.raises(ValueError):
             ModeLadder(**{**fields, name: bad})
+
+
+def test_array_ladder_wants_the_L_block_first():
+    modes = build_mode_set(make_cavity(), MediumIndices(n_L=1.3435,
+                                                        n_R=1.3395), 3, KAPPA)
+    with pytest.raises(ValueError, match="L block before the R block"):
+        ModeLadder.from_modes(modes[4:] + modes[:4])

@@ -252,8 +252,8 @@ def test_sweep_grid_crosscheck_passes_and_fails_through_the_cli(
     honest = dynamics._semi_dynamical
 
     def off_by_ten_bounds(*args):
-        N, it, norm = honest(*args)
-        return N * (1.0 + 10.0 * dynamics.crosscheck_bound()), it, norm
+        N, *rest = honest(*args)
+        return N * (1.0 + 10.0 * dynamics.crosscheck_bound()), *rest
 
     monkeypatch.setattr(dynamics, "_semi_dynamical", off_by_ten_bounds)
     assert run_cli("sweep-grid", "--config", str(cfg), "--out",
@@ -300,6 +300,7 @@ def test_sensitivity_needs_a_sample_medium(tmp_path):
                    encoding="utf-8")
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
                    str(tmp_path / "s")) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
 
 
 # --- the one finishing path ----------------------------------------------------------

@@ -448,6 +448,16 @@ def test_batched_rows_without_pump_or_molecules_stay_empty():
     assert np.all(steady_states(dark, [1e9, 5e9], SolverConfig()).N == 0.0)
 
 
+@pytest.mark.parametrize("mode", dynamics.SOLVER_MODES)
+def test_an_empty_pump_grid_gives_zero_rows(mode):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    rows = steady_states(sys_, [], SolverConfig(mode=mode))
+    assert rows.N.shape == (0, sys_.n)
+    for field in (rows.p_e, rows.residual_norm, rows.iterations,
+                  rows.converged):
+        assert field.shape == (0,)
+
+
 # --- the h(u) kernels ----------------------------------------------------------
 
 
@@ -650,8 +660,8 @@ def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
     honest = dynamics._semi_dynamical
 
     def off_by_ten_bounds(*args):
-        N, it, norm = honest(*args)
-        return N * (1.0 + 10.0 * crosscheck_bound()), it, norm
+        N, *rest = honest(*args)
+        return N * (1.0 + 10.0 * crosscheck_bound()), *rest
 
     monkeypatch.setattr(dynamics, "_semi_dynamical", off_by_ten_bounds)
     _, sys_ = ladder_system(SWEEP_INDICES)
