@@ -27,10 +27,11 @@ the pump at which the linear coefficient of the quadratic changes sign
 (and N passes through sqrt(M tau_eff gamma_dn_nu / (kappa (up + dn)))).
 
 The frozen-loser (pinned) approximation treats the two polarisation
-ground modes as independent single modes below threshold; once the
-first mode condenses it clamps the molecular excitation, so the losing
-mode's occupation stays pinned at the value it had at the winner's
-effective-threshold crossing while the winner keeps growing.
+ground modes as independent single modes below threshold, each with its
+own loss and rates; once the first mode condenses it clamps the
+molecular excitation, so the losing mode's occupation stays pinned at
+the value it had at the winner's effective-threshold crossing while the
+winner keeps growing.
 """
 
 from __future__ import annotations
@@ -126,16 +127,12 @@ def single_mode_exact(pump: float, kappa: float, gamma_down: float,
 
 def ground_thresholds(rates: RateTable, modes: list[Mode],
                       dye: DyeParams) -> ThresholdReport:
-    """Gain-balance thresholds of the l = 0 mode of each block."""
-    rates.ladder_for(modes)
+    """Gain-balance thresholds of each block's ModeLadder.ground() mode."""
     taus = {}
-    for sigma in ("L", "R"):
-        ground = [i for i, m in enumerate(modes)
-                  if m.sigma == sigma and m.l == 0]
-        if len(ground) != 1:
+    for sigma, i in zip(("L", "R"), rates.ladder_for(modes).ground()):
+        if i is None:
             raise ValueError(f"expected exactly one {sigma} ground mode, "
-                             f"found {len(ground)}")
-        i = ground[0]
+                             "found 0")
         taus[sigma] = threshold_pump(dye.gamma_down,
                                      float(rates.gamma_up[i]),
                                      float(rates.gamma_down[i]))
@@ -146,43 +143,37 @@ def ground_thresholds(rates: RateTable, modes: list[Mode],
     return ThresholdReport(tau_L=taus["L"], tau_R=taus["R"], winner=winner)
 
 
-def pinned_pair(pumps, kappa: float, gamma_down: float,
-                up_L: float, dn_L: float, up_R: float, dn_R: float,
-                M: float):
+def pinned_pair(pumps, gamma_down: float, M: float, ground_L, ground_R):
     """Frozen-loser occupations of the two ground modes over a pump grid.
 
-    Below the smaller effective threshold both modes follow their exact
-    single-mode law independently; above it the winner keeps following
-    its law while the loser stays pinned at its value at the winner's
-    crossing.  An exact tie leaves both modes evolving.  A mode whose
-    gain M * dn never exceeds kappa has no knee (its threshold is taken
-    as +inf), so it never wins: if neither mode can condense, both
-    follow their single-mode laws at every pump.  Returns (N_L, N_R, S3)
-    arrays; S3 is zero where both occupations vanish.
+    ground_L and ground_R are each mode's own (kappa, gamma_up_nu,
+    gamma_dn_nu).  Below the smaller effective threshold both modes
+    follow their exact single-mode law independently; above it the
+    winner keeps following its law while the loser stays pinned at its
+    value at the winner's crossing.  An exact tie leaves both modes
+    evolving.  A mode whose gain M * gamma_dn_nu never exceeds its kappa
+    has no knee (its threshold is taken as +inf), so it never wins: if
+    neither mode can condense, both follow their single-mode laws at
+    every pump.  Returns (N_L, N_R, S3) arrays; S3 is zero where both
+    occupations vanish.
     """
     pumps = np.asarray(pumps, dtype=float)
 
-    def knee(up: float, dn: float) -> float:
+    def law(pump: float, kappa: float, up: float, dn: float) -> float:
+        return single_mode_exact(pump, kappa, gamma_down, up, dn, M)
+
+    def knee(kappa: float, up: float, dn: float) -> float:
         if not M * dn > kappa:
             return math.inf
         return effective_threshold(kappa, gamma_down, up, dn, M)
 
-    teff_L = knee(up_L, dn_L)
-    teff_R = knee(up_R, dn_R)
-    t_win = min(teff_L, teff_R)
-
-    N_L = np.array([single_mode_exact(p, kappa, gamma_down, up_L, dn_L, M)
-                    for p in pumps])
-    N_R = np.array([single_mode_exact(p, kappa, gamma_down, up_R, dn_R, M)
-                    for p in pumps])
+    teff_L, teff_R = knee(*ground_L), knee(*ground_R)
+    N_L = np.array([law(p, *ground_L) for p in pumps])
+    N_R = np.array([law(p, *ground_R) for p in pumps])
     if teff_L != teff_R:
-        above = pumps > t_win
-        if teff_L < teff_R:
-            N_R[above] = single_mode_exact(t_win, kappa, gamma_down,
-                                           up_R, dn_R, M)
-        else:
-            N_L[above] = single_mode_exact(t_win, kappa, gamma_down,
-                                           up_L, dn_L, M)
+        t_win = min(teff_L, teff_R)
+        N_lose, lose = (N_R, ground_R) if teff_L < teff_R else (N_L, ground_L)
+        N_lose[pumps > t_win] = law(t_win, *lose)
     total = N_R + N_L
     s3 = np.where(total > 0.0, (N_R - N_L) / np.where(total > 0, total, 1.0),
                   0.0)

@@ -235,13 +235,17 @@ class ModeLadder:
     def ground(self) -> tuple[int | None, int | None]:
         """Indices of the l = 0 mode of the L and of the R block.
 
-        None for a block without one; the last wins if a block has several.
+        Every ground-mode lookup goes through here.  None for a block
+        without one; ValueError for a block with several.
         """
+        blocks = (slice(0, self.n_left), slice(self.n_left, self.size))
         out = []
-        for block in (slice(0, self.n_left), slice(self.n_left, self.size)):
+        for sigma, block in zip(POLARISATIONS, blocks):
             zeros = np.flatnonzero(self.l[block] == 0)
+            if zeros.size > 1:
+                raise ValueError(f"{sigma} block holds {zeros.size} l = 0 modes")
             out.append(None if zeros.size == 0
-                       else block.start + int(zeros[-1]))
+                       else block.start + int(zeros[0]))
         return out[0], out[1]
 
 

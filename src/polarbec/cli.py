@@ -135,13 +135,16 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: str):
     modes = build_mode_set(config.cavity, config.medium_indices(),
                            config.l_max, config.kappa_override)
     dye = config.dye
-    lo = min(m.omega for m in modes) - dye.linewidth
-    hi = dye.Omega0 + dye.DeltaOmega + 2.0 * dye.linewidth
+    omegas = [m.omega for m in modes]
+    # the emission peak and every mode, each with a margin of linewidths
+    lo = min(omegas) - dye.linewidth
+    hi = max(dye.Omega0 + dye.DeltaOmega + 2.0 * dye.linewidth,
+             max(omegas) + dye.linewidth)
     grid = np.linspace(lo, hi, 2001)
-    spec_rows = [[w, emission_rate(dye, w), absorption_rate(dye, w)]
-                 for w in grid]
     write_csv(os.path.join(out_dir, "dye_spectrum.csv"),
-              ["omega", "gamma_down", "gamma_up"], spec_rows)
+              ["omega", "gamma_down", "gamma_up"],
+              zip(grid.tolist(), emission_rate(dye, grid).tolist(),
+                  absorption_rate(dye, grid).tolist()))
     rates = build_rate_table(dye, modes)
     marker_rows = [[m.sigma, m.l, m.degeneracy, m.omega,
                     float(rates.gamma_down[i]), float(rates.gamma_up[i])]

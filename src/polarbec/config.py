@@ -309,8 +309,8 @@ def parse_config(text: str) -> RunConfig:
     medium descriptions, malformed quantities, chi grids whose endpoints
     give no valid index pair, a chiral sample that gives none at its own
     excess, a sensitivity excess or step outside (0, 1), a grid pump
-    count below 1, an absorption scale that does not keep
-    gamma_up0 * scale positive and finite, and a lossless cavity
+    count below 1, an absorption scale that gives no valid dye at
+    gamma_up0 * scale, and a lossless cavity
     (mirror_loss = 0) without a kappa_override are errors.
     Retired keys are ignored with one warning each.
     """
@@ -379,12 +379,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
                               f"{sweep.grid_pump_points}")
         for scale in sweep.scales:
-            # the chi sweep runs at gamma_up0 * scale, which DyeParams
-            # needs positive; a finite product also keeps the rates finite
-            if not 0.0 < dye.gamma_up0 * scale < math.inf:
+            # the chi sweep runs with this dye
+            try:
+                replace(dye, gamma_up0=dye.gamma_up0 * scale)
+            except ValueError as exc:
                 raise ConfigError(
-                    f"[sweep] scales entry {scale!r} must keep [dye] "
-                    f"gamma_up0 * scale positive and finite")
+                    f"[sweep] scales entry {scale!r}: {exc}") from None
         for key in ("sensitivity_epsilon", "sensitivity_step"):
             value = getattr(sweep, key)
             if not 0.0 < value < 1.0:

@@ -13,10 +13,12 @@ profile the same offset below:
                    / (linewidth**2 / 4 + (delta_nu + DeltaOmega)**2)
 
 Both profiles are positive and unimodal with maxima separated by
-2 * DeltaOmega; at the peak the rate equals 4 * gamma0.  The microscopic
-Hamiltonian behind these profiles (electronic and rovibrational
-frequencies, Huang-Rhys factor, mode couplings) never enters: the two
-fitted Lorentzians carry all of the physics the rate equations need.
+2 * DeltaOmega; at the peak the rate equals 4 * gamma0.  Both forms
+multiply linewidth**2 by gamma0 before dividing, so DyeParams rejects a
+pair whose product overflows a float.  The microscopic Hamiltonian
+behind these profiles (electronic and rovibrational frequencies,
+Huang-Rhys factor, mode couplings) never enters: the two fitted
+Lorentzians carry all of the physics the rate equations need.
 
 What drives mode competition is the saturated molecular fraction
 (kappa_nu / M + gamma_up_nu) / (gamma_up_nu + gamma_dn_nu): the mode
@@ -36,6 +38,7 @@ with l = 597, next to the ratio's maximum, from about l_max = 600 on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,6 +89,10 @@ class DyeParams:
                 f"gamma_up_pump must be >= 0, got {self.gamma_up_pump}")
         if not self.M >= 0:
             raise ValueError(f"M must be >= 0, got {self.M}")
+        for name in ("gamma_down0", "gamma_up0"):
+            if not math.isfinite(self.linewidth * self.linewidth
+                                 * getattr(self, name)):
+                raise ValueError(f"linewidth**2 * {name} overflows a float")
 
 
 @dataclass(frozen=True)

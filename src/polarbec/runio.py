@@ -92,9 +92,10 @@ def config_text_from_manifest(text: str) -> str:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"manifest does not parse as JSON: {exc}") from None
-    if not isinstance(payload, dict) or "config_text" not in payload:
-        raise ValueError("manifest carries no config_text entry")
-    return payload["config_text"]
+    text = payload.get("config_text") if isinstance(payload, dict) else None
+    if not isinstance(text, str):
+        raise ValueError("manifest carries no config_text string")
+    return text
 
 
 class OutputLockError(RuntimeError):

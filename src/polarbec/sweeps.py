@@ -224,7 +224,8 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     """Steady states along an ascending pump grid at a fixed medium.
 
     Runs sequentially so every point can be seeded from its neighbour;
-    the frozen-loser ground-mode trace is evaluated on the same grid and
+    the frozen-loser trace of the two ground modes (ModeLadder.ground),
+    each at its own loss and rates, is evaluated on the same grid and
     reported in the S3_pinned column.  A ground mode whose gain never
     exceeds its loss (M * gamma_dn_nu <= kappa, e.g. M = 0) never reaches
     its knee, so it is never the winner: with neither mode able to
@@ -236,11 +237,10 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     rates = build_rate_table(dye, modes)
     ladder = rates.ladder
 
-    i_R0 = ladder.n_left
     _, _, s3_pin = pinned_pair(
-        pumps, float(ladder.kappa[0]), dye.gamma_down,
-        float(rates.gamma_up[0]), float(rates.gamma_down[0]),
-        float(rates.gamma_up[i_R0]), float(rates.gamma_down[i_R0]), dye.M)
+        pumps, dye.gamma_down, dye.M,
+        *[(float(ladder.kappa[i]), float(rates.gamma_up[i]),
+           float(rates.gamma_down[i])) for i in ladder.ground()])
 
     columns = ["pump"] + _POINT_FIELDS[:6] + ["S3_pinned"] + _POINT_FIELDS[6:]
     rows = []

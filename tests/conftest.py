@@ -19,6 +19,7 @@ from polarbec import (
     DyeParams,
     MediumIndices,
     Mode,
+    build_mode_set,
     build_rate_table,
     cutoff_frequency,
 )
@@ -51,6 +52,14 @@ def single_mode_problem(pump: float, kappa: float = KAPPA,
                 omega=cutoff_frequency(cavity, index), kappa=kappa)
     dye = make_dye(pump, **dye_overrides)
     return [mode], build_rate_table(dye, [mode]), dye
+
+
+def two_order_modes() -> list[Mode]:
+    """The j = 7 and j = 8 ladders (l <= 1) merged: two l = 0 modes a block."""
+    a, b = (build_mode_set(replace(make_cavity(), longitudinal_index=j),
+                           SWEEP_INDICES, 1, kappa_override=KAPPA)
+            for j in (7, 8))
+    return a[:2] + b[:2] + a[2:] + b[2:]
 
 
 def with_pump(dye: DyeParams, pump: float) -> DyeParams:

@@ -36,6 +36,7 @@ from conftest import (
     make_cavity,
     make_dye,
     single_mode_problem,
+    two_order_modes,
 )
 
 GAMMA_DOWN = 1e9
@@ -122,6 +123,12 @@ def test_ground_thresholds_needs_a_ground_mode_in_each_block():
     modes, rates, dye = single_mode_problem(0.0)
     with pytest.raises(ValueError, match="exactly one R ground mode"):
         ground_thresholds(rates, modes, dye)
+
+
+def test_ground_thresholds_refuses_two_ground_modes_in_a_block():
+    modes, dye = two_order_modes(), make_dye(0.0)
+    with pytest.raises(ValueError, match="2 l = 0 modes"):
+        ground_thresholds(build_rate_table(dye, modes), modes, dye)
 
 
 # --- single-mode occupation laws ------------------------------------------------
@@ -216,8 +223,8 @@ def test_exact_root_is_stationary(log_pump, log_kappa):
 
 def test_pinned_pair_below_threshold_follows_both_laws():
     pumps = np.array([0.2, 0.5, 0.9]) * TEFF_L0
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_R0, DN_R0))
     for i, p in enumerate(pumps):
         assert N_L[i] == pytest.approx(
             single_mode_exact(p, KAPPA, GAMMA_DOWN, UP_L0, DN_L0, M),
@@ -229,8 +236,8 @@ def test_pinned_pair_below_threshold_follows_both_laws():
 
 def test_pinned_pair_freezes_the_loser_above_threshold():
     pumps = np.array([0.5 * TEFF_L0, 2.0 * TEFF_L0, 8.0 * TEFF_L0])
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_R0, DN_R0))
     frozen = single_mode_exact(TEFF_L0, KAPPA, GAMMA_DOWN, UP_R0, DN_R0, M)
     assert N_R[1] == pytest.approx(frozen, rel=1e-12)
     assert N_R[2] == pytest.approx(frozen, rel=1e-12)
@@ -241,8 +248,8 @@ def test_pinned_pair_freezes_the_loser_above_threshold():
 
 def test_pinned_pair_saturates_toward_full_circular_polarisation():
     pumps = np.logspace(np.log10(1.5 * TEFF_L0), 10.5, 40)
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_R0, DN_R0))
     # L wins here, so S3 runs toward -1 and |S3| grows monotonically
     assert np.all(np.diff(S3) < 0.0)
     assert S3[-1] < -0.999
@@ -250,10 +257,11 @@ def test_pinned_pair_saturates_toward_full_circular_polarisation():
 
 def test_pinned_pair_is_antisymmetric_under_block_swap():
     pumps = np.logspace(8, 10, 25)
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, M)
-    N_L2, N_R2, S3_sw = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_R0, DN_R0,
-                                    UP_L0, DN_L0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_R0, DN_R0))
+    N_L2, N_R2, S3_sw = pinned_pair(pumps, GAMMA_DOWN, M,
+                                    (KAPPA, UP_R0, DN_R0),
+                                    (KAPPA, UP_L0, DN_L0))
     assert np.array_equal(N_L, N_R2)
     assert np.array_equal(N_R, N_L2)
     assert np.array_equal(S3, -S3_sw)
@@ -261,8 +269,8 @@ def test_pinned_pair_is_antisymmetric_under_block_swap():
 
 def test_pinned_pair_exact_tie_keeps_zero_stokes():
     pumps = np.logspace(8, 10, 15)
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_L0, DN_L0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_L0, DN_L0))
     assert np.array_equal(N_L, N_R)
     assert np.all(S3 == 0.0)
 
@@ -274,8 +282,8 @@ def test_pinned_pair_never_pins_to_a_mode_below_loss():
     assert not M * DN_L0 > kappa and M * DN_R0 > kappa
     t_R = effective_threshold(kappa, GAMMA_DOWN, UP_R0, DN_R0, M)
     pumps = np.array([0.5, 2.0, 8.0]) * t_R
-    N_L, N_R, S3 = pinned_pair(pumps, kappa, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, M)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, M, (kappa, UP_L0, DN_L0),
+                               (kappa, UP_R0, DN_R0))
     for i, p in enumerate(pumps):
         assert N_R[i] == single_mode_exact(p, kappa, GAMMA_DOWN,
                                            UP_R0, DN_R0, M)
@@ -286,21 +294,22 @@ def test_pinned_pair_never_pins_to_a_mode_below_loss():
     assert N_R[2] > N_R[1] > frozen
     assert np.all(np.isfinite(S3)) and S3[2] > S3[1] > 0.0
     # relabelling the blocks mirrors the result
-    N_L2, N_R2, S3_sw = pinned_pair(pumps, kappa, GAMMA_DOWN, UP_R0,
-                                    DN_R0, UP_L0, DN_L0, M)
+    N_L2, N_R2, S3_sw = pinned_pair(pumps, GAMMA_DOWN, M,
+                                    (kappa, UP_R0, DN_R0),
+                                    (kappa, UP_L0, DN_L0))
     assert np.array_equal(N_L, N_R2) and np.array_equal(S3, -S3_sw)
 
 
 def test_pinned_pair_follows_both_laws_when_neither_mode_condenses():
     pumps = np.logspace(8, 11, 7)
-    N_L, N_R, S3 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                               UP_R0, DN_R0, 1.0)
+    N_L, N_R, S3 = pinned_pair(pumps, GAMMA_DOWN, 1.0, (KAPPA, UP_L0, DN_L0),
+                               (KAPPA, UP_R0, DN_R0))
     for i, p in enumerate(pumps):
         assert N_L[i] == single_mode_exact(p, KAPPA, GAMMA_DOWN, UP_L0,
                                            DN_L0, 1.0)
         assert N_R[i] == single_mode_exact(p, KAPPA, GAMMA_DOWN, UP_R0,
                                            DN_R0, 1.0)
     # undoped: no photons at all, and S3 reads zero rather than nan
-    _, _, S3_0 = pinned_pair(pumps, KAPPA, GAMMA_DOWN, UP_L0, DN_L0,
-                             UP_R0, DN_R0, 0.0)
+    _, _, S3_0 = pinned_pair(pumps, GAMMA_DOWN, 0.0, (KAPPA, UP_L0, DN_L0),
+                             (KAPPA, UP_R0, DN_R0))
     assert np.all(S3_0 == 0.0)

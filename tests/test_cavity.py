@@ -29,6 +29,7 @@ from conftest import (
     LATERAL_134,
     MASS_134,
     make_cavity,
+    two_order_modes,
 )
 
 INDICES = st.floats(min_value=1.001, max_value=2.5)
@@ -252,3 +253,13 @@ def test_array_ladder_wants_the_L_block_first():
                                                         n_R=1.3395), 3, KAPPA)
     with pytest.raises(ValueError, match="L block before the R block"):
         ModeLadder.from_modes(modes[4:] + modes[:4])
+
+
+def test_ground_modes_need_one_l0_mode_per_block():
+    ladder = ModeLadder.from_modes(two_order_modes())
+    with pytest.raises(ValueError, match="L block holds 2 l = 0 modes"):
+        ladder.ground()
+    # a block without an l = 0 mode has no ground mode
+    l_shifted = ModeLadder(l=ladder.l + 1, omega=ladder.omega,
+                           kappa=ladder.kappa, n_left=ladder.n_left)
+    assert l_shifted.ground() == (None, None)

@@ -7,11 +7,12 @@ import os
 
 import pytest
 
-from polarbec import cli, dynamics
+from polarbec import cli, dynamics, selftest
 from polarbec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_SELFTEST,
     EXIT_UNCONVERGED,
     main,
 )
@@ -81,6 +82,20 @@ def test_spectrum_writes_profiles_markers_and_plot(tmp_path):
     assert (out / "spectrum.gp").exists()
 
 
+def test_spectrum_grid_spans_every_mode_marker(tmp_path):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[cavity]\nl_max = 2000\n", encoding="utf-8")
+    out = tmp_path / "spec"
+    assert run_cli("spectrum", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_OK
+    grid = [float(r.split(",")[0])
+            for r in read_rows(out / "dye_spectrum.csv")[1:]]
+    markers = [float(r.split(",")[3])
+               for r in read_rows(out / "mode_markers.csv")[1:]]
+    assert len(markers) == 4002
+    assert grid[0] < min(markers) and max(markers) < grid[-1]
+
+
 def test_threshold_reports_the_winner(tmp_path, capsys):
     out = tmp_path / "thr"
     assert run_cli("threshold", "--out", str(out)) == EXIT_OK
@@ -108,6 +123,20 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_selftest_reports_failing_and_raising_suites(monkeypatch, capsys):
+    def raises():
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(selftest, "SUITES", [
+        selftest.SUITES[0], ("fails", lambda: (False, "wrong answer")),
+        ("raises", raises)])
+    assert run_cli("selftest") == EXIT_SELFTEST
+    captured = capsys.readouterr()
+    assert "FAIL fails: wrong answer" in captured.out
+    assert "FAIL raises: raised RuntimeError: broken suite" in captured.out
+    assert "2 of 3 suites failed" in captured.err
 
 
 # --- sweeps through the CLI -------------------------------------------------------
@@ -176,6 +205,17 @@ def test_manifest_reports_the_solver_work(tmp_path, small_config):
     replay = json.loads((out_b / "manifest.json").read_text())["run"]
     for key in ("iterations_total", "iterations_max"):
         assert replay[key] == run[key]
+
+
+@pytest.mark.parametrize("value", [5, ["a"], None])
+def test_manifest_replay_needs_a_string_config_text(tmp_path, capsys, value):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config_text": value}), encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli("modes", "--config", str(manifest), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert "config_text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_with_retired_keys_replays(tmp_path, small_config):
@@ -399,6 +439,8 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-pump", "[solver]\nabs_tol = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_down = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_up_pump = inf Hz\n"),
+    ("sweep-pump", "[dye]\ngamma_down0 = 1e300 Hz\n"),
+    ("sweep-chi", "[sweep]\nscales = 1, 1e281\n"),
     ("modes", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
     ("sweep-pump", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
 ])

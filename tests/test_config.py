@@ -356,6 +356,11 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[dye]\ngamma_down = nan Hz\n", "not a finite number"),
     ("[dye]\nM = -inf\n", "not a finite number"),
     ("[dye]\nOmega0 = 1e300 THz\n", "not a finite number"),
+    # a profile whose linewidth**2 * gamma0 overflows before dividing
+    ("[dye]\ngamma_down0 = 1e300 Hz\n", "gamma_down0"),
+    ("[dye]\ngamma_up0 = 1e300 Hz\n", "gamma_up0"),
+    ("[sweep]\nscales = 1, 1e281\n", "scales"),
+    ("[dye]\nlinewidth = 1e160 THz\n", "linewidth"),
     # a lossless cavity leaves the ladder without a decay rate
     ("[cavity]\nmirror_loss = 0\nkappa_override = none\n", "mirror_loss"),
 ])

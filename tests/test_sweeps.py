@@ -17,19 +17,31 @@ from polarbec import (
     SweepSpec,
     build_mode_set,
     build_rate_table,
+    cavity_decay,
     chi_sweep,
     find_steady_state,
     grid_sweep,
     pump_sweep,
     refractive_indices,
     sensitivity,
+    single_mode_exact,
     stokes_s3,
 )
 
 from polarbec import dynamics
 from polarbec.dynamics import RateSystem
 
-from conftest import KAPPA, SWEEP_INDICES, make_cavity, make_dye
+from conftest import (
+    DN_L0,
+    DN_R0,
+    KAPPA,
+    SWEEP_INDICES,
+    UP_L0,
+    UP_R0,
+    make_cavity,
+    make_dye,
+    two_order_modes,
+)
 
 SOLVER = SolverConfig()
 GLUCOSE = ChiralSample(theta_deg=44.0, molar_mass_u=180.0, alpha=0.4,
@@ -84,6 +96,11 @@ def test_stokes_rejects_misaligned_state():
     modes = small_modes(1)
     with pytest.raises(ValueError):
         stokes_s3(state_for([1.0, 2.0]), modes)
+
+
+def test_stokes_refuses_two_ground_modes_in_a_block():
+    with pytest.raises(ValueError, match="2 l = 0 modes"):
+        stokes_s3(state_for(np.ones(8)), two_order_modes())
 
 
 # --- sweep specification --------------------------------------------------------
@@ -151,6 +168,24 @@ def test_pump_sweep_column_layout():
     assert res.column("pump") == pytest.approx([1e9, 2e9], rel=1e-12)
     with pytest.raises(ValueError):
         res.column("no_such_column")
+
+
+def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
+    # the mirror-loss formula gives the two blocks different kappas; the
+    # pumps sit below both knees (1.2660e9 and 1.2704e9), where the
+    # frozen-loser trace is the two single-mode laws
+    cavity, dye = make_cavity(mirror_loss=3e-7), make_dye()
+    kappa_L = cavity_decay(cavity, SWEEP_INDICES.n_L)
+    kappa_R = cavity_decay(cavity, SWEEP_INDICES.n_R)
+    assert kappa_L != kappa_R
+    spec = SweepSpec(axis="pump", start=1e8, stop=1.2e9, points=4)
+    res = pump_sweep(cavity, SWEEP_INDICES, dye, 5, SOLVER, spec)
+    for pump, s3 in zip(res.column("pump"), res.column("S3_pinned")):
+        N_L = single_mode_exact(pump, kappa_L, dye.gamma_down, UP_L0, DN_L0,
+                                dye.M)
+        N_R = single_mode_exact(pump, kappa_R, dye.gamma_down, UP_R0, DN_R0,
+                                dye.M)
+        assert s3 == pytest.approx((N_R - N_L) / (N_R + N_L), rel=1e-12)
 
 
 def test_doubling_the_molecule_number_doubles_the_condensate():
