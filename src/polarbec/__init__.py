@@ -16,7 +16,7 @@ scans), config / runio / cli (run description and deterministic I/O).
 
 __version__ = "0.1.0"
 
-from .cavity import (CavityParams, MediumIndices, Mode, ModeLadder,
+from .cavity import (CavityParams, MediumIndices, ModeLadder,
                      build_mode_set, cavity_decay, cutoff_frequency,
                      effective_mass, lateral_frequency, mode_ladder)
 from .chiral import (ChiralSample, SolventParams, chi_from_sample, chi_quick,
@@ -36,7 +36,7 @@ from .config import RunConfig, ConfigError, default_config, parse_config
 
 __all__ = [
     "__version__",
-    "CavityParams", "MediumIndices", "Mode", "ModeLadder", "build_mode_set",
+    "CavityParams", "MediumIndices", "ModeLadder", "build_mode_set",
     "cavity_decay", "cutoff_frequency", "effective_mass",
     "lateral_frequency", "mode_ladder",
     "ChiralSample", "SolventParams", "chi_from_sample", "chi_quick",

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Mode
+from .cavity import ModeLadder
 from .dye import DyeParams, RateTable
 
 # kappa / min(other rates) ratio beyond which the high-Q law is suspect
@@ -125,11 +125,11 @@ def single_mode_exact(pump: float, kappa: float, gamma_down: float,
     return (-b + disc) / (2.0 * a)
 
 
-def ground_thresholds(rates: RateTable, modes: list[Mode],
+def ground_thresholds(rates: RateTable, ladder: ModeLadder,
                       dye: DyeParams) -> ThresholdReport:
     """Gain-balance thresholds of each block's ModeLadder.ground() mode."""
     taus = {}
-    for sigma, i in zip(("L", "R"), rates.ladder_for(modes).ground()):
+    for sigma, i in zip(("L", "R"), rates.ladder_for(ladder).ground()):
         if i is None:
             raise ValueError(f"expected exactly one {sigma} ground mode, "
                              "found 0")

@@ -21,10 +21,11 @@ hbar * omega_cutoff holds to machine precision and is used as a
 self-check.  A larger index always lowers the ladder, so with n_L > n_R
 every L mode sits below its R partner.
 
-The ladder is computed once, as arrays (mode_ladder); the Mode list of
-build_mode_set is made from those arrays for tables and the object API,
-while the sweeps work on the arrays directly.  Neither stores the
-degeneracy: both derive it from l, as the 2D harmonic trap fixes it.
+The ladder is held only as arrays, in a ModeLadder that mode_ladder
+builds (build_mode_set is the same function under its public name).
+Tables, rate tables, solvers and sweeps all read those arrays.  The
+degeneracy is not stored: it is derived from l, as the 2D harmonic trap
+fixes it.
 """
 
 from __future__ import annotations
@@ -109,39 +110,6 @@ class MediumIndices:
         raise ValueError(f"polarisation must be 'L' or 'R', got {sigma!r}")
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One polarised cavity mode of the transverse ladder.
-
-    j:          longitudinal index
-    l:          transverse ladder index (0 = ground mode of the block)
-    sigma:      circular polarisation, 'L' or 'R'
-    omega:      angular frequency, rad/s
-    kappa:      photon loss rate of the mode, 1/s
-    degeneracy: transverse orbitals, l + 1; derived from l, not stored
-    """
-
-    j: int
-    l: int
-    sigma: str
-    omega: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.sigma not in POLARISATIONS:
-            raise ValueError(f"sigma must be 'L' or 'R', got {self.sigma!r}")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-    @property
-    def degeneracy(self) -> int:
-        return self.l + 1
-
-
 # --- mode-structure formulas -------------------------------------------
 
 
@@ -189,8 +157,6 @@ class ModeLadder:
     kappa:      photon loss rate per mode, 1/s
     n_left:     modes [0, n_left) are L-polarised, the rest R
     degeneracy: l + 1 per mode; derived from l on first use, then cached
-
-    The checks Mode makes one mode at a time run here on whole arrays.
     """
 
     l: np.ndarray
@@ -212,20 +178,11 @@ class ModeLadder:
                 raise ValueError(
                     f"{name} must be positive, got {arr[np.argmax(bad)]}")
 
-    @classmethod
-    def from_modes(cls, modes: list[Mode]) -> "ModeLadder":
-        """Array form of a mode list that lists its L block first."""
-        sigmas = [m.sigma for m in modes]
-        n_left = sigmas.count("L")
-        if sigmas != ["L"] * n_left + ["R"] * (len(modes) - n_left):
-            raise ValueError("modes must list the L block before the R block")
-        return cls(l=np.array([m.l for m in modes], dtype=int),
-                   omega=np.array([m.omega for m in modes], dtype=float),
-                   kappa=np.array([m.kappa for m in modes], dtype=float),
-                   n_left=n_left)
-
     @property
     def size(self) -> int:
+        return self.l.size
+
+    def __len__(self) -> int:
         return self.l.size
 
     @cached_property
@@ -249,41 +206,39 @@ class ModeLadder:
         return out[0], out[1]
 
 
+def ladder_frequencies(cavity: CavityParams, medium: MediumIndices,
+                       l_max: int) -> np.ndarray:
+    """omega of every ladder mode, L block (l = 0 .. l_max) then R block.
+
+    Each block's modes sit at omega_cutoff(sigma) + l * omega_lateral(sigma).
+    """
+    l = np.arange(l_max + 1)
+    return np.concatenate([
+        cutoff_frequency(cavity, n) + l * lateral_frequency(cavity, n)
+        for n in (medium.index(sigma) for sigma in POLARISATIONS)])
+
+
 def mode_ladder(cavity: CavityParams, medium: MediumIndices, l_max: int,
                 kappa_override: float | None = None) -> ModeLadder:
     """The full polarised ladder as arrays, L block first then R block.
 
-    Each block carries modes l = 0 .. l_max at omega_cutoff(sigma) +
-    l * omega_lateral(sigma) with degeneracy l + 1; 2 * (l_max + 1) modes
-    in total.  kappa_override, when given, replaces the mirror-loss
-    formula with a single measured loss rate for every mode.
+    Each block carries modes l = 0 .. l_max at ladder_frequencies with
+    degeneracy l + 1; 2 * (l_max + 1) modes in total.  kappa_override,
+    when given, replaces the mirror-loss formula with a single measured
+    loss rate for every mode.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     if kappa_override is not None and not kappa_override > 0:
         raise ValueError(f"kappa_override must be positive, got {kappa_override}")
     l = np.arange(l_max + 1)
-    omegas, kappas = [], []
-    for sigma in POLARISATIONS:
-        n_sigma = medium.index(sigma)
-        omega0 = cutoff_frequency(cavity, n_sigma)
-        spacing = lateral_frequency(cavity, n_sigma)
-        kappa = kappa_override if kappa_override is not None else cavity_decay(
-            cavity, n_sigma)
-        omegas.append(omega0 + l * spacing)
-        kappas.append(np.full(l.size, kappa))
-    both = np.concatenate([l, l])
-    return ModeLadder(l=both, omega=np.concatenate(omegas),
-                      kappa=np.concatenate(kappas), n_left=l.size)
+    kappas = [kappa_override if kappa_override is not None
+              else cavity_decay(cavity, medium.index(sigma))
+              for sigma in POLARISATIONS]
+    return ModeLadder(l=np.concatenate([l, l]),
+                      omega=ladder_frequencies(cavity, medium, l_max),
+                      kappa=np.repeat(kappas, l.size), n_left=l.size)
 
 
-def build_mode_set(cavity: CavityParams, medium: MediumIndices, l_max: int,
-                   kappa_override: float | None = None) -> list[Mode]:
-    """The ladder of mode_ladder as a list of Mode objects, L block first."""
-    ladder = mode_ladder(cavity, medium, l_max, kappa_override)
-    sigmas = ["L"] * ladder.n_left + ["R"] * (ladder.size - ladder.n_left)
-    return [Mode(j=cavity.longitudinal_index, l=l, sigma=sigma, omega=omega,
-                 kappa=kappa)
-            for l, sigma, omega, kappa in zip(
-                ladder.l.tolist(), sigmas, ladder.omega.tolist(),
-                ladder.kappa.tolist())]
+# the public name of mode_ladder, kept for callers that import it
+build_mode_set = mode_ladder

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import ground_thresholds
-from .cavity import build_mode_set
+from .cavity import mode_ladder
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .dye import absorption_rate, build_rate_table, emission_rate
 from .dynamics import CrosscheckError
@@ -119,23 +119,33 @@ def _write_sweep(out_dir: str, name: str, result, plot, *plot_args):
     return files
 
 
+def _ladder(config: RunConfig):
+    """The mode ladder at the run's own medium."""
+    return mode_ladder(config.cavity, config.medium_indices(), config.l_max,
+                       config.kappa_override)
+
+
+def _sigma(ladder) -> list[str]:
+    """The polarisation of each mode, read off the ladder's n_left."""
+    return ["L"] * ladder.n_left + ["R"] * (ladder.size - ladder.n_left)
+
+
 def _cmd_modes(args, config: RunConfig, out_dir: str):
     """write the cavity mode table"""
-    modes = build_mode_set(config.cavity, config.medium_indices(),
-                           config.l_max, config.kappa_override)
+    ladder = _ladder(config)
     columns = ["sigma", "l", "j", "omega", "degeneracy", "kappa"]
-    rows = [[m.sigma, m.l, m.j, m.omega, m.degeneracy, m.kappa]
-            for m in modes]
+    j = [config.cavity.longitudinal_index] * ladder.size
+    rows = zip(_sigma(ladder), ladder.l.tolist(), j, ladder.omega.tolist(),
+               ladder.degeneracy.tolist(), ladder.kappa.tolist())
     write_csv(os.path.join(out_dir, "modes.csv"), columns, rows)
-    return ["modes.csv"], {"modes": len(modes)}
+    return ["modes.csv"], {"modes": ladder.size}
 
 
 def _cmd_spectrum(args, config: RunConfig, out_dir: str):
     """write the dye rate profiles and mode markers"""
-    modes = build_mode_set(config.cavity, config.medium_indices(),
-                           config.l_max, config.kappa_override)
+    ladder = _ladder(config)
     dye = config.dye
-    omegas = [m.omega for m in modes]
+    omegas = ladder.omega.tolist()
     # the emission peak and every mode, each with a margin of linewidths
     lo = min(omegas) - dye.linewidth
     hi = max(dye.Omega0 + dye.DeltaOmega + 2.0 * dye.linewidth,
@@ -145,18 +155,17 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: str):
               ["omega", "gamma_down", "gamma_up"],
               zip(grid.tolist(), emission_rate(dye, grid).tolist(),
                   absorption_rate(dye, grid).tolist()))
-    rates = build_rate_table(dye, modes)
-    marker_rows = [[m.sigma, m.l, m.degeneracy, m.omega,
-                    float(rates.gamma_down[i]), float(rates.gamma_up[i])]
-                   for i, m in enumerate(modes)]
+    rates = build_rate_table(dye, ladder)
     write_csv(os.path.join(out_dir, "mode_markers.csv"),
               ["sigma", "l", "degeneracy", "omega", "gamma_down", "gamma_up"],
-              marker_rows)
+              zip(_sigma(ladder), ladder.l.tolist(),
+                  ladder.degeneracy.tolist(),
+                  omegas, rates.gamma_down.tolist(), rates.gamma_up.tolist()))
     with open(os.path.join(out_dir, "spectrum.gp"), "w",
               encoding="utf-8") as fh:
         fh.write(gnuplot_spectrum("dye_spectrum.csv", "mode_markers.csv"))
     return (["dye_spectrum.csv", "mode_markers.csv", "spectrum.gp"],
-            {"grid_points": len(grid), "modes": len(modes)})
+            {"grid_points": len(grid), "modes": ladder.size})
 
 
 def _cmd_sweep_pump(args, config: RunConfig, out_dir: str):
@@ -209,10 +218,9 @@ def _cmd_sensitivity(args, config: RunConfig, out_dir: str):
 
 def _cmd_threshold(args, config: RunConfig, out_dir: str):
     """ground-mode threshold report"""
-    modes = build_mode_set(config.cavity, config.medium_indices(),
-                           config.l_max, config.kappa_override)
-    rates = build_rate_table(config.dye, modes)
-    report = ground_thresholds(rates, modes, config.dye)
+    ladder = _ladder(config)
+    report = ground_thresholds(build_rate_table(config.dye, ladder), ladder,
+                               config.dye)
     write_csv(os.path.join(out_dir, "threshold.csv"),
               ["tau_L", "tau_R", "winner"],
               [[report.tau_L, report.tau_R, report.winner]])

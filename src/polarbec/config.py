@@ -36,9 +36,11 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
-from .cavity import CavityParams, MediumIndices
+import numpy as np
+
+from .cavity import CavityParams, MediumIndices, ladder_frequencies
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
-from .dye import DyeParams
+from .dye import DyeParams, absorption_rate, check_rates, emission_rate
 from .dynamics import SOLVER_MODES, SolverConfig
 from .sweeps import SweepSpec
 
@@ -310,8 +312,9 @@ def parse_config(text: str) -> RunConfig:
     give no valid index pair, a chiral sample that gives none at its own
     excess, a sensitivity excess or step outside (0, 1), a grid pump
     count below 1, an absorption scale that gives no valid dye at
-    gamma_up0 * scale, and a lossless cavity
-    (mirror_loss = 0) without a kappa_override are errors.
+    gamma_up0 * scale, a lossless cavity (mirror_loss = 0) without a
+    kappa_override, and a dye and cavity that leave some mode with a
+    zero or non-finite rate (_check_mode_rates) are errors.
     Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
@@ -413,7 +416,42 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[medium] the chiral sample gives no valid index pair at "
                 f"epsilon = {sample.epsilon!r}: {exc}") from None
+    _check_mode_rates(config)
     return config
+
+
+def _check_mode_rates(config: RunConfig) -> None:
+    """ConfigError unless every mode gets positive, finite rates.
+
+    Both profiles are evaluated on the ladder at the run's own medium with
+    the dye, and at both chi-grid endpoints with the dye and each [sweep]
+    scales dye.  A rate is monotone in omega on either side of its peak
+    and omega is monotone in chi, so no chi inside the grid gives a mode
+    a rate below those at both ends.
+    """
+    dye = config.dye
+    dyes = [("", dye)] + [
+        (f", [sweep] scales entry {scale!r}",
+         replace(dye, gamma_up0=dye.gamma_up0 * scale))
+        for scale in config.sweep.scales]
+    ladders = [("the run's medium", config.medium_indices(), dyes[:1])] + [
+        (f"chi grid endpoint {chi!r}",
+         refractive_indices(config.base_index(), chi), dyes)
+        for chi in (config.sweep.chi.start, config.sweep.chi.stop)]
+    for where, medium, ladder_dyes in ladders:
+        try:
+            omega = ladder_frequencies(config.cavity, medium, config.l_max)
+        except ArithmeticError as exc:
+            raise ConfigError(
+                f"[cavity] gives no mode ladder at {where}: {exc}") from None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gamma_down = emission_rate(dye, omega)
+            for scaled, d in ladder_dyes:
+                try:
+                    check_rates(gamma_down, absorption_rate(d, omega))
+                except ValueError as exc:
+                    raise ConfigError(f"[dye] on the ladder at {where}"
+                                      f"{scaled}: {exc}") from None
 
 
 def _field_values(obj, prefix: str = "") -> dict:

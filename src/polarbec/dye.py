@@ -19,6 +19,10 @@ pair whose product overflows a float.  The microscopic Hamiltonian
 behind these profiles (electronic and rovibrational frequencies,
 Huang-Rhys factor, mode couplings) never enters: the two fitted
 Lorentzians carry all of the physics the rate equations need.
+build_rate_table evaluates both profiles on a ModeLadder's omega array.
+The RateTable keeps that ladder beside the rates, refuses a rate that
+rounds to zero (far from both peaks) or is not finite, and pairs the
+rates with no other ladder.
 
 What drives mode competition is the saturated molecular fraction
 (kappa_nu / M + gamma_up_nu) / (gamma_up_nu + gamma_dn_nu): the mode
@@ -40,11 +44,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cavity import Mode, ModeLadder
+from .cavity import ModeLadder
 
 
 @dataclass(frozen=True)
@@ -97,42 +100,49 @@ class DyeParams:
 
 @dataclass(frozen=True)
 class RateTable:
-    """Per-mode emission and absorption rates, aligned with a mode list.
+    """Per-mode emission and absorption rates on one mode ladder.
 
-    gamma_down[i] and gamma_up[i] belong to modes[i].  Entries are
-    strictly positive and finite; an empty mode list is rejected.
+    gamma_down[i] and gamma_up[i] belong to mode i of `ladder`.  Entries
+    are strictly positive and finite; an empty ladder is rejected.
     """
 
-    modes: tuple[Mode, ...]
+    ladder: ModeLadder
     gamma_down: np.ndarray
     gamma_up: np.ndarray
 
     def __post_init__(self):
-        if len(self.modes) == 0:
+        if self.ladder.size == 0:
             raise ValueError("RateTable needs at least one mode")
-        if (len(self.gamma_down) != len(self.modes)
-                or len(self.gamma_up) != len(self.modes)):
-            raise ValueError("rate arrays must align with the mode list")
-        for name, arr in (("gamma_down", self.gamma_down),
-                          ("gamma_up", self.gamma_up)):
-            a = np.asarray(arr, dtype=float)
-            if not np.all(np.isfinite(a)) or not np.all(a > 0):
-                raise ValueError(f"{name} entries must be positive and finite")
+        if (len(self.gamma_down) != self.ladder.size
+                or len(self.gamma_up) != self.ladder.size):
+            raise ValueError("rate arrays must align with the mode ladder")
+        check_rates(self.gamma_down, self.gamma_up)
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return self.ladder.size
 
-    @cached_property
-    def ladder(self) -> ModeLadder:
-        """Array form of the mode list, built once per table."""
-        return ModeLadder.from_modes(list(self.modes))
+    def ladder_for(self, ladder: ModeLadder) -> ModeLadder:
+        """`ladder`, once checked to be the table's own or equal to it in
+        n_left, l, omega and kappa; the rates belong to those omegas."""
+        own = self.ladder
+        if ladder is not own and not (
+                ladder.n_left == own.n_left
+                and all(np.array_equal(getattr(ladder, name),
+                                       getattr(own, name))
+                        for name in ("l", "omega", "kappa"))):
+            raise ValueError("rate table was built for a different mode ladder")
+        return ladder
 
-    def ladder_for(self, modes: list[Mode]) -> ModeLadder:
-        """The ladder, once `modes` is checked to be the table's mode list."""
-        if tuple(modes) != self.modes:
-            # the rates were evaluated at the table's own omegas
-            raise ValueError("rate table was built for a different mode list")
-        return self.ladder
+
+def check_rates(gamma_down, gamma_up) -> None:
+    """ValueError naming the first rate that is not positive and finite."""
+    for name, arr in (("gamma_down", gamma_down), ("gamma_up", gamma_up)):
+        a = np.asarray(arr, dtype=float)
+        bad = ~((a > 0.0) & (a < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{name} of mode {i} is {float(a[i])!r}; every "
+                             "rate must be positive and finite")
 
 
 def emission_rate(dye: DyeParams, omega):
@@ -156,11 +166,8 @@ def absorption_rate(dye: DyeParams, omega):
     return float(out) if np.isscalar(omega) else out
 
 
-def build_rate_table(dye: DyeParams, modes: list[Mode]) -> RateTable:
-    """Evaluate both rate profiles at every mode frequency."""
-    omegas = np.array([m.omega for m in modes], dtype=float)
-    return RateTable(
-        modes=tuple(modes),
-        gamma_down=emission_rate(dye, omegas),
-        gamma_up=absorption_rate(dye, omegas),
-    )
+def build_rate_table(dye: DyeParams, ladder: ModeLadder) -> RateTable:
+    """Evaluate both rate profiles at every mode frequency of a ladder."""
+    return RateTable(ladder=ladder,
+                     gamma_down=emission_rate(dye, ladder.omega),
+                     gamma_up=absorption_rate(dye, ladder.omega))

@@ -91,8 +91,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Mode, ModeLadder
-from .dye import DyeParams, RateTable, absorption_rate, emission_rate
+from .cavity import ModeLadder
+from .dye import DyeParams, RateTable
 
 # fractional tolerance of the per-mode balance check
 BALANCE_FTOL = 1e-5
@@ -119,7 +119,7 @@ class CrosscheckError(RuntimeError):
 class SystemState:
     """Instantaneous photon occupations and molecular excitation.
 
-    N:   per-mode mean photon numbers, aligned with the mode list
+    N:   per-mode mean photon numbers, aligned with the mode ladder
     p_e: excited-state fraction of the dye, 0 .. 1
     """
 
@@ -253,16 +253,10 @@ class RateSystem:
                                     + np.add.reduce(wd[self.bR]))
 
     @classmethod
-    def from_ladder(cls, ladder: ModeLadder, dye: DyeParams) -> "RateSystem":
-        """Rate system of an array ladder, rates evaluated at its omegas."""
-        return cls(ladder.degeneracy, absorption_rate(dye, ladder.omega),
-                   emission_rate(dye, ladder.omega), ladder.kappa, dye.M,
-                   dye.gamma_down, ladder.n_left)
-
-    @classmethod
-    def from_tables(cls, rates: RateTable, modes: list[Mode],
+    def from_tables(cls, rates: RateTable, ladder: ModeLadder,
                     dye: DyeParams) -> "RateSystem":
-        ladder = rates.ladder_for(modes)
+        """Rate system of a ladder and of the rate table built on it."""
+        ladder = rates.ladder_for(ladder)
         return cls(ladder.degeneracy, rates.gamma_up, rates.gamma_down,
                    ladder.kappa, dye.M, dye.gamma_down, ladder.n_left)
 
@@ -473,26 +467,27 @@ def _root_search(umax, floor):
 # --- public rate-equation operations ------------------------------------
 
 
-def _check_alignment(n_state: int, modes: list[Mode]):
-    if n_state != len(modes):
+def _check_alignment(n_state: int, ladder: ModeLadder):
+    if n_state != ladder.size:
         raise ValueError(
-            f"state holds {n_state} occupations for {len(modes)} modes")
+            f"state holds {n_state} occupations for {ladder.size} modes")
 
 
-def total_rates(state: SystemState, rates: RateTable, modes: list[Mode],
+def total_rates(state: SystemState, rates: RateTable, ladder: ModeLadder,
                 dye: DyeParams) -> tuple[float, float]:
     """Collective molecular rates (Gamma_up, Gamma_dn) at a given state."""
-    _check_alignment(state.N.size, modes)
-    sys_ = RateSystem.from_tables(rates, modes, dye)
+    _check_alignment(state.N.size, ladder)
+    sys_ = RateSystem.from_tables(rates, ladder, dye)
     gu, gd = sys_.totals(state.N, dye.gamma_up_pump)
     return float(gu), float(gd)
 
 
-def full_derivatives(state: SystemState, rates: RateTable, modes: list[Mode],
+def full_derivatives(state: SystemState, rates: RateTable,
+                     ladder: ModeLadder,
                      dye: DyeParams) -> tuple[np.ndarray, float]:
     """(dN/dt, dp_e/dt) of the coupled photon-molecule equations."""
-    _check_alignment(state.N.size, modes)
-    sys_ = RateSystem.from_tables(rates, modes, dye)
+    _check_alignment(state.N.size, ladder)
+    sys_ = RateSystem.from_tables(rates, ladder, dye)
     N, p_e = state.N, state.p_e
     Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
     dN = (-sys_.kap * N
@@ -502,7 +497,7 @@ def full_derivatives(state: SystemState, rates: RateTable, modes: list[Mode],
     return dN, float(dpe)
 
 
-def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
+def adiabatic_derivative(N, rates: RateTable, ladder: ModeLadder,
                          dye: DyeParams) -> np.ndarray:
     """Photon drift with the molecular fraction slaved to the occupations.
 
@@ -511,8 +506,8 @@ def adiabatic_derivative(N, rates: RateTable, modes: list[Mode],
     of both routes.  With no molecules it reduces to pure cavity decay.
     """
     N = np.asarray(N, dtype=float)
-    _check_alignment(N.size, modes)
-    return RateSystem.from_tables(rates, modes, dye).drift(
+    _check_alignment(N.size, ladder)
+    return RateSystem.from_tables(rates, ladder, dye).drift(
         N, dye.gamma_up_pump)[0]
 
 
@@ -675,7 +670,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                        converged=(norm <= abs_tol) & ~negative)
 
 
-def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
+def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
                       config: SolverConfig | None = None,
                       initial: SystemState | None = None) -> SteadyState:
     """Stationary point of the photon rate equations.
@@ -688,7 +683,7 @@ def find_steady_state(rates: RateTable, modes: list[Mode], dye: DyeParams,
     """
     if config is None:
         config = SolverConfig()
-    sys_ = RateSystem.from_tables(rates, modes, dye)
+    sys_ = RateSystem.from_tables(rates, ladder, dye)
     seed = None if initial is None else initial.N
     rows = steady_states(sys_, [dye.gamma_up_pump], config, seed)
     return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),

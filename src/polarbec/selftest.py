@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .analytic import single_mode_exact
-from .cavity import (CavityParams, MediumIndices, Mode, build_mode_set,
+from .cavity import (CavityParams, MediumIndices, ModeLadder, mode_ladder,
                      cutoff_frequency, effective_mass, lateral_frequency)
 from .chiral import ChiralSample, SolventParams, chi_from_sample, chi_quick
 from .constants import C_LIGHT, HBAR
-from .dye import DyeParams, RateTable, build_rate_table
+from .dye import DyeParams, build_rate_table
 from .dynamics import (SolverConfig, SystemState, adiabatic_derivative,
                        find_steady_state, full_derivatives, total_rates)
 from .sweeps import stokes_s3
@@ -31,25 +31,28 @@ _DYE = DyeParams(Omega0=3456e12, DeltaOmega=4.18e12, linewidth=50e12,
 _KAPPA = 1e8
 
 
+def _one_mode(omega: float) -> ModeLadder:
+    """A ladder of one L-polarised ground mode at omega, loss _KAPPA."""
+    return ModeLadder(l=np.zeros(1, dtype=int), omega=np.array([omega]),
+                      kappa=np.array([_KAPPA]), n_left=1)
+
+
 def _single_mode(pump: float):
-    mode = Mode(j=7, l=0, sigma="L",
-                omega=cutoff_frequency(_CAVITY, 1.3435), kappa=_KAPPA)
+    ladder = _one_mode(cutoff_frequency(_CAVITY, 1.3435))
     dye = DyeParams(Omega0=_DYE.Omega0, DeltaOmega=_DYE.DeltaOmega,
                     linewidth=_DYE.linewidth, gamma_down0=_DYE.gamma_down0,
                     gamma_up0=_DYE.gamma_up0, gamma_down=_DYE.gamma_down,
                     gamma_up_pump=pump, M=_DYE.M)
-    rates = build_rate_table(dye, [mode])
-    return [mode], rates, dye
+    return ladder, build_rate_table(dye, ladder), dye
 
 
 def check_mode_ladder():
     medium = MediumIndices(n_L=1.34, n_R=1.34)
-    modes = build_mode_set(_CAVITY, medium, 100, kappa_override=_KAPPA)
-    if len(modes) != 202:
-        return False, f"expected 202 modes, built {len(modes)}"
+    ladder = mode_ladder(_CAVITY, medium, 100, kappa_override=_KAPPA)
+    if len(ladder) != 202:
+        return False, f"expected 202 modes, built {len(ladder)}"
     lat = lateral_frequency(_CAVITY, 1.34)
-    omegas = np.array([m.omega for m in modes[101:]])
-    gaps = np.diff(omegas)
+    gaps = np.diff(ladder.omega[101:])
     worst = float(np.max(np.abs(gaps - lat) / lat))
     if worst > 1e-9:
         return False, f"ladder spacing deviates by {worst:.2e} (rel)"
@@ -63,16 +66,14 @@ def check_mode_ladder():
 
 
 def check_rate_profiles():
-    peak = Mode(j=7, l=0, sigma="L", omega=_DYE.Omega0 + _DYE.DeltaOmega,
-                kappa=_KAPPA)
-    table = build_rate_table(_DYE, [peak])
+    table = build_rate_table(_DYE, _one_mode(_DYE.Omega0 + _DYE.DeltaOmega))
     dn_peak = float(table.gamma_down[0])
     if abs(dn_peak - 4.0 * _DYE.gamma_down0) > 1e-9 * dn_peak:
         return False, f"emission peak {dn_peak} != 4 * gamma_down0"
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
-    modes = build_mode_set(_CAVITY, medium, 200, kappa_override=_KAPPA)
-    table = build_rate_table(_DYE, modes)
-    order = np.argsort([m.omega for m in modes])
+    ladder = mode_ladder(_CAVITY, medium, 200, kappa_override=_KAPPA)
+    table = build_rate_table(_DYE, ladder)
+    order = np.argsort(ladder.omega)
     ratio = (np.asarray(table.gamma_down) / np.asarray(table.gamma_up))[order]
     if not np.all(np.diff(ratio) < 0):
         return False, "gamma_down/gamma_up is not strictly decreasing"
@@ -95,17 +96,17 @@ def check_chirality_chain():
 def check_single_mode_oracle():
     results = []
     for frac in (0.4, 2.0):
-        modes, rates, dye = _single_mode(1.0)
+        ladder, rates, dye = _single_mode(1.0)
         up = float(rates.gamma_up[0])
         dn = float(rates.gamma_down[0])
         tau = dye.gamma_down * up / dn
-        modes, rates, dye = _single_mode(frac * tau)
+        ladder, rates, dye = _single_mode(frac * tau)
         exact = single_mode_exact(frac * tau, _KAPPA, dye.gamma_down, up, dn,
                                   dye.M)
         # the seeded fixed point lands on the exact root; the dynamical
         # route only promises the cross-check agreement bound
         for route, gate in (("fixed_point", 1e-9), ("semi_dynamical", 1e-5)):
-            steady = find_steady_state(rates, modes, dye,
+            steady = find_steady_state(rates, ladder, dye,
                                        SolverConfig(mode=route))
             if not steady.converged:
                 return False, f"{route} did not converge at {frac} tau"
@@ -121,15 +122,15 @@ def check_single_mode_oracle():
 
 def check_polarisation_symmetry():
     medium = MediumIndices(n_L=1.34, n_R=1.34)
-    modes = build_mode_set(_CAVITY, medium, 60, kappa_override=_KAPPA)
-    rates = build_rate_table(_DYE, modes)
+    ladder = mode_ladder(_CAVITY, medium, 60, kappa_override=_KAPPA)
+    rates = build_rate_table(_DYE, ladder)
     for route in ("fixed_point", "semi_dynamical"):
-        steady = find_steady_state(rates, modes, _DYE,
+        steady = find_steady_state(rates, ladder, _DYE,
                                    SolverConfig(mode=route))
-        n = len(modes) // 2
+        n = len(ladder) // 2
         if not np.array_equal(steady.N[:n], steady.N[n:]):
             return False, f"achiral blocks differ bitwise ({route})"
-        obs = stokes_s3(steady, modes)
+        obs = stokes_s3(steady, ladder)
         if obs.S3 != 0.0:
             return False, f"achiral S3 = {obs.S3} != 0 ({route})"
     # relabelling the blocks must swap the solution exactly
@@ -138,10 +139,10 @@ def check_polarisation_symmetry():
     med_b = MediumIndices(n_L=1.3415 - chi, n_R=1.3415 + chi)
     out = []
     for med in (med_a, med_b):
-        modes = build_mode_set(_CAVITY, med, 60, kappa_override=_KAPPA)
-        rates = build_rate_table(_DYE, modes)
-        steady = find_steady_state(rates, modes, _DYE, SolverConfig())
-        out.append((steady.N, stokes_s3(steady, modes).S3))
+        ladder = mode_ladder(_CAVITY, med, 60, kappa_override=_KAPPA)
+        rates = build_rate_table(_DYE, ladder)
+        steady = find_steady_state(rates, ladder, _DYE, SolverConfig())
+        out.append((steady.N, stokes_s3(steady, ladder).S3))
     n = len(out[0][0]) // 2
     if not (np.array_equal(out[0][0][:n], out[1][0][n:])
             and np.array_equal(out[0][0][n:], out[1][0][:n])):
@@ -153,16 +154,15 @@ def check_polarisation_symmetry():
 
 def check_adiabatic_identity():
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
-    modes = build_mode_set(_CAVITY, medium, 60, kappa_override=_KAPPA)
-    rates = build_rate_table(_DYE, modes)
-    steady = find_steady_state(rates, modes, _DYE, SolverConfig())
-    Gu, Gd = total_rates(SystemState(N=steady.N, p_e=0.0), rates, modes, _DYE)
+    ladder = mode_ladder(_CAVITY, medium, 60, kappa_override=_KAPPA)
+    rates = build_rate_table(_DYE, ladder)
+    steady = find_steady_state(rates, ladder, _DYE, SolverConfig())
+    Gu, Gd = total_rates(SystemState(N=steady.N, p_e=0.0), rates, ladder, _DYE)
     p_slaved = Gu / (Gu + Gd)
     state = SystemState(N=steady.N, p_e=p_slaved)
-    dN_full, _ = full_derivatives(state, rates, modes, _DYE)
-    dN_adia = adiabatic_derivative(steady.N, rates, modes, _DYE)
-    kappa = np.array([m.kappa for m in modes])
-    scale = np.maximum(np.abs(dN_adia), kappa * (steady.N + 1.0))
+    dN_full, _ = full_derivatives(state, rates, ladder, _DYE)
+    dN_adia = adiabatic_derivative(steady.N, rates, ladder, _DYE)
+    scale = np.maximum(np.abs(dN_adia), ladder.kappa * (steady.N + 1.0))
     worst = float(np.max(np.abs(dN_full - dN_adia) / scale))
     if worst > 1e-10:
         return False, f"full vs adiabatic drift deviates by {worst:.2e}"

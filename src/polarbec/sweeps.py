@@ -17,13 +17,13 @@ Sweep drivers:
   each solve seeded with the previous solution (only the
   pseudo-transient route reads the seed), plus the frozen-loser
   two-mode trace for comparison.  It runs point by point through the
-  public find_steady_state and stokes_s3, on one mode list and rate
-  table.
+  public find_steady_state and stokes_s3, on one mode ladder and the
+  rate table built on it.
 * chi_sweep: one steady state per index splitting chi at fixed pump,
   repeated for a family of absorption-scale factors.  Each point builds
-  its rate system from the array ladder (mode_ladder); no Mode objects.
-* grid_sweep: chi x pump map.  Each chi column builds one rate system
-  from the array ladder and solves its whole pump grid in one call
+  its own ladder, rate table and rate system.
+* grid_sweep: chi x pump map.  Each chi column builds one ladder, rate
+  table and rate system and solves its whole pump grid in one call
   (steady_states: one lock-step root search on the exact route,
   chunked to bound memory; the seeded pseudo-transient loop otherwise),
   and reads the observables from the row-stacked occupations.
@@ -31,10 +31,12 @@ Sweep drivers:
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
 
-chi_sweep, grid_sweep and sensitivity share one per-chi solve
-(_solve_at_chi) and run in one process, in grid order.  stokes_s3 and
-the batched drivers share one array readout, so a CSV row is the same
-bytes whichever driver produced it.
+Every rate system comes from RateSystem.from_tables on a ModeLadder and
+its RateTable, so every sweep gets the same rate checks.  chi_sweep,
+grid_sweep and sensitivity share one per-chi solve (_solve_at_chi) and
+run in one process, in grid order.  stokes_s3 and the batched drivers
+share one array readout, so a CSV row is the same bytes whichever
+driver produced it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import (CavityParams, Mode, ModeLadder, build_mode_set,
-                     cavity_decay, mode_ladder)
+from .cavity import CavityParams, ModeLadder, cavity_decay, mode_ladder
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
@@ -104,14 +105,8 @@ def _readout(N, ladder: ModeLadder) -> dict:
             "S3": s3, "S3_ground": s3_ground, "defined": defined}
 
 
-def stokes_s3(steady: SteadyState,
-              modes: list[Mode] | ModeLadder) -> Observables:
-    """Degeneracy-weighted Stokes readout of a steady state.
-
-    `modes` is the mode list of the state, or its array ladder.
-    """
-    ladder = modes if isinstance(modes, ModeLadder) else ModeLadder.from_modes(
-        modes)
+def stokes_s3(steady: SteadyState, ladder: ModeLadder) -> Observables:
+    """Degeneracy-weighted Stokes readout of a steady state on its ladder."""
     N = np.asarray(steady.N, dtype=float)
     if N.size != ladder.size:
         raise ValueError(
@@ -196,8 +191,8 @@ def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
     """Ladder and row-stacked steady states at one chi, one row per pump."""
     ladder = mode_ladder(cavity, refractive_indices(base_index, chi), l_max,
                          kappa_override)
-    return ladder, steady_states(RateSystem.from_ladder(ladder, dye), pumps,
-                                 solver)
+    sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye)
+    return ladder, steady_states(sys_, pumps, solver)
 
 
 def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
@@ -233,9 +228,8 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     """
     t0 = time.perf_counter()
     pumps = spec.grid()
-    modes = build_mode_set(cavity, medium, l_max, kappa_override)
-    rates = build_rate_table(dye, modes)
-    ladder = rates.ladder
+    ladder = mode_ladder(cavity, medium, l_max, kappa_override)
+    rates = build_rate_table(dye, ladder)
 
     _, _, s3_pin = pinned_pair(
         pumps, dye.gamma_down, dye.M,
@@ -246,7 +240,7 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     rows = []
     seed = None
     for pump, pin in zip(pumps.tolist(), s3_pin.tolist()):
-        steady = find_steady_state(rates, modes,
+        steady = find_steady_state(rates, ladder,
                                    replace(dye, gamma_up_pump=pump), solver,
                                    initial=seed)
         seed = SystemState(N=steady.N, p_e=steady.p_e)
@@ -256,7 +250,7 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
                      steady.residual_norm, steady.iterations,
                      steady.converged])
     meta = _meta(rows, columns, time.perf_counter() - t0)
-    meta.update(axis="pump", modes=len(modes))
+    meta.update(axis="pump", modes=ladder.size)
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 

@@ -18,7 +18,7 @@ from polarbec import (
     CavityParams,
     DyeParams,
     MediumIndices,
-    Mode,
+    ModeLadder,
     build_mode_set,
     build_rate_table,
     cutoff_frequency,
@@ -47,19 +47,26 @@ def make_dye(pump: float = 0.0, **overrides) -> DyeParams:
 def single_mode_problem(pump: float, kappa: float = KAPPA,
                         index: float = 1.3435, **dye_overrides):
     """One L-polarised ground mode with its rate table and dye bath."""
-    cavity = make_cavity()
-    mode = Mode(j=7, l=0, sigma="L",
-                omega=cutoff_frequency(cavity, index), kappa=kappa)
+    ladder = ModeLadder(l=np.zeros(1, dtype=int),
+                        omega=np.array([cutoff_frequency(make_cavity(),
+                                                         index)]),
+                        kappa=np.array([kappa]), n_left=1)
     dye = make_dye(pump, **dye_overrides)
-    return [mode], build_rate_table(dye, [mode]), dye
+    return ladder, build_rate_table(dye, ladder), dye
 
 
-def two_order_modes() -> list[Mode]:
+def two_order_modes() -> ModeLadder:
     """The j = 7 and j = 8 ladders (l <= 1) merged: two l = 0 modes a block."""
     a, b = (build_mode_set(replace(make_cavity(), longitudinal_index=j),
                            SWEEP_INDICES, 1, kappa_override=KAPPA)
             for j in (7, 8))
-    return a[:2] + b[:2] + a[2:] + b[2:]
+
+    def merged(name):
+        x, y = getattr(a, name), getattr(b, name)
+        return np.concatenate([x[:2], y[:2], x[2:], y[2:]])
+
+    return ModeLadder(l=merged("l"), omega=merged("omega"),
+                      kappa=merged("kappa"), n_left=4)
 
 
 def with_pump(dye: DyeParams, pump: float) -> DyeParams:

@@ -115,7 +115,7 @@ def test_ground_thresholds_refuses_a_rate_table_of_another_mode_list():
     a = build_mode_set(cavity, SWEEP_INDICES, 5, kappa_override=KAPPA)
     b = build_mode_set(cavity, mirrored, 5, kappa_override=KAPPA)
     assert ground_thresholds(build_rate_table(dye, b), b, dye).winner == "R"
-    with pytest.raises(ValueError, match="different mode list"):
+    with pytest.raises(ValueError, match="different mode ladder"):
         ground_thresholds(build_rate_table(dye, a), b, dye)
 
 

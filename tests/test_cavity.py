@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from polarbec import (
     CavityParams,
     MediumIndices,
-    Mode,
     ModeLadder,
     build_mode_set,
     cavity_decay,
@@ -109,20 +108,18 @@ def test_zero_mirror_loss_gives_zero_decay():
 
 def test_mode_set_count_and_order():
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
-    modes = build_mode_set(make_cavity(), medium, 200, kappa_override=KAPPA)
-    assert len(modes) == 402
-    assert [m.sigma for m in modes] == ["L"] * 201 + ["R"] * 201
-    assert [m.l for m in modes] == list(range(201)) * 2
-    assert all(m.degeneracy == m.l + 1 for m in modes)
-    assert all(m.kappa == KAPPA for m in modes)
-    assert all(m.j == 7 for m in modes)
+    ladder = build_mode_set(make_cavity(), medium, 200, kappa_override=KAPPA)
+    assert len(ladder) == 402
+    assert ladder.n_left == 201
+    assert ladder.l.tolist() == list(range(201)) * 2
+    assert ladder.degeneracy.tolist() == [l + 1 for l in range(201)] * 2
+    assert np.all(ladder.kappa == KAPPA)
 
 
 def test_mode_set_ladder_spacing_uniform():
     medium = MediumIndices(n_L=1.34, n_R=1.34)
-    modes = build_mode_set(make_cavity(), medium, 150, kappa_override=KAPPA)
-    for block in (modes[:151], modes[151:]):
-        omegas = np.array([m.omega for m in block])
+    ladder = build_mode_set(make_cavity(), medium, 150, kappa_override=KAPPA)
+    for omegas in (ladder.omega[:151], ladder.omega[151:]):
         gaps = np.diff(omegas)
         lat = lateral_frequency(make_cavity(), 1.34)
         assert np.max(np.abs(gaps - lat) / lat) < 1e-9
@@ -131,18 +128,18 @@ def test_mode_set_ladder_spacing_uniform():
 
 def test_mode_set_blocks_differ_only_through_index():
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
-    modes = build_mode_set(make_cavity(), medium, 5, kappa_override=KAPPA)
-    left, right = modes[:6], modes[6:]
+    ladder = build_mode_set(make_cavity(), medium, 5, kappa_override=KAPPA)
+    left, right = ladder.omega[:6], ladder.omega[6:]
     # the lower index (R here) sits at higher frequency
-    assert all(r.omega > l.omega for l, r in zip(left, right))
+    assert np.all(right > left)
 
 
 def test_mode_set_formula_kappa():
     medium = MediumIndices(n_L=1.3435, n_R=1.3395)
-    modes = build_mode_set(make_cavity(), medium, 1)
-    assert modes[0].kappa == pytest.approx(
+    ladder = build_mode_set(make_cavity(), medium, 1)
+    assert ladder.kappa[0] == pytest.approx(
         cavity_decay(make_cavity(), 1.3435), rel=1e-15)
-    assert modes[2].kappa == pytest.approx(
+    assert ladder.kappa[2] == pytest.approx(
         cavity_decay(make_cavity(), 1.3395), rel=1e-15)
 
 
@@ -191,16 +188,6 @@ def test_medium_indices_guards():
         pair.index("X")
 
 
-def test_mode_guards():
-    with pytest.raises(ValueError):
-        Mode(j=7, l=-1, sigma="L", omega=1e15, kappa=KAPPA)
-    with pytest.raises(ValueError):
-        Mode(j=7, l=0, sigma="Q", omega=1e15, kappa=KAPPA)
-    with pytest.raises(ValueError):
-        Mode(j=7, l=0, sigma="L", omega=1e15, kappa=0.0)
-    assert Mode(j=7, l=3, sigma="L", omega=1e15, kappa=KAPPA).degeneracy == 4
-
-
 def test_operations_reject_unphysical_index():
     cav = make_cavity()
     for op in (lateral_frequency, cutoff_frequency, effective_mass,
@@ -220,16 +207,23 @@ def test_mode_set_rejects_bad_arguments():
 # --- array ladder ---------------------------------------------------------------
 
 
-def test_array_ladder_equals_the_mode_list_bitwise():
+def test_array_ladder_matches_the_mode_formulas_bitwise():
+    # build_mode_set is the public name of the one ladder builder
+    assert build_mode_set is mode_ladder
+    cav = make_cavity()
     for medium, kappa in ((MediumIndices(n_L=1.3435, n_R=1.3395), KAPPA),
                           (MediumIndices(n_L=1.34, n_R=1.34), None)):
-        ladder = mode_ladder(make_cavity(), medium, 200, kappa)
-        modes = build_mode_set(make_cavity(), medium, 200, kappa)
+        ladder = mode_ladder(cav, medium, 200, kappa)
         assert ladder.n_left == 201 and ladder.size == 402
-        assert np.array_equal(ladder.omega, [m.omega for m in modes])
-        assert np.array_equal(ladder.kappa, [m.kappa for m in modes])
-        assert np.array_equal(ladder.l, [m.l for m in modes])
-        assert np.array_equal(ladder.degeneracy, [m.degeneracy for m in modes])
+        for sigma, block in (("L", slice(0, 201)), ("R", slice(201, 402))):
+            n = medium.index(sigma)
+            assert ladder.omega[block].tolist() == [
+                cutoff_frequency(cav, n) + l * lateral_frequency(cav, n)
+                for l in range(201)]
+            assert ladder.kappa[block].tolist() == [
+                cavity_decay(cav, n) if kappa is None else kappa] * 201
+        assert np.array_equal(ladder.l, np.tile(np.arange(201), 2))
+        assert np.array_equal(ladder.degeneracy, ladder.l + 1)
         assert ladder.ground() == (0, 201)
 
 
@@ -248,15 +242,8 @@ def test_array_ladder_checks_every_mode():
             ModeLadder(**{**fields, name: bad})
 
 
-def test_array_ladder_wants_the_L_block_first():
-    modes = build_mode_set(make_cavity(), MediumIndices(n_L=1.3435,
-                                                        n_R=1.3395), 3, KAPPA)
-    with pytest.raises(ValueError, match="L block before the R block"):
-        ModeLadder.from_modes(modes[4:] + modes[:4])
-
-
 def test_ground_modes_need_one_l0_mode_per_block():
-    ladder = ModeLadder.from_modes(two_order_modes())
+    ladder = two_order_modes()
     with pytest.raises(ValueError, match="L block holds 2 l = 0 modes"):
         ladder.ground()
     # a block without an l = 0 mode has no ground mode

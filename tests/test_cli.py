@@ -454,6 +454,28 @@ def test_sweep_inputs_that_would_crash_exit_with_config_code(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:mirror_separation/mirror_radius")
+@pytest.mark.parametrize("text", [
+    "[dye]\nlinewidth = 1e-170 Hz\n",
+    "[dye]\nOmega0 = 1e160 THz\n",
+    "[dye]\nDeltaOmega = 1e160 THz\n",
+    "[cavity]\nmirror_radius = 1e-300 m\n",
+])
+@pytest.mark.parametrize("command", ["sweep-pump", "sweep-grid", "sweep-chi",
+                                     "sensitivity", "spectrum", "threshold"])
+def test_inputs_that_leave_a_mode_without_a_rate_exit_with_config_code(
+        tmp_path, capsys, command, text):
+    # each one parses, but some mode's emission or absorption rate
+    # rounds to zero; the run must stop before it creates --out
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_fault_inside_a_command_is_not_an_io_error(tmp_path, monkeypatch,
                                                      capsys):
     def broken(args, config, out_dir):

@@ -363,6 +363,14 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[dye]\nlinewidth = 1e160 THz\n", "linewidth"),
     # a lossless cavity leaves the ladder without a decay rate
     ("[cavity]\nmirror_loss = 0\nkappa_override = none\n", "mirror_loss"),
+    # a mode whose rate rounds to zero, at the run's medium or only with
+    # a scaled absorption, or a ladder whose spacing divides by zero
+    ("[dye]\nlinewidth = 1e-170 Hz\n", "gamma_down of mode 0 is 0.0"),
+    ("[dye]\ngamma_up0 = 1 Hz\n[sweep]\nscales = 1, 5e-324\n",
+     "scales entry 5e-324: gamma_up of mode .* is 0.0"),
+    pytest.param("[cavity]\nmirror_radius = 1e-320 m\n", "no mode ladder",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:mirror_separation/mirror_radius")),
 ])
 def test_inputs_that_would_crash_later_are_rejected(text, message):
     with pytest.raises(ConfigError, match=message):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from polarbec import (
     DyeParams,
+    ModeLadder,
     absorption_rate,
     build_mode_set,
     build_rate_table,
@@ -109,7 +110,7 @@ def test_gain_to_loss_ratio_decreases_up_the_ladder():
     modes = build_mode_set(make_cavity(), SWEEP_INDICES, 200,
                            kappa_override=KAPPA)
     table = build_rate_table(DYE, modes)
-    order = np.argsort([m.omega for m in modes])
+    order = np.argsort(modes.omega)
     ratio = (np.asarray(table.gamma_down) / np.asarray(table.gamma_up))[order]
     assert np.all(np.diff(ratio) < 0)
 
@@ -130,15 +131,17 @@ def test_rate_table_lookup_and_length():
                            kappa_override=KAPPA)
     table = build_rate_table(DYE, modes)
     assert len(table) == 8
-    # entry i belongs to modes[i]
-    assert table.modes[5] == modes[5]
-    assert table.gamma_down[5] == emission_rate(DYE, modes[5].omega)
-    assert table.gamma_up[5] == absorption_rate(DYE, modes[5].omega)
+    # entry i belongs to mode i of the table's own ladder
+    assert table.ladder is modes
+    assert table.gamma_down[5] == emission_rate(DYE, modes.omega[5])
+    assert table.gamma_up[5] == absorption_rate(DYE, modes.omega[5])
 
 
 def test_rate_table_rejects_empty_mode_list():
+    empty = ModeLadder(l=np.zeros(0, dtype=int), omega=np.zeros(0),
+                       kappa=np.zeros(0), n_left=0)
     with pytest.raises(ValueError):
-        build_rate_table(DYE, [])
+        build_rate_table(DYE, empty)
 
 
 # --- parameter guards ---------------------------------------------------------

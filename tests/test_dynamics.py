@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from polarbec import (
     MediumIndices,
-    Mode,
+    ModeLadder,
     SolverConfig,
     SteadyState,
     SystemState,
     adiabatic_derivative,
     build_mode_set,
+    ground_thresholds,
     build_rate_table,
     cutoff_frequency,
     find_steady_state,
@@ -60,8 +61,8 @@ def two_mode_problem(pump: float):
     cavity = make_cavity()
     om0 = cutoff_frequency(cavity, 1.3435)
     lat = lateral_frequency(cavity, 1.3435)
-    modes = [Mode(j=7, l=0, sigma="L", omega=om0, kappa=KAPPA),
-             Mode(j=7, l=1, sigma="L", omega=om0 + lat, kappa=KAPPA)]
+    modes = ModeLadder(l=np.array([0, 1]), omega=np.array([om0, om0 + lat]),
+                       kappa=np.full(2, KAPPA), n_left=2)
     dye = make_dye(pump)
     return modes, build_rate_table(dye, modes), dye
 
@@ -149,19 +150,30 @@ def test_state_and_alignment_guards():
         adiabatic_derivative(np.zeros(1), rates, modes, dye)
 
 
-def test_a_rate_table_solves_only_its_own_mode_list():
-    # same (sigma, j, l) labels, omegas about 4 % apart: the table's rates
-    # were evaluated at its own omegas, so the other list is refused
-    cavity, dye = make_cavity(), make_dye(5e9)
+@pytest.mark.parametrize("solve", [
+    lambda rates, ladder, dye: find_steady_state(rates, ladder, dye).N,
+    lambda rates, ladder, dye: ground_thresholds(rates, ladder, dye).tau_L,
+], ids=["find_steady_state", "ground_thresholds"])
+def test_a_rate_table_pairs_with_its_ladder_or_an_equal_one(solve):
+    # the table holds its ladder; an equal one from a second identical
+    # build passes the array comparison, a ladder at another chi does not
+    dye = make_dye(5e9)
 
-    def modes_at(n):
-        return build_mode_set(cavity, MediumIndices(n_L=n, n_R=n), 3,
-                              kappa_override=KAPPA)
+    def ladder_at(chi):
+        return build_mode_set(make_cavity(), refractive_indices(BASE_INDEX,
+                                                                chi),
+                              30, kappa_override=KAPPA)
 
-    rates = build_rate_table(dye, modes_at(1.34))
-    assert find_steady_state(rates, modes_at(1.34), dye).converged
-    with pytest.raises(ValueError, match="different mode list"):
-        find_steady_state(rates, modes_at(1.40), dye)
+    own = ladder_at(1e-5)
+    rates = build_rate_table(dye, own)
+    assert rates.ladder is own
+    equal = ladder_at(1e-5)
+    assert equal is not own
+    assert np.array_equal(solve(rates, own, dye), solve(rates, equal, dye))
+    other = ladder_at(-1e-5)
+    assert other.size == own.size
+    with pytest.raises(ValueError, match="different mode ladder"):
+        solve(rates, other, dye)
 
 
 # --- single-mode steady state vs the independent bisection root --------------
@@ -262,7 +274,7 @@ def test_block_relabelling_is_exact():
 def test_total_photon_number_grows_with_pump():
     modes = build_mode_set(make_cavity(), SWEEP_INDICES, 40,
                            kappa_override=KAPPA)
-    deg = np.array([m.degeneracy for m in modes], dtype=float)
+    deg = modes.degeneracy.astype(float)
     totals = []
     for pump in (1e8, 5e8, 2e9, 5e9, 1e10):
         dye = make_dye(pump)
@@ -384,7 +396,9 @@ KNEE_PUMPS = np.concatenate([[1e8, 6e8], np.linspace(0.9, 1.2, 13) * TEFF_L0,
 
 def ladder_system(medium, pump=0.0, l_max=200):
     ladder = mode_ladder(make_cavity(), medium, l_max, KAPPA)
-    return ladder, RateSystem.from_ladder(ladder, make_dye(pump))
+    dye = make_dye(pump)
+    return ladder, RateSystem.from_tables(build_rate_table(dye, ladder),
+                                          ladder, dye)
 
 
 def assert_rows_equal(a, b):
@@ -444,7 +458,8 @@ def test_batched_rows_without_pump_or_molecules_stay_empty():
     assert list(rows.iterations[[0, 2]]) == [0, 0]
     assert rows.converged.all()
     ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 20, KAPPA)
-    dark = RateSystem.from_ladder(ladder, make_dye(M=0.0))
+    dark = RateSystem.from_tables(build_rate_table(make_dye(M=0.0), ladder),
+                                  ladder, make_dye(M=0.0))
     assert np.all(steady_states(dark, [1e9, 5e9], SolverConfig()).N == 0.0)
 
 

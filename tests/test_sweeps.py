@@ -190,7 +190,7 @@ def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
 
 def test_doubling_the_molecule_number_doubles_the_condensate():
     modes = small_modes(30)
-    deg = np.array([m.degeneracy for m in modes], dtype=float)
+    deg = modes.degeneracy.astype(float)
     totals = []
     for M in (1e9, 2e9):
         dye = make_dye(5e9, M=M)
