@@ -56,13 +56,16 @@ Two independent solvers find F(N) = 0:
   outright and small negative undershoots are clamped to zero.  F has
   one definition, RateSystem.drift, evaluated once per candidate: its
   norm decides acceptance and the next step reuses it.  This is the
-  only route that reads a starting state, so the sweeps seed each pump
-  point from the previous one.  A cold start (the empty cavity) grows
-  h from 0.1 / kappa_min; a seeded one starts at Newton scale (h_max,
-  still under the growth cap) and, at its first rejected candidate or
-  after SEEDED_STEPS unconverged steps, restarts from the seed on the
-  cold schedule.  Steps taken before such a restart count toward the
-  reported iterations and toward max_iters.
+  only route that reads a starting state.  Along a pump-ordered column
+  one rule, secant_seed, seeds every point: the second with the first
+  answer, every later one with the secant predictor from the two
+  answers before it, clamped at zero.  A cold start (the empty cavity)
+  grows h from 0.1 / kappa_min; a seeded one starts at Newton scale
+  (h_max, still under the growth cap) and, at its first rejected
+  candidate or after SEEDED_STEPS unconverged steps, restarts from the
+  seed on the cold schedule, reusing the seed's drift.  Steps taken
+  before such a restart count toward the reported iterations and
+  toward max_iters.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
@@ -545,8 +548,9 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     # A cold start grows h from 0.1 / kappa_min.  A seed starts at h_max,
     # Newton scale; at its first rejected candidate, or once SEEDED_STEPS
     # steps have not converged, it restarts from the seed on the cold
-    # schedule, evaluating the seed's drift again rather than holding it.
-    # Steps before a restart count toward `steps` and max_iters.
+    # schedule, with the seed's drift and norm held from the start rather
+    # than evaluated again.  Steps before a restart count toward `steps`
+    # and max_iters.
     kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
     N = np.zeros(sys_.n) if N0 is None else N0
     h_cold = 0.1 / kap0
@@ -557,12 +561,12 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     it = 0
     drift = sys_.drift(N, pump)
     norm = sys_.scaled_norm(N, abs_tol, drift)
+    start = drift, norm
     rejected = False
     while it < max_iters and norm > abs_tol:
         if fast and (rejected or it == SEEDED_STEPS):
             N, h, fast = N0, h_cold, False
-            drift = sys_.drift(N, pump)
-            norm = sys_.scaled_norm(N, abs_tol, drift)
+            drift, norm = start
         raw = _pt_step(sys_, N, drift, h)
         it += 1
         rejected = True
@@ -603,13 +607,31 @@ def _exact(sys_, pumps, abs_tol):
     return N, steps, sys_.scaled_norm(N, abs_tol, drift), drift[4], drift[5]
 
 
+def secant_seed(before, last):
+    """Seed of the next point of a pump-ordered column from its last two.
+
+    `last` is the previous point's occupations and `before` the ones
+    before them, or None at the column's second point, which is seeded
+    with `last` itself.  Later points get the secant predictor
+    2 last - before (Allgower & Georg, Introduction to Numerical
+    Continuation Methods, 2003), clamped at zero, so the seed stays a
+    valid, non-negative starting state.  It extrapolates in the point
+    index, which suits grids evenly spaced in log or linear pump.
+    """
+    if before is None:
+        return last
+    return np.maximum(2.0 * last - before, 0.0)
+
+
 def _pseudo_transient(sys_, pumps, seed, abs_tol, max_iters):
     # record of the pseudo-transient route: rows solved in pump order,
-    # row k + 1 seeded with row k's answer and the first with `seed`
-    rows = []
+    # the first seeded with `seed` and every later one by secant_seed
+    # from the rows before it
+    rows, before = [], None
     for pump in pumps.tolist():
         rows.append(_semi_dynamical(sys_, pump, seed, abs_tol, max_iters))
-        seed = rows[-1][0]
+        last = rows[-1][0]
+        seed, before = secant_seed(before, last), last
     steps, norm, Gu, Gd = np.array([r[1:] for r in rows]).reshape(-1, 4).T
     return (np.array([r[0] for r in rows]).reshape(pumps.size, sys_.n),
             steps.astype(int), norm, Gu, Gd)
@@ -622,9 +644,10 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     Returns a SteadyState whose fields are row-stacked: N of shape
     (rows, modes), the rest one entry per pump.  fixed_point returns
     the exact route's record and semi_dynamical the pseudo-transient
-    one, seeded from its own previous rows and first from `seed`: None
-    for the empty cavity, or one finite, non-negative occupation per
-    mode, else ValueError.  both_crosscheck computes both and raises
+    one, its first row seeded with `seed` and every later one by
+    secant_seed from its own previous rows.  `seed` is None for the
+    empty cavity, or one finite, non-negative occupation per mode, else
+    ValueError.  both_crosscheck computes both and raises
     CrosscheckError at the first row where an occupation's gap
     |N - N_pt| / (max(N, N_pt) + 1) exceeds crosscheck_bound(); else it
     returns the exact record, with both routes' steps as iterations.

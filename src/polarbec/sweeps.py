@@ -14,7 +14,8 @@ reads out which enantiomer dominates the intracavity medium.
 Sweep drivers:
 
 * pump_sweep: one steady state per pump value over an ascending grid,
-  each solve seeded with the previous solution (only the
+  each solve seeded by dynamics.secant_seed from the solutions before
+  it, the rule steady_states applies along a column (only the
   pseudo-transient route reads the seed), plus the frozen-loser
   two-mode trace for comparison.  It runs point by point through the
   public find_steady_state and stokes_s3, on one mode ladder and the
@@ -52,7 +53,8 @@ from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_ind
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
 from .dynamics import (RateSystem, SolverConfig, SteadyState, SystemState,
-                       find_steady_state, row_dot, steady_states)
+                       find_steady_state, row_dot, secant_seed,
+                       steady_states)
 
 # totals below this hold no measurable light; S3 is flagged undefined
 S3_TOTAL_FLOOR = 1e-6
@@ -218,8 +220,9 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
                kappa_override: float | None = None) -> SweepResult:
     """Steady states along an ascending pump grid at a fixed medium.
 
-    Runs sequentially so every point can be seeded from its neighbour;
-    the frozen-loser trace of the two ground modes (ModeLadder.ground),
+    Runs sequentially so every point can be seeded from the points
+    below it, by secant_seed, as steady_states seeds a column; the
+    frozen-loser trace of the two ground modes (ModeLadder.ground),
     each at its own loss and rates, is evaluated on the same grid and
     reported in the S3_pinned column.  A ground mode whose gain never
     exceeds its loss (M * gamma_dn_nu <= kappa, e.g. M = 0) never reaches
@@ -238,12 +241,13 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
 
     columns = ["pump"] + _POINT_FIELDS[:6] + ["S3_pinned"] + _POINT_FIELDS[6:]
     rows = []
-    seed = None
+    seed = before = None
     for pump, pin in zip(pumps.tolist(), s3_pin.tolist()):
         steady = find_steady_state(rates, ladder,
                                    replace(dye, gamma_up_pump=pump), solver,
                                    initial=seed)
-        seed = SystemState(N=steady.N, p_e=steady.p_e)
+        seed = SystemState(N=secant_seed(before, steady.N), p_e=steady.p_e)
+        before = steady.N
         obs = stokes_s3(steady, ladder)
         rows.append([pump, obs.N_L_total, obs.N_R_total, obs.N_ground_L,
                      obs.N_ground_R, obs.S3, obs.S3_ground, pin, obs.p_e,
@@ -294,7 +298,8 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
 
     Each chi column solves its ascending pump grid in one steady_states
     call: one lock-step root search on the exact route, while the
-    pseudo-transient route seeds every point from the previous one.
+    pseudo-transient route seeds every point from the ones before it
+    (secant_seed).
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()

@@ -30,11 +30,13 @@ from polarbec import (
     total_rates,
 )
 from polarbec import dynamics
+from polarbec.config import default_config
 from polarbec.dynamics import (
     BALANCE_FTOL,
     CrosscheckError,
     RateSystem,
     crosscheck_bound,
+    secant_seed,
     steady_states,
 )
 
@@ -685,7 +687,9 @@ def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
 
 
 def test_crosscheck_seeds_each_row_from_its_own_previous_answer(monkeypatch):
-    # the check's start must not be the exact answer it checks
+    # the check's start must not be the exact answer it checks: row 1
+    # starts at row 0's answer, every later row at the secant predictor
+    # of its own route's two answers before it
     honest = dynamics._semi_dynamical
     seeds, answers = [], []
 
@@ -697,11 +701,16 @@ def test_crosscheck_seeds_each_row_from_its_own_previous_answer(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_semi_dynamical", recorded)
     _, sys_ = ladder_system(SWEEP_INDICES)
-    steady_states(sys_, np.logspace(8, 10, 6),
-                  SolverConfig(mode="both_crosscheck"))
+    pumps = np.logspace(8, 10, 6)
+    steady_states(sys_, pumps, SolverConfig(mode="both_crosscheck"))
     assert len(seeds) == 6 and seeds[0] is None
-    for k in range(1, 6):
-        assert seeds[k] is answers[k - 1]
+    assert seeds[1] is answers[0]
+    for k in range(2, 6):
+        assert np.array_equal(
+            seeds[k], dynamics.secant_seed(answers[k - 2], answers[k - 1]))
+    exact = steady_states(sys_, pumps, SolverConfig()).N
+    for seed in seeds[1:]:
+        assert not any(np.array_equal(seed, row) for row in exact)
 
 
 def test_each_pseudo_transient_candidate_costs_one_drift(monkeypatch):
@@ -875,4 +884,32 @@ def test_a_seeded_column_starts_at_newton_scale():
     exact = steady_states(sys_, pumps, SolverConfig())
     assert rows.converged.all()
     assert rows.iterations.mean() <= 4.0
+    assert max_route_gap(rows.N, exact.N) <= crosscheck_bound()
+
+
+def test_the_secant_seed_passes_the_first_answer_through_and_clamps_at_zero():
+    last = np.array([0.0, 1.0, 2.0, 5.0])
+    assert secant_seed(None, last) is last
+    before = np.array([1.0, 3.0, 2.0, 1.0])
+    seed = secant_seed(before, last)
+    assert np.array_equal(seed, [0.0, 0.0, 2.0, 9.0])
+    assert np.all(seed >= 0.0)
+    assert np.array_equal(before, [1.0, 3.0, 2.0, 1.0])
+    assert np.array_equal(last, [0.0, 1.0, 2.0, 5.0])
+
+
+def test_a_secant_seeded_column_takes_fewer_steps():
+    # default config at 4002 modes, 200 ascending pumps across the knee:
+    # seeding each row with the previous answer alone takes 615 steps,
+    # the secant predictor 363
+    config = default_config()
+    ladder = mode_ladder(config.cavity, config.medium_indices(), 2000,
+                         config.kappa_override)
+    sys_ = RateSystem.from_tables(build_rate_table(config.dye, ladder),
+                                  ladder, config.dye)
+    pumps = np.logspace(8, 10, 200)
+    rows = steady_states(sys_, pumps, PT)
+    exact = steady_states(sys_, pumps, SolverConfig())
+    assert rows.converged.all()
+    assert rows.iterations.sum() <= 2.2 * pumps.size
     assert max_route_gap(rows.N, exact.N) <= crosscheck_bound()

@@ -21,6 +21,7 @@ from polarbec import (
     chi_sweep,
     find_steady_state,
     grid_sweep,
+    mode_ladder,
     pump_sweep,
     refractive_indices,
     sensitivity,
@@ -29,7 +30,9 @@ from polarbec import (
 )
 
 from polarbec import dynamics
-from polarbec.dynamics import RateSystem
+from polarbec.config import default_config
+from polarbec.dynamics import RateSystem, steady_states
+from polarbec.sweeps import _POINT_FIELDS, _point_rows
 
 from conftest import (
     DN_L0,
@@ -168,6 +171,24 @@ def test_pump_sweep_column_layout():
     assert res.column("pump") == pytest.approx([1e9, 2e9], rel=1e-12)
     with pytest.raises(ValueError):
         res.column("no_such_column")
+
+
+def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
+    # one seed rule: point by point through find_steady_state(initial=),
+    # the pseudo-transient route gives the rows of one steady_states
+    # column, bit for bit, iterations included
+    config = default_config()
+    pt = replace(config.solver, mode="semi_dynamical")
+    spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=200)
+    res = pump_sweep(config.cavity, config.medium_indices(), config.dye,
+                     config.l_max, pt, spec, config.kappa_override)
+    ladder = mode_ladder(config.cavity, config.medium_indices(), config.l_max,
+                         config.kappa_override)
+    sys_ = RateSystem.from_tables(build_rate_table(config.dye, ladder),
+                                  ladder, config.dye)
+    column = _point_rows(steady_states(sys_, spec.grid(), pt), ladder)
+    fields = [res.columns.index(name) for name in _POINT_FIELDS]
+    assert [[row[i] for i in fields] for row in res.rows] == column
 
 
 def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
