@@ -21,10 +21,10 @@ Sweep drivers:
   public find_steady_state and stokes_s3, on one mode ladder and the
   rate table built on it.
 * chi_sweep: one steady state per index splitting chi at fixed pump,
-  repeated for a family of absorption-scale factors.  Each point builds
-  its own ladder, rate table and rate system.
-* grid_sweep: chi x pump map.  Each chi column builds one ladder, rate
-  table and rate system and solves its whole pump grid in one call
+  repeated for a family of absorption-scale factors.  Each solved point
+  builds its own ladder, rate table and rate system.
+* grid_sweep: chi x pump map.  Each solved chi column builds one ladder,
+  rate table and rate system and solves its whole pump grid in one call
   (steady_states: one lock-step root search on the exact route,
   chunked to bound memory; the seeded pseudo-transient loop otherwise),
   and reads the observables from the row-stacked occupations.
@@ -35,9 +35,14 @@ Sweep drivers:
 Every rate system comes from RateSystem.from_tables on a ModeLadder and
 its RateTable, so every sweep gets the same rate checks.  chi_sweep,
 grid_sweep and sensitivity share one per-chi solve (_solve_at_chi) and
-run in one process, in grid order.  stokes_s3 and the batched drivers
-share one array readout, so a CSV row is the same bytes whichever
-driver produced it.
+run in one process, in grid order.  chi -> -chi swaps the two blocks
+exactly, so chi_sweep and grid_sweep walk their chi grid through
+_chi_grid_rows: a point whose -chi came earlier in the grid is read off
+that solve's swapped blocks, not solved again, and the manifest counts
+those rows as mirrored_points.  A symmetric linear grid (SweepSpec.grid)
+pairs every point but a zero midpoint.  stokes_s3 and the batched
+drivers share one array readout, so a CSV row is the same bytes
+whichever driver produced it.
 """
 
 from __future__ import annotations
@@ -154,7 +159,15 @@ class SweepSpec:
         if self.spacing == "log":
             return np.logspace(math.log10(self.start), math.log10(self.stop),
                                self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        # not np.linspace, whose grid is not symmetric when start == -stop:
+        # t is exactly antisymmetric, so then g[k] == -g[n - k] and every
+        # point of a chi grid has its mirror on the grid (_chi_grid_rows)
+        n = self.points - 1
+        t = (2.0 * np.arange(self.points) - n) / n
+        half = (self.stop - self.start) / 2.0
+        g = (self.start + half) + half * t
+        g[0], g[-1] = self.start, self.stop
+        return g
 
 
 @dataclass
@@ -195,6 +208,39 @@ def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
                          kappa_override)
     sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye)
     return ladder, steady_states(sys_, pumps, solver)
+
+
+def _chi_grid_rows(cavity, base_index, dye, l_max, kappa_override, solver,
+                   chis, pumps):
+    """_point_rows of every chi of a grid, in grid order, one list per chi,
+    and how many of those rows were read off a mirror partner's solve.
+
+    chi -> -chi swaps n_L and n_R, so the ladder at -chi is the one at chi
+    with its two blocks swapped (mode_ladder gives both l = 0 .. l_max),
+    and every reduction runs per block: the steady state at -chi is the
+    one at chi with its blocks swapped, bit for bit.  So when -chi comes
+    later in the grid its rows are read off the swapped occupations of
+    this solve, while every per-row scalar carries over; the readout
+    recomputes S3 from the swapped totals, which keeps the sign of a
+    zero.  Only rows are kept for the partner, never occupations.
+    """
+    last = {chi: k for k, chi in enumerate(chis)}
+    out = [None] * len(chis)
+    mirrored = 0
+    for k, chi in enumerate(chis):
+        if out[k] is not None:
+            continue
+        ladder, states = _solve_at_chi(cavity, base_index, dye, l_max,
+                                       kappa_override, solver, chi, pumps)
+        out[k] = _point_rows(states, ladder)
+        j = last.get(-chi, k)
+        if j > k and out[j] is None:
+            nl = ladder.n_left
+            swapped = np.concatenate((states.N[:, nl:], states.N[:, :nl]),
+                                     axis=1)
+            out[j] = _point_rows(replace(states, N=swapped), ladder)
+            mirrored += len(out[j])
+    return out, mirrored
 
 
 def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
@@ -264,8 +310,11 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
               chi_per_epsilon: float | None = None) -> SweepResult:
     """Steady states along an index-splitting grid at fixed pump.
 
-    Every grid point is an independent cold solve, repeated for each
-    absorption-scale factor in `scales`.  chi is linear in the
+    Every grid point is a cold solve, repeated for each absorption-scale
+    factor in `scales`, except that a point whose -chi came earlier in
+    the grid is read off that solve with its blocks swapped
+    (_chi_grid_rows), bit for bit what its own solve gives; meta counts
+    those rows as mirrored_points.  chi is linear in the
     enantiomeric excess, so `chi_per_epsilon`, the chi at full excess,
     maps each point back to the excess behind it, chi / chi_per_epsilon;
     the epsilon column is NaN when it is None or 0.
@@ -275,18 +324,19 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     eps_col = [chi / chi_per_epsilon if chi_per_epsilon else math.nan
                for chi in chis]
     rows = []
+    mirrored = 0
     for scale in map(float, scales):
         dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
-        for chi, epsilon in zip(chis, eps_col):
-            ladder, states = _solve_at_chi(cavity, base_index, dye_s, l_max,
-                                           kappa_override, solver, chi,
-                                           [dye_s.gamma_up_pump])
-            rows.append([scale, chi, epsilon]
-                        + _point_rows(states, ladder)[0])
+        point_rows, m = _chi_grid_rows(cavity, base_index, dye_s, l_max,
+                                       kappa_override, solver, chis,
+                                       [dye_s.gamma_up_pump])
+        mirrored += m
+        rows += [[scale, chi, epsilon] + fields[0] for chi, epsilon, fields
+                 in zip(chis, eps_col, point_rows)]
     columns = ["scale", "chi", "epsilon"] + _POINT_FIELDS
     meta = _meta(rows, columns, time.perf_counter() - t0)
     meta.update(axis=spec.axis, scales=list(scales),
-                pump=dye.gamma_up_pump)
+                pump=dye.gamma_up_pump, mirrored_points=mirrored)
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
@@ -299,21 +349,23 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     Each chi column solves its ascending pump grid in one steady_states
     call: one lock-step root search on the exact route, while the
     pseudo-transient route seeds every point from the ones before it
-    (secant_seed).
+    (secant_seed).  A column whose -chi came earlier in the grid is read
+    off that column's solve with its blocks swapped (_chi_grid_rows);
+    meta counts those rows as mirrored_points.
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()
     pumps = pump_spec.grid()
-    rows = []
-    for chi in chis.tolist():
-        ladder, states = _solve_at_chi(cavity, base_index, dye, l_max,
-                                       kappa_override, solver, chi, pumps)
-        rows += [[chi, pump] + fields for pump, fields
-                 in zip(pumps.tolist(), _point_rows(states, ladder))]
+    per_chi, mirrored = _chi_grid_rows(cavity, base_index, dye, l_max,
+                                       kappa_override, solver, chis.tolist(),
+                                       pumps)
+    rows = [[chi, pump] + fields
+            for chi, column in zip(chis.tolist(), per_chi)
+            for pump, fields in zip(pumps.tolist(), column)]
     columns = ["chi", "pump"] + _POINT_FIELDS
     meta = _meta(rows, columns, time.perf_counter() - t0)
     meta.update(axis1=chi_spec.axis, axis2=pump_spec.axis,
-                shape=[len(chis), len(pumps)])
+                shape=[len(chis), len(pumps)], mirrored_points=mirrored)
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 

@@ -207,6 +207,20 @@ def test_manifest_reports_the_solver_work(tmp_path, small_config):
         assert replay[key] == run[key]
 
 
+@pytest.mark.parametrize("command, csv_name, mirrored, points", [
+    ("sweep-grid", "grid.csv", 1500, 3050),   # 30 chi pairs x 50 pumps
+    ("sweep-chi", "chi_sweep.csv", 120, 244),  # 30 pairs x 4 scales
+])
+def test_default_chi_grids_read_every_mirror_point_off_its_partner(
+        tmp_path, command, csv_name, mirrored, points):
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out)) == EXIT_OK
+    run = json.loads((out / "manifest.json").read_text())["run"]
+    assert (run["mirrored_points"], run["points"]) == (mirrored, points)
+    # a manifest count only: the CSV layout does not change
+    assert "mirrored" not in read_rows(out / csv_name)[0]
+
+
 @pytest.mark.parametrize("value", [5, ["a"], None])
 def test_manifest_replay_needs_a_string_config_text(tmp_path, capsys, value):
     manifest = tmp_path / "manifest.json"

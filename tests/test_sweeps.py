@@ -121,6 +121,35 @@ def test_sweep_spec_grids():
     assert single.grid() == pytest.approx([2e9])
 
 
+@pytest.mark.parametrize("points", [2, 5, 60, 61, 244])
+def test_symmetric_linear_grids_are_exact_mirrors(points):
+    for stop in (1e-5, 3.0e-5 * 1.0123, 0.01 * 0.97):
+        g = SweepSpec(axis="chi", start=-stop, stop=stop, points=points,
+                      spacing="linear").grid()
+        assert np.array_equal(g, -g[::-1])
+        assert g[0] == -stop and g[-1] == stop
+        assert np.all(np.diff(g) > 0.0)
+        if points % 2:
+            mid = g[points // 2]
+            assert mid == 0.0 and not np.signbit(mid)
+
+
+def test_linear_grids_track_linspace_within_a_few_ulps():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        a, b = np.sort(rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.uniform(-8, 3)
+        if rng.random() < 0.3:
+            b = max(abs(a), abs(b))
+            a = -b
+        points = int(rng.integers(2, 300))
+        g = SweepSpec(axis="chi", start=a, stop=b, points=points,
+                      spacing="linear").grid()
+        ref = np.linspace(a, b, points)
+        assert g[0] == a and g[-1] == b
+        assert np.all(np.diff(g) >= 0.0)
+        assert np.max(np.abs(g - ref)) <= 4 * np.spacing(max(abs(a), abs(b)))
+
+
 def test_sweep_spec_guards():
     with pytest.raises(ValueError):
         SweepSpec(axis="pump", start=1e8, stop=1e10, points=0)
@@ -288,6 +317,40 @@ def test_chi_sweep_rows_equal_per_point_solves():
                               np.array(point, dtype=float), equal_nan=True)
 
 
+def test_chi_sweep_even_symmetric_grid_equals_per_point_solves():
+    # no zero point: every row on the + side is read off its partner
+    spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=6,
+                     spacing="linear")
+    dye = make_dye(5e9)
+    res = chi_sweep(make_cavity(), 1.34, dye, 20, SOLVER, spec,
+                    kappa_override=KAPPA, scales=(1.0,))
+    assert res.meta["mirrored_points"] == 3
+    for row in res.rows:
+        modes = build_mode_set(make_cavity(), refractive_indices(1.34, row[1]),
+                               20, kappa_override=KAPPA)
+        steady = find_steady_state(build_rate_table(dye, modes), modes, dye,
+                                   SOLVER)
+        obs = stokes_s3(steady, modes)
+        point = [1.0, row[1], float("nan"), obs.N_L_total, obs.N_R_total,
+                 obs.N_ground_L, obs.N_ground_R, obs.S3, obs.S3_ground,
+                 obs.p_e, steady.residual_norm, steady.iterations,
+                 steady.converged]
+        assert np.array_equal(np.array(row, dtype=float),
+                              np.array(point, dtype=float), equal_nan=True)
+
+
+def test_asymmetric_chi_grids_mirror_nothing():
+    spec = SweepSpec(axis="chi", start=-1e-5, stop=2e-5, points=4,
+                     spacing="linear")
+    res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
+                    kappa_override=KAPPA, scales=(1.0,))
+    assert res.meta["mirrored_points"] == 0
+    res = grid_sweep(make_cavity(), 1.34, make_dye(), 5, SOLVER, spec,
+                     SweepSpec(axis="pump", start=1e8, stop=1e10, points=3),
+                     kappa_override=KAPPA)
+    assert res.meta["mirrored_points"] == 0
+
+
 # --- chi x pump grid --------------------------------------------------------------
 
 
@@ -309,11 +372,37 @@ def test_grid_sweep_layout_and_racemic_balance():
     assert s3[11] < -0.9
 
 
+@pytest.mark.parametrize("mode", ["fixed_point", "semi_dynamical",
+                                  "both_crosscheck"])
+@pytest.mark.parametrize("kappa", [KAPPA, None])
+def test_grid_sweep_mirrored_columns_equal_their_own_solves(mode, kappa):
+    solver = SolverConfig(mode=mode)
+    chi_spec = SweepSpec(axis="chi", start=-2e-5, stop=2e-5, points=4,
+                         spacing="linear")
+    pump_spec = SweepSpec(axis="pump", start=1e9, stop=3e9, points=6)
+    dye = make_dye()
+    res = grid_sweep(make_cavity(), 1.34, dye, 20, solver, chi_spec,
+                     pump_spec, kappa_override=kappa)
+    assert res.meta["mirrored_points"] == 2 * 6
+    rows = np.array(res.rows, dtype=float)
+    for k, chi in enumerate(chi_spec.grid().tolist()):
+        ladder = mode_ladder(make_cavity(), refractive_indices(1.34, chi), 20,
+                             kappa)
+        sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder,
+                                      dye)
+        states = steady_states(sys_, pump_spec.grid(), solver)
+        own = [[chi, pump] + fields for pump, fields
+               in zip(pump_spec.grid().tolist(), _point_rows(states, ladder))]
+        assert np.array_equal(rows[6 * k:6 * (k + 1)],
+                              np.array(own, dtype=float), equal_nan=True)
+
+
 # --- sensitivity probe -------------------------------------------------------------
 
 
 def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
-    chi_spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=2,
+    # no mirror pair on this chi grid, so both columns are solved
+    chi_spec = SweepSpec(axis="chi", start=1e-6, stop=1e-5, points=2,
                          spacing="linear")
     pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=10)
 
