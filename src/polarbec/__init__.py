@@ -24,7 +24,7 @@ from .chiral import (ChiralSample, SolventParams, chi_from_sample, chi_quick,
 from .dye import (DyeParams, RateTable, absorption_rate, build_rate_table,
                   emission_rate)
 from .dynamics import (CrosscheckError, SolverConfig, SteadyState,
-                       SystemState, adiabatic_derivative, find_steady_state,
+                       adiabatic_derivative, find_steady_state,
                        full_derivatives, total_rates)
 from .analytic import (ThresholdReport, effective_threshold,
                        ground_thresholds, pinned_pair, single_mode_exact,
@@ -43,7 +43,7 @@ __all__ = [
     "refractive_indices", "rotation_strength",
     "DyeParams", "RateTable", "absorption_rate", "build_rate_table",
     "emission_rate",
-    "CrosscheckError", "SolverConfig", "SteadyState", "SystemState",
+    "CrosscheckError", "SolverConfig", "SteadyState",
     "adiabatic_derivative", "find_steady_state", "full_derivatives",
     "total_rates",
     "ThresholdReport", "effective_threshold", "ground_thresholds",

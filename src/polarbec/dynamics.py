@@ -56,9 +56,10 @@ Two independent solvers find F(N) = 0:
   outright and small negative undershoots are clamped to zero.  F has
   one definition, RateSystem.drift, evaluated once per candidate: its
   norm decides acceptance and the next step reuses it.  This is the
-  only route that reads a starting state.  Along a pump-ordered column
-  one rule, secant_seed, seeds every point: the second with the first
-  answer, every later one with the secant predictor from the two
+  only route that reads a starting state, the seed: one occupation per
+  mode, as p_e is slaved to the occupations.  Along a pump-ordered
+  column one rule, secant_seed, seeds every point: the second with the
+  first answer, every later one with the secant predictor from the two
   answers before it, clamped at zero.  A cold start (the empty cavity)
   grows h from 0.1 / kappa_min; a seeded one starts at Newton scale
   (h_max, still under the growth cap) and, at its first rejected
@@ -79,7 +80,7 @@ steady_states is the engine: one rate system, a grid of pumps, one row
 per pump.  Each route returns one row-stacked record (N, iterations,
 norm, Gamma_up, Gamma_dn); steady_states picks one, or compares two and
 errors at the first row where they differ by more than crosscheck_bound
-(4 * BALANCE_FTOL).  find_steady_state is its one-row call.
+(4 * BALANCE_FTOL), or by NaN.  find_steady_state is its one-row call.
 
 All block reductions (sums, dot products) are taken per polarisation
 block and then combined, so a perfectly achiral system relaxes to a
@@ -115,24 +116,7 @@ class CrosscheckError(RuntimeError):
     """The two steady-state routes disagree beyond solver tolerance."""
 
 
-# --- state and configuration -------------------------------------------
-
-
-@dataclass
-class SystemState:
-    """Instantaneous photon occupations and molecular excitation.
-
-    N:   per-mode mean photon numbers, aligned with the mode ladder
-    p_e: excited-state fraction of the dye, 0 .. 1
-    """
-
-    N: np.ndarray
-    p_e: float
-
-    def __post_init__(self):
-        self.N = np.asarray(self.N, dtype=float)
-        if not 0.0 <= self.p_e <= 1.0:
-            raise ValueError(f"p_e must lie in [0, 1], got {self.p_e}")
+# --- configuration and result ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -470,28 +454,35 @@ def _root_search(umax, floor):
 # --- public rate-equation operations ------------------------------------
 
 
-def _check_alignment(n_state: int, ladder: ModeLadder):
-    if n_state != ladder.size:
+def occupations(N, ladder: ModeLadder) -> np.ndarray:
+    """N as a float array, one occupation per mode of the ladder."""
+    N = np.asarray(N, dtype=float)
+    if N.size != ladder.size:
         raise ValueError(
-            f"state holds {n_state} occupations for {ladder.size} modes")
+            f"state holds {N.size} occupations for {ladder.size} modes")
+    return N
 
 
-def total_rates(state: SystemState, rates: RateTable, ladder: ModeLadder,
+def total_rates(N, rates: RateTable, ladder: ModeLadder,
                 dye: DyeParams) -> tuple[float, float]:
-    """Collective molecular rates (Gamma_up, Gamma_dn) at a given state."""
-    _check_alignment(state.N.size, ladder)
+    """Collective molecular rates (Gamma_up, Gamma_dn) at occupations N."""
+    N = occupations(N, ladder)
     sys_ = RateSystem.from_tables(rates, ladder, dye)
-    gu, gd = sys_.totals(state.N, dye.gamma_up_pump)
+    gu, gd = sys_.totals(N, dye.gamma_up_pump)
     return float(gu), float(gd)
 
 
-def full_derivatives(state: SystemState, rates: RateTable,
-                     ladder: ModeLadder,
+def full_derivatives(N, p_e: float, rates: RateTable, ladder: ModeLadder,
                      dye: DyeParams) -> tuple[np.ndarray, float]:
-    """(dN/dt, dp_e/dt) of the coupled photon-molecule equations."""
-    _check_alignment(state.N.size, ladder)
+    """(dN/dt, dp_e/dt) of the coupled photon-molecule equations.
+
+    The one function that reads an excited-state fraction: p_e is free
+    here, 0 .. 1, where every solver slaves it to the occupations.
+    """
+    if not 0.0 <= p_e <= 1.0:
+        raise ValueError(f"p_e must lie in [0, 1], got {p_e}")
+    N = occupations(N, ladder)
     sys_ = RateSystem.from_tables(rates, ladder, dye)
-    N, p_e = state.N, state.p_e
     Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
     dN = (-sys_.kap * N
           - sys_.up * N * sys_.M * (1.0 - p_e)
@@ -508,8 +499,7 @@ def adiabatic_derivative(N, rates: RateTable, ladder: ModeLadder,
     p_e = Gamma_up / (Gamma_up + Gamma_dn): RateSystem.drift, the F(N)
     of both routes.  With no molecules it reduces to pure cavity decay.
     """
-    N = np.asarray(N, dtype=float)
-    _check_alignment(N.size, ladder)
+    N = occupations(N, ladder)
     return RateSystem.from_tables(rates, ladder, dye).drift(
         N, dye.gamma_up_pump)[0]
 
@@ -649,8 +639,9 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     empty cavity, or one finite, non-negative occupation per mode, else
     ValueError.  both_crosscheck computes both and raises
     CrosscheckError at the first row where an occupation's gap
-    |N - N_pt| / (max(N, N_pt) + 1) exceeds crosscheck_bound(); else it
-    returns the exact record, with both routes' steps as iterations.
+    |N - N_pt| / (max(N, N_pt) + 1) exceeds crosscheck_bound() or is NaN
+    (a non-finite answer); else it returns the exact record, with both
+    routes' steps as iterations.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
     abs_tol = config.tolerance(float(np.min(sys_.kap)))
@@ -671,7 +662,8 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
             sys_, pumps, seed, abs_tol, config.max_iters)[:2]
         dev = np.abs(N - N_pt) / (np.maximum(N, N_pt) + 1.0)
         bound = crosscheck_bound()
-        failing = np.flatnonzero(np.max(dev, axis=-1) > bound)
+        # a NaN gap fails too: it compares False against the bound
+        failing = np.flatnonzero(~(np.max(dev, axis=-1) <= bound))
         if failing.size:
             k = failing[0]
             worst = int(np.argmax(dev[k]))
@@ -695,19 +687,18 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
 
 def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
                       config: SolverConfig | None = None,
-                      initial: SystemState | None = None) -> SteadyState:
+                      seed=None) -> SteadyState:
     """Stationary point of the photon rate equations.
 
     The pump is dye.gamma_up_pump.  With no pump or no molecules the
-    empty cavity (all occupations zero) is returned.  `initial` seeds
-    the semi_dynamical route; the exact route needs no seed.  This is
-    the one-row call of steady_states, which documents the routes and
-    the cross-check.
+    empty cavity (all occupations zero) is returned.  `seed`, one
+    occupation per mode, starts the semi_dynamical route; the exact
+    route ignores it.  This is the one-row call of steady_states, which
+    checks the seed and documents the routes and the cross-check.
     """
     if config is None:
         config = SolverConfig()
     sys_ = RateSystem.from_tables(rates, ladder, dye)
-    seed = None if initial is None else initial.N
     rows = steady_states(sys_, [dye.gamma_up_pump], config, seed)
     return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),
                        residual_norm=float(rows.residual_norm[0]),

@@ -19,8 +19,8 @@ from .cavity import (CavityParams, MediumIndices, ModeLadder, mode_ladder,
 from .chiral import ChiralSample, SolventParams, chi_from_sample, chi_quick
 from .constants import C_LIGHT, HBAR
 from .dye import DyeParams, build_rate_table
-from .dynamics import (SolverConfig, SystemState, adiabatic_derivative,
-                       find_steady_state, full_derivatives, total_rates)
+from .dynamics import (SolverConfig, adiabatic_derivative, find_steady_state,
+                       full_derivatives, total_rates)
 from .sweeps import stokes_s3
 
 _CAVITY = CavityParams(mirror_radius=1.0, mirror_separation=1.46e-6,
@@ -157,10 +157,9 @@ def check_adiabatic_identity():
     ladder = mode_ladder(_CAVITY, medium, 60, kappa_override=_KAPPA)
     rates = build_rate_table(_DYE, ladder)
     steady = find_steady_state(rates, ladder, _DYE, SolverConfig())
-    Gu, Gd = total_rates(SystemState(N=steady.N, p_e=0.0), rates, ladder, _DYE)
+    Gu, Gd = total_rates(steady.N, rates, ladder, _DYE)
     p_slaved = Gu / (Gu + Gd)
-    state = SystemState(N=steady.N, p_e=p_slaved)
-    dN_full, _ = full_derivatives(state, rates, ladder, _DYE)
+    dN_full, _ = full_derivatives(steady.N, p_slaved, rates, ladder, _DYE)
     dN_adia = adiabatic_derivative(steady.N, rates, ladder, _DYE)
     scale = np.maximum(np.abs(dN_adia), ladder.kappa * (steady.N + 1.0))
     worst = float(np.max(np.abs(dN_full - dN_adia) / scale))

@@ -57,8 +57,8 @@ from .cavity import CavityParams, ModeLadder, cavity_decay, mode_ladder
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
-from .dynamics import (RateSystem, SolverConfig, SteadyState, SystemState,
-                       find_steady_state, row_dot, secant_seed,
+from .dynamics import (RateSystem, SolverConfig, SteadyState,
+                       find_steady_state, occupations, row_dot, secant_seed,
                        steady_states)
 
 # totals below this hold no measurable light; S3 is flagged undefined
@@ -77,6 +77,7 @@ class Observables:
 
     S3 and S3_ground are NaN (and `defined` False for S3) when the
     corresponding total occupation sits below the measurable floor.
+    Every field is read off the occupations (p_e is on SteadyState).
     """
 
     S3: float
@@ -85,7 +86,6 @@ class Observables:
     N_R_total: float
     N_ground_L: float
     N_ground_R: float
-    p_e: float
     defined: bool
 
 
@@ -113,19 +113,15 @@ def _readout(N, ladder: ModeLadder) -> dict:
 
 
 def stokes_s3(steady: SteadyState, ladder: ModeLadder) -> Observables:
-    """Degeneracy-weighted Stokes readout of a steady state on its ladder."""
-    N = np.asarray(steady.N, dtype=float)
-    if N.size != ladder.size:
-        raise ValueError(
-            f"state holds {N.size} occupations for {ladder.size} modes")
-    obs = _readout(N[None, :], ladder)
+    """Degeneracy-weighted Stokes readout of steady.N on its ladder."""
+    obs = _readout(occupations(steady.N, ladder)[None, :], ladder)
     return Observables(
         S3=float(obs["S3"][0]), S3_ground=float(obs["S3_ground"][0]),
         N_L_total=float(obs["N_L_total"][0]),
         N_R_total=float(obs["N_R_total"][0]),
         N_ground_L=float(obs["N_ground_L"][0]),
         N_ground_R=float(obs["N_ground_R"][0]),
-        p_e=steady.p_e, defined=bool(obs["defined"][0]))
+        defined=bool(obs["defined"][0]))
 
 
 # --- sweep specification and result --------------------------------------
@@ -291,12 +287,11 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
     for pump, pin in zip(pumps.tolist(), s3_pin.tolist()):
         steady = find_steady_state(rates, ladder,
                                    replace(dye, gamma_up_pump=pump), solver,
-                                   initial=seed)
-        seed = SystemState(N=secant_seed(before, steady.N), p_e=steady.p_e)
-        before = steady.N
+                                   seed)
+        seed, before = secant_seed(before, steady.N), steady.N
         obs = stokes_s3(steady, ladder)
         rows.append([pump, obs.N_L_total, obs.N_R_total, obs.N_ground_L,
-                     obs.N_ground_R, obs.S3, obs.S3_ground, pin, obs.p_e,
+                     obs.N_ground_R, obs.S3, obs.S3_ground, pin, steady.p_e,
                      steady.residual_norm, steady.iterations,
                      steady.converged])
     meta = _meta(rows, columns, time.perf_counter() - t0)

@@ -23,7 +23,6 @@ from polarbec import (
     SolverConfig,
     SolventParams,
     SweepSpec,
-    SystemState,
     adiabatic_derivative,
     build_mode_set,
     build_rate_table,
@@ -295,10 +294,9 @@ def test_both_solver_routes_agree_along_the_sweep(polarised_sweep):
     modes = build_mode_set(make_cavity(), SWEEP_INDICES, 60, KAPPA)
     rates = build_rate_table(dye, modes)
     steady = find_steady_state(rates, modes, dye, SolverConfig())
-    Gu, Gd = total_rates(SystemState(N=steady.N, p_e=0.0), rates, modes, dye)
+    Gu, Gd = total_rates(steady.N, rates, modes, dye)
     p_slaved = Gu / (Gu + Gd)
-    dN_full, _ = full_derivatives(SystemState(N=steady.N, p_e=p_slaved),
-                                  rates, modes, dye)
+    dN_full, _ = full_derivatives(steady.N, p_slaved, rates, modes, dye)
     dN_adia = adiabatic_derivative(steady.N, rates, modes, dye)
     scale = (KAPPA * (steady.N + 1.0)
              + dye.M * rates.gamma_down * (steady.N + 1.0))

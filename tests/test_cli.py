@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import polarbec
 from polarbec import cli, dynamics, selftest
 from polarbec.cli import (
     EXIT_CONFIG,
@@ -313,6 +316,42 @@ def test_sweep_grid_crosscheck_passes_and_fails_through_the_cli(
     assert run_cli("sweep-grid", "--config", str(cfg), "--out",
                    str(tmp_path / "bad")) == EXIT_UNCONVERGED
     assert "cross-check failure" in capsys.readouterr().err
+
+
+# the exact route overflows to NaN on every row of this config, and the
+# pseudo-transient route returns 0
+NON_FINITE_CONFIG = """
+[cavity]
+l_max = 3
+[dye]
+M = 1.88e278
+gamma_up0 = 1.03e124 Hz
+gamma_down = 1.89e206 Hz
+[solver]
+mode = both_crosscheck
+[sweep]
+pump_points = 4
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep-pump", "sweep-grid"])
+def test_a_non_finite_answer_fails_the_crosscheck(tmp_path, command):
+    # a NaN gap compares False against the bound; it must fail the check
+    # (exit 3), not pass it and reach sweep-pump's next seed as NaN.  The
+    # run still emits overflow RuntimeWarnings, which pytest turns into
+    # errors, so it runs in a child process
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(NON_FINITE_CONFIG, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(polarbec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarbec.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_UNCONVERGED, proc.stderr
+    assert "cross-check failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sensitivity_writes_report(tmp_path, small_config):

@@ -15,7 +15,6 @@ from polarbec import (
     ModeLadder,
     SolverConfig,
     SteadyState,
-    SystemState,
     adiabatic_derivative,
     build_mode_set,
     ground_thresholds,
@@ -74,7 +73,7 @@ def two_mode_problem(pump: float):
 
 def test_total_rates_empty_cavity():
     modes, rates, dye = two_mode_problem(pump=5e9)
-    Gu, Gd = total_rates(SystemState(np.zeros(2), 0.0), rates, modes, dye)
+    Gu, Gd = total_rates(np.zeros(2), rates, modes, dye)
     # no photons: excitation is the bare pump, de-excitation carries the
     # bare decay plus one spontaneous quantum per sublevel
     dn0, up0 = rates.gamma_down[0], rates.gamma_up[0]
@@ -86,7 +85,7 @@ def test_total_rates_empty_cavity():
 def test_total_rates_weights_by_degeneracy():
     modes, rates, dye = two_mode_problem(pump=5e9)
     N = np.array([2.0, 3.0])
-    Gu, Gd = total_rates(SystemState(N, 0.0), rates, modes, dye)
+    Gu, Gd = total_rates(N, rates, modes, dye)
     dn0, up0 = rates.gamma_down[0], rates.gamma_up[0]
     dn1, up1 = rates.gamma_down[1], rates.gamma_up[1]
     assert Gu == pytest.approx(5e9 + 1 * 2.0 * up0 + 2 * 3.0 * up1, rel=1e-14)
@@ -98,8 +97,7 @@ def test_full_derivatives_empty_cavity_kick():
     # unexcited molecules in a dark cavity: photons stay put, the pump
     # drives the excited fraction at exactly its bare rate
     modes, rates, dye = two_mode_problem(pump=5e9)
-    dN, dpe = full_derivatives(SystemState(np.zeros(2), 0.0), rates, modes,
-                               dye)
+    dN, dpe = full_derivatives(np.zeros(2), 0.0, rates, modes, dye)
     assert np.all(dN == 0.0)
     assert dpe == pytest.approx(5e9, rel=1e-15)
 
@@ -111,7 +109,7 @@ def test_full_derivatives_pure_loss_when_molecules_idle():
     dark = replace(dye, M=0.0)
     rates_dark = build_rate_table(dark, modes)
     N = np.array([4.0, 1.0])
-    dN, _ = full_derivatives(SystemState(N, 0.0), rates_dark, modes, dark)
+    dN, _ = full_derivatives(N, 0.0, rates_dark, modes, dark)
     assert dN == pytest.approx(-KAPPA * N, rel=1e-15)
 
 
@@ -120,10 +118,9 @@ def test_adiabatic_matches_full_at_slaved_fraction():
     # full photon drift identically, at any occupation
     modes, rates, dye = single_mode_problem(pump=2.0 * TAU_L0)
     for N in (np.array([0.0]), np.array([3.0]), np.array([4.77e9])):
-        Gu, Gd = total_rates(SystemState(N, 0.0), rates, modes, dye)
+        Gu, Gd = total_rates(N, rates, modes, dye)
         p_slaved = Gu / (Gu + Gd)
-        dN_full, dpe = full_derivatives(SystemState(N, p_slaved), rates,
-                                        modes, dye)
+        dN_full, dpe = full_derivatives(N, p_slaved, rates, modes, dye)
         dN_adia = adiabatic_derivative(N, rates, modes, dye)
         scale = KAPPA * (N + 1.0) + dye.M * float(rates.gamma_down[0]) * (
             N + 1.0)
@@ -143,13 +140,15 @@ def test_adiabatic_reduces_to_decay_without_molecules():
 def test_state_and_alignment_guards():
     modes, rates, dye = two_mode_problem(pump=5e9)
     with pytest.raises(ValueError):
-        SystemState(np.zeros(2), 1.2)
+        full_derivatives(np.zeros(2), 1.2, rates, modes, dye)
     with pytest.raises(ValueError):
-        SystemState(np.zeros(2), -0.1)
+        full_derivatives(np.zeros(2), -0.1, rates, modes, dye)
     with pytest.raises(ValueError):
-        full_derivatives(SystemState(np.zeros(3), 0.0), rates, modes, dye)
+        full_derivatives(np.zeros(3), 0.0, rates, modes, dye)
     with pytest.raises(ValueError):
         adiabatic_derivative(np.zeros(1), rates, modes, dye)
+    with pytest.raises(ValueError, match="3 occupations for 2 modes"):
+        total_rates(np.zeros(3), rates, modes, dye)
 
 
 @pytest.mark.parametrize("solve", [
@@ -288,12 +287,27 @@ def test_total_photon_number_grows_with_pump():
 
 def test_unconverged_result_is_reported_honestly():
     modes, rates, dye = single_mode_problem(2.0 * TAU_L0)
-    far_off = SystemState(np.array([1e15]), 0.0)
+    far_off = np.array([1e15])
     steady = find_steady_state(
         rates, modes, dye, SolverConfig(mode="semi_dynamical", max_iters=1),
-        initial=far_off)
+        seed=far_off)
     assert not steady.converged
     assert steady.residual_norm > ABS_TOL
+
+
+def test_the_exact_route_ignores_a_seed():
+    # a seed is read by the pseudo-transient route alone: a fixed_point
+    # solve given one is bit for bit the solve without
+    modes = build_mode_set(make_cavity(), SWEEP_INDICES, 30,
+                           kappa_override=KAPPA)
+    dye = make_dye(3e9)
+    rates = build_rate_table(dye, modes)
+    cold = find_steady_state(rates, modes, dye, SolverConfig())
+    for seed in (cold.N, np.full(modes.size, 1e6)):
+        seeded = find_steady_state(rates, modes, dye, SolverConfig(), seed)
+        assert np.array_equal(seeded.N, cold.N)
+        for name in ("p_e", "residual_norm", "iterations", "converged"):
+            assert getattr(seeded, name) == getattr(cold, name), name
 
 
 def test_crosscheck_mode_agrees_and_sums_iterations():
@@ -331,9 +345,7 @@ def test_seeded_pseudo_transient_solve_converges_faster():
     dye = make_dye(3e9)
     rates = build_rate_table(dye, modes)
     cold = find_steady_state(rates, modes, dye, pt)
-    seeded = find_steady_state(rates, modes, dye, pt,
-                               initial=SystemState(near_state.N,
-                                                   near_state.p_e))
+    seeded = find_steady_state(rates, modes, dye, pt, seed=near_state.N)
     exact = find_steady_state(rates, modes, dye)
     assert cold.converged and seeded.converged
     assert seeded.iterations < cold.iterations
@@ -673,14 +685,19 @@ def test_crosscheck_is_silent_on_correct_answers():
         assert steady.converged
 
 
-def test_crosscheck_fires_on_a_wrong_answer(monkeypatch):
+@pytest.mark.parametrize("corrupt", [
+    lambda N: N * (1.0 + 10.0 * crosscheck_bound()),
+    lambda N: np.full_like(N, np.nan),
+], ids=["off_by_ten_bounds", "not_finite"])
+def test_crosscheck_fires_on_a_wrong_answer(monkeypatch, corrupt):
+    # a NaN gap compares False against the bound, and must fail all the same
     honest = dynamics._semi_dynamical
 
-    def off_by_ten_bounds(*args):
+    def wrong(*args):
         N, *rest = honest(*args)
-        return N * (1.0 + 10.0 * crosscheck_bound()), *rest
+        return corrupt(N), *rest
 
-    monkeypatch.setattr(dynamics, "_semi_dynamical", off_by_ten_bounds)
+    monkeypatch.setattr(dynamics, "_semi_dynamical", wrong)
     _, sys_ = ladder_system(SWEEP_INDICES)
     with pytest.raises(CrosscheckError, match="deviates"):
         steady_states(sys_, [3e9], SolverConfig(mode="both_crosscheck"))
@@ -827,7 +844,7 @@ def test_a_bad_seed_is_rejected(seed):
     dye = make_dye(3e9)
     with pytest.raises(ValueError, match="seed"):
         find_steady_state(build_rate_table(dye, modes), modes, dye, PT,
-                          initial=SystemState(seed, 0.5))
+                          seed=seed)
 
 
 def assert_seeded_solves_are_safeguarded(sys_, pumps, pairs):

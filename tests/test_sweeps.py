@@ -76,7 +76,6 @@ def test_stokes_weights_occupations_by_degeneracy():
     assert obs.S3 == pytest.approx((11.0 - 5.0) / 16.0, rel=1e-15)
     assert obs.S3_ground == pytest.approx((3.0 - 1.0) / 4.0, rel=1e-15)
     assert obs.defined
-    assert obs.p_e == 0.3
 
 
 def test_stokes_pure_circular_limits():
@@ -203,7 +202,7 @@ def test_pump_sweep_column_layout():
 
 
 def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
-    # one seed rule: point by point through find_steady_state(initial=),
+    # one seed rule: point by point through find_steady_state(seed=),
     # the pseudo-transient route gives the rows of one steady_states
     # column, bit for bit, iterations included
     config = default_config()
@@ -311,7 +310,7 @@ def test_chi_sweep_rows_equal_per_point_solves():
         obs = stokes_s3(steady, modes)
         point = [scale, chi, float("nan"), obs.N_L_total, obs.N_R_total,
                  obs.N_ground_L, obs.N_ground_R, obs.S3, obs.S3_ground,
-                 obs.p_e, steady.residual_norm, steady.iterations,
+                 steady.p_e, steady.residual_norm, steady.iterations,
                  steady.converged]
         assert np.array_equal(np.array(row, dtype=float),
                               np.array(point, dtype=float), equal_nan=True)
@@ -333,7 +332,7 @@ def test_chi_sweep_even_symmetric_grid_equals_per_point_solves():
         obs = stokes_s3(steady, modes)
         point = [1.0, row[1], float("nan"), obs.N_L_total, obs.N_R_total,
                  obs.N_ground_L, obs.N_ground_R, obs.S3, obs.S3_ground,
-                 obs.p_e, steady.residual_norm, steady.iterations,
+                 steady.p_e, steady.residual_norm, steady.iterations,
                  steady.converged]
         assert np.array_equal(np.array(row, dtype=float),
                               np.array(point, dtype=float), equal_nan=True)
