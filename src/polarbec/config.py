@@ -314,7 +314,8 @@ def parse_config(text: str) -> RunConfig:
     count below 1, an absorption scale that gives no valid dye at
     gamma_up0 * scale, a lossless cavity (mirror_loss = 0) without a
     kappa_override, and a dye and cavity that leave some mode with a
-    zero or non-finite rate (_check_mode_rates) are errors.
+    zero or non-finite rate are errors; _check_solvable checks the
+    scales, the chi endpoints, the sample and the rates in one pass.
     Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
@@ -381,13 +382,6 @@ def parse_config(text: str) -> RunConfig:
         if sweep.grid_pump_points < 1:
             raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
                               f"{sweep.grid_pump_points}")
-        for scale in sweep.scales:
-            # the chi sweep runs with this dye
-            try:
-                replace(dye, gamma_up0=dye.gamma_up0 * scale)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"[sweep] scales entry {scale!r}: {exc}") from None
         for key in ("sensitivity_epsilon", "sensitivity_step"):
             value = getattr(sweep, key)
             if not 0.0 < value < 1.0:
@@ -403,55 +397,55 @@ def parse_config(text: str) -> RunConfig:
         cavity=cavity, l_max=l_max, kappa_override=kappa_override,
         indices=indices, sample=sample, solvent=solvent, dye=dye,
         solver=solver, sweep=sweep, output_dir=output_dir)
-    for chi in (sweep.chi.start, sweep.chi.stop):
-        try:
-            refractive_indices(config.base_index(), chi)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[sweep] chi grid endpoint {chi!r}: {exc}") from None
-    if sample is not None:
-        try:
-            config.medium_indices()
-        except ValueError as exc:
-            raise ConfigError(
-                f"[medium] the chiral sample gives no valid index pair at "
-                f"epsilon = {sample.epsilon!r}: {exc}") from None
-    _check_mode_rates(config)
+    _check_solvable(config)
     return config
 
 
-def _check_mode_rates(config: RunConfig) -> None:
-    """ConfigError unless every mode gets positive, finite rates.
+def _checked(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError or ArithmeticError it raises
+    becomes a ConfigError naming `field`."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
-    Both profiles are evaluated on the ladder at the run's own medium with
-    the dye, and at both chi-grid endpoints with the dye and each [sweep]
-    scales dye.  A rate is monotone in omega on either side of its peak
-    and omega is monotone in chi, so no chi inside the grid gives a mode
-    a rate below those at both ends.
+
+def _check_solvable(config: RunConfig) -> None:
+    """ConfigError unless every medium and dye the run solves is valid.
+
+    One pass builds each object once, in this order: the dye of each
+    [sweep] scales entry (the chi sweep runs with it), the index pair at
+    both chi-grid endpoints, the run's own pair, then per medium its
+    ladder, on which both rate profiles must be positive and finite for
+    every mode: at the run's own medium with the dye, at both endpoints
+    with the dye and each scales dye.  A rate is monotone in omega on
+    either side of its peak and omega is monotone in chi, so no chi
+    inside the grid gives a mode a rate below those at both ends.
     """
-    dye = config.dye
+    dye, sweep = config.dye, config.sweep
     dyes = [("", dye)] + [
         (f", [sweep] scales entry {scale!r}",
-         replace(dye, gamma_up0=dye.gamma_up0 * scale))
-        for scale in config.sweep.scales]
-    ladders = [("the run's medium", config.medium_indices(), dyes[:1])] + [
+         _checked(f"[sweep] scales entry {scale!r}", replace, dye,
+                  gamma_up0=dye.gamma_up0 * scale))
+        for scale in sweep.scales]
+    media = [
         (f"chi grid endpoint {chi!r}",
-         refractive_indices(config.base_index(), chi), dyes)
-        for chi in (config.sweep.chi.start, config.sweep.chi.stop)]
-    for where, medium, ladder_dyes in ladders:
-        try:
-            omega = ladder_frequencies(config.cavity, medium, config.l_max)
-        except ArithmeticError as exc:
-            raise ConfigError(
-                f"[cavity] gives no mode ladder at {where}: {exc}") from None
+         _checked(f"[sweep] chi grid endpoint {chi!r}", refractive_indices,
+                  config.base_index(), chi), dyes)
+        for chi in (sweep.chi.start, sweep.chi.stop)]
+    own = config.indices if config.sample is None else _checked(
+        f"[medium] the chiral sample gives no valid index pair at "
+        f"epsilon = {config.sample.epsilon!r}", config.medium_indices)
+    for where, medium, ladder_dyes in [("the run's medium", own, dyes[:1]),
+                                       *media]:
+        omega = _checked(f"[cavity] gives no mode ladder at {where}",
+                         ladder_frequencies, config.cavity, medium,
+                         config.l_max)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gamma_down = emission_rate(dye, omega)
             for scaled, d in ladder_dyes:
-                try:
-                    check_rates(gamma_down, absorption_rate(d, omega))
-                except ValueError as exc:
-                    raise ConfigError(f"[dye] on the ladder at {where}"
-                                      f"{scaled}: {exc}") from None
+                _checked(f"[dye] on the ladder at {where}{scaled}",
+                         check_rates, gamma_down, absorption_rate(d, omega))
 
 
 def _field_values(obj, prefix: str = "") -> dict:

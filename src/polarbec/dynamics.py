@@ -31,11 +31,13 @@ Two independent solvers find F(N) = 0:
   evaluations of h per point; the reported iteration count is the
   number of h(u) evaluations.  A whole pump grid on one ladder is
   searched in lock step: occupations are held as (rows, modes) arrays,
-  every live row's candidate is evaluated in one batched call, a row
-  drops out when its search ends, and rows are taken in chunks of at
-  most CHUNK_ELEMENTS occupations so the temporaries stay a few hundred
-  kB whatever the grid length.  Each row runs the same float operations
-  as a lone solve, so batching changes no bit of any answer.
+  every live row's candidate is evaluated in one batched call, and a
+  row drops out when its search ends.  The route takes rows in chunks
+  of at most CHUNK_ELEMENTS occupations, for the search and for the
+  drift and norm of its answers alike, so beside the column's own N no
+  temporary outgrows a few hundred kB whatever the grid length.  Each
+  row runs the same float operations as a lone solve, so batching
+  changes no bit of any answer.
 
   h(u) is the cost of this route, and two kernels make it.  occ_at_u
   writes every mode's margin m1 x + m0 + u into one (rows, modes)
@@ -74,7 +76,8 @@ mode, with an extra term covering float64 cancellation of the two
 nearly-equal fluxes.  The reported residual_norm is normalised so that
 converged means residual_norm <= abs_tol.  The reported p_e comes from
 the totals of the drift that residual was measured on; only a row
-clamped for negative occupations has its totals evaluated again.
+clamped for negative occupations has its totals evaluated again.  A
+non-finite state reports a NaN p_e, never a made-up value.
 
 steady_states is the engine: one rate system, a grid of pumps, one row
 per pump.  Each route returns one row-stacked record (N, iterations,
@@ -349,48 +352,45 @@ class RateSystem:
 
         `pump` is one pump or a 1-D array of them, one row each.  Every
         row runs its own _root_search of h(u) = 0 on [0, umax], and all
-        rows advance in lock step, in chunks of at most CHUNK_ELEMENTS
-        occupations: each step evaluates h at every live row's candidate
-        in one batched call.  Returns (N, steps): N of shape
+        rows advance in lock step: each step evaluates h at every live
+        row's candidate in one batched call, and a finished row drops out
+        and reports its bracket.  Returns (N, steps): N of shape
         (rows, modes), steps the number of h(u) evaluations of each row.
+        The temporaries are (rows, modes) arrays; the exact route hands
+        this at most CHUNK_ELEMENTS occupations at a time.
         """
         pumps = np.asarray(pump, dtype=float).reshape(-1)
-        N = np.zeros((pumps.size, self.n))
         steps = np.zeros(pumps.size, dtype=int)
         live = (np.flatnonzero(~(pumps <= 0.0)) if self.M != 0.0
                 else np.zeros(0, dtype=int))
-        chunk = max(1, CHUNK_ELEMENTS // max(self.n, 1))
+        p = pumps[live]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for start in range(0, live.size, chunk):
-                rows = live[start:start + chunk]
-                N[rows], steps[rows] = self._find_roots(pumps[rows])
-        return N, steps
-
-    def _find_roots(self, pumps):
-        # every live row sends its last h value and receives its next
-        # candidate; finished rows drop out and report their bracket
-        searches = [_root_search(self.umax, floor)
-                    for floor in self.root_floor(pumps).tolist()]
-        lo_end = np.zeros(pumps.size)
-        hi_end = np.full(pumps.size, self.umax)
-        steps = np.zeros(pumps.size, dtype=int)
-        rows, values = list(range(pumps.size)), [None] * pumps.size
-        while rows:
-            live, u = [], []
-            for r, value in zip(rows, values):
-                try:
-                    u.append(searches[r].send(value))
-                except StopIteration as end:
-                    lo_end[r], hi_end[r], steps[r] = end.value
-                else:
-                    live.append(r)
-            rows = live
-            if rows:
-                values = self.h_of_u(np.array(u), pumps[rows]).tolist()
-        N, _, bad = self.occ_at_u(hi_end)
-        if bad.any():
-            N[bad] = self.occ_at_u(lo_end[bad])[0]
-        return N, steps
+            searches = [_root_search(self.umax, floor)
+                        for floor in self.root_floor(p).tolist()]
+            lo_end = np.zeros(p.size)
+            hi_end = np.full(p.size, self.umax)
+            rows, values = list(range(p.size)), [None] * p.size
+            while rows:
+                going, u = [], []
+                for r, value in zip(rows, values):
+                    try:
+                        u.append(searches[r].send(value))
+                    except StopIteration as end:
+                        lo_end[r], hi_end[r], steps[live[r]] = end.value
+                    else:
+                        going.append(r)
+                rows = going
+                if rows:
+                    values = self.h_of_u(np.array(u), p[rows]).tolist()
+            N, _, bad = self.occ_at_u(hi_end)
+            if bad.any():
+                N[bad] = self.occ_at_u(lo_end[bad])[0]
+        if live.size == pumps.size:
+            return N, steps
+        # rows without pump or molecules hold the empty cavity
+        empty = np.zeros((pumps.size, self.n))
+        empty[live] = N
+        return empty, steps
 
 
 def _root_search(umax, floor):
@@ -591,10 +591,20 @@ def crosscheck_bound() -> float:
 
 
 def _exact(sys_, pumps, abs_tol):
-    # record of the exact route: one lock-step root search over all rows
-    N, steps = sys_.solve(pumps)
-    drift = sys_.drift(N, pumps)
-    return N, steps, sys_.scaled_norm(N, abs_tol, drift), drift[4], drift[5]
+    # record of the exact route, CHUNK_ELEMENTS occupations at a time: each
+    # chunk of rows gets its lock-step root search, its drift and its norm,
+    # written into the column's record, so no temporary outgrows a chunk
+    N = np.empty((pumps.size, sys_.n))
+    steps = np.empty(pumps.size, dtype=int)
+    norm, Gu, Gd = np.empty((3, pumps.size))
+    chunk = max(1, CHUNK_ELEMENTS // max(sys_.n, 1))
+    for start in range(0, pumps.size, chunk):
+        part = slice(start, start + chunk)
+        N[part], steps[part] = sys_.solve(pumps[part])
+        drift = sys_.drift(N[part], pumps[part])
+        norm[part] = sys_.scaled_norm(N[part], abs_tol, drift)
+        Gu[part], Gd[part] = drift[4], drift[5]
+    return N, steps, norm, Gu, Gd
 
 
 def secant_seed(before, last):
@@ -678,9 +688,9 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     if negative.any():
         N[negative] = np.maximum(N[negative], 0.0)
         Gu[negative], Gd[negative] = sys_.totals(N[negative], pumps[negative])
-    D = Gu + Gd
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_e = np.where(D > 0.0, Gu / D, 0.0)
+        # Gd >= gamma_down + sum g dn > 0 on a finite state; NaN stays NaN
+        p_e = Gu / (Gu + Gd)
     return SteadyState(N=N, p_e=p_e, residual_norm=norm, iterations=iters,
                        converged=(norm <= abs_tol) & ~negative)
 

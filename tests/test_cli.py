@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -334,24 +335,44 @@ pump_points = 4
 """
 
 
-@pytest.mark.parametrize("command", ["sweep-pump", "sweep-grid"])
-def test_a_non_finite_answer_fails_the_crosscheck(tmp_path, command):
-    # a NaN gap compares False against the bound; it must fail the check
-    # (exit 3), not pass it and reach sweep-pump's next seed as NaN.  The
-    # run still emits overflow RuntimeWarnings, which pytest turns into
-    # errors, so it runs in a child process
+def run_non_finite(tmp_path, command, mode):
+    """`command` on NON_FINITE_CONFIG with `mode`, in a child process.
+
+    The run emits overflow RuntimeWarnings, which pytest turns into
+    errors, so it cannot run in-process.
+    """
     cfg = tmp_path / "nan.ini"
-    cfg.write_text(NON_FINITE_CONFIG, encoding="utf-8")
+    cfg.write_text(NON_FINITE_CONFIG.replace("both_crosscheck", mode),
+                   encoding="utf-8")
     src = os.path.dirname(os.path.dirname(polarbec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "polarbec.cli", command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["sweep-pump", "sweep-grid"])
+def test_a_non_finite_answer_fails_the_crosscheck(tmp_path, command):
+    # a NaN gap compares False against the bound; it must fail the check
+    # (exit 3), not pass it and reach sweep-pump's next seed as NaN
+    proc = run_non_finite(tmp_path, command, "both_crosscheck")
     assert proc.returncode == EXIT_UNCONVERGED, proc.stderr
     assert "cross-check failure" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_non_finite_state_prints_a_non_finite_p_e(tmp_path):
+    # on the exact route alone every row is NaN and unconverged (exit 3);
+    # its p_e is the slaved fraction of that state, NaN, not a made-up 0
+    proc = run_non_finite(tmp_path, "sweep-pump", "fixed_point")
+    assert proc.returncode == EXIT_UNCONVERGED, proc.stderr
+    with open(tmp_path / "out" / "pump_sweep.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert [row["p_e"] for row in rows] == ["nan"] * 4
 
 
 def test_sensitivity_writes_report(tmp_path, small_config):

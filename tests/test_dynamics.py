@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -449,6 +450,27 @@ def test_chunking_does_not_change_a_single_bit(monkeypatch):
     one_chunk = steady_states(sys_, KNEE_PUMPS, SolverConfig())
     assert_rows_equal(whole, one_row)
     assert_rows_equal(whole, one_chunk)
+
+
+def test_exact_route_memory_stays_within_chunks_of_the_column():
+    # 2,000 rows of 402 modes span a dozen chunks.  A chunk's drift holds
+    # four (rows, modes) arrays (F, b, S, gross) and its norm three more,
+    # so beside the column's N the route needs seven chunk-sized arrays
+    # and a little more (8.3 chunks measured); twelve leave room.  The
+    # same drift and norm over the whole column would hold seven
+    # column-sized arrays (7 N in all, measured).
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.geomspace(1e8, 1e10, 2000)
+    chunk_bytes = (dynamics.CHUNK_ELEMENTS // sys_.n) * sys_.n * 8
+    assert pumps.size * sys_.n > 10 * dynamics.CHUNK_ELEMENTS
+    tracemalloc.start()
+    try:
+        rows = steady_states(sys_, pumps, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.converged.all()
+    assert peak < rows.N.nbytes + 12 * chunk_bytes, (peak, rows.N.nbytes)
 
 
 def test_batched_path_keeps_the_achiral_tie_and_the_relabel_swap():

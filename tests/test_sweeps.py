@@ -411,13 +411,13 @@ def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
 
     whole = run()
     chunks = []
-    find_roots = RateSystem._find_roots
+    solve = RateSystem.solve
 
     def counted(self, pumps):
         chunks.append(pumps.size)
-        return find_roots(self, pumps)
+        return solve(self, pumps)
 
-    monkeypatch.setattr(RateSystem, "_find_roots", counted)
+    monkeypatch.setattr(RateSystem, "solve", counted)
     monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 3 * 62)
     split = run()
     assert chunks == [3, 3, 3, 1] * 2
