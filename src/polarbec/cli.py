@@ -113,7 +113,7 @@ def _finish(args, config: RunConfig, out_dir: str, files: list[str],
 def _write_sweep(out_dir: str, name: str, result, plot, *plot_args):
     """The sweep's CSV and its gnuplot script; returns both file names."""
     files = [f"{name}.csv", f"{name}.gp"]
-    write_csv(os.path.join(out_dir, files[0]), result.columns, result.rows)
+    write_csv(os.path.join(out_dir, files[0]), result.columns)
     with open(os.path.join(out_dir, files[1]), "w", encoding="utf-8") as fh:
         fh.write(plot(files[0], *plot_args))
     return files
@@ -133,11 +133,11 @@ def _sigma(ladder) -> list[str]:
 def _cmd_modes(args, config: RunConfig, out_dir: str):
     """write the cavity mode table"""
     ladder = _ladder(config)
-    columns = ["sigma", "l", "j", "omega", "degeneracy", "kappa"]
-    j = [config.cavity.longitudinal_index] * ladder.size
-    rows = zip(_sigma(ladder), ladder.l.tolist(), j, ladder.omega.tolist(),
-               ladder.degeneracy.tolist(), ladder.kappa.tolist())
-    write_csv(os.path.join(out_dir, "modes.csv"), columns, rows)
+    write_csv(os.path.join(out_dir, "modes.csv"), {
+        "sigma": _sigma(ladder), "l": ladder.l,
+        "j": np.full(ladder.size, config.cavity.longitudinal_index),
+        "omega": ladder.omega, "degeneracy": ladder.degeneracy,
+        "kappa": ladder.kappa})
     return ["modes.csv"], {"modes": ladder.size}
 
 
@@ -151,16 +151,14 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: str):
     hi = max(dye.Omega0 + dye.DeltaOmega + 2.0 * dye.linewidth,
              max(omegas) + dye.linewidth)
     grid = np.linspace(lo, hi, 2001)
-    write_csv(os.path.join(out_dir, "dye_spectrum.csv"),
-              ["omega", "gamma_down", "gamma_up"],
-              zip(grid.tolist(), emission_rate(dye, grid).tolist(),
-                  absorption_rate(dye, grid).tolist()))
+    write_csv(os.path.join(out_dir, "dye_spectrum.csv"), {
+        "omega": grid, "gamma_down": emission_rate(dye, grid),
+        "gamma_up": absorption_rate(dye, grid)})
     rates = build_rate_table(dye, ladder)
-    write_csv(os.path.join(out_dir, "mode_markers.csv"),
-              ["sigma", "l", "degeneracy", "omega", "gamma_down", "gamma_up"],
-              zip(_sigma(ladder), ladder.l.tolist(),
-                  ladder.degeneracy.tolist(),
-                  omegas, rates.gamma_down.tolist(), rates.gamma_up.tolist()))
+    write_csv(os.path.join(out_dir, "mode_markers.csv"), {
+        "sigma": _sigma(ladder), "l": ladder.l,
+        "degeneracy": ladder.degeneracy, "omega": ladder.omega,
+        "gamma_down": rates.gamma_down, "gamma_up": rates.gamma_up})
     with open(os.path.join(out_dir, "spectrum.gp"), "w",
               encoding="utf-8") as fh:
         fh.write(gnuplot_spectrum("dye_spectrum.csv", "mode_markers.csv"))
@@ -222,8 +220,7 @@ def _cmd_threshold(args, config: RunConfig, out_dir: str):
     report = ground_thresholds(build_rate_table(config.dye, ladder), ladder,
                                config.dye)
     write_csv(os.path.join(out_dir, "threshold.csv"),
-              ["tau_L", "tau_R", "winner"],
-              [[report.tau_L, report.tau_R, report.winner]])
+              {name: [value] for name, value in asdict(report).items()})
     print(f"tau_L = {report.tau_L:.6e} 1/s, tau_R = {report.tau_R:.6e} 1/s, "
           f"winner: {report.winner}")
     return ["threshold.csv"], asdict(report)

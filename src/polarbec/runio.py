@@ -1,20 +1,20 @@
 """Deterministic run outputs: CSV tables, JSON manifest, plot scripts.
 
-Every table is written as RFC-4180-style CSV (comma separated, CRLF
-line endings, header row) with floats rendered at fixed significant
-digits, so repeated runs of the same configuration produce byte
-identical files.  Each run directory gets a manifest.json recording the
-resolved configuration text, tool and library versions, convergence
-summary and timings; the embedded configuration is sufficient to replay
-the run.  A lock file makes sure a single process owns an output
-directory at a time.
+Every table is a dict of equal-length named columns, written as
+RFC-4180-style CSV (comma separated, CRLF line endings, header row),
+each cell in its column's one text form: true/false for bool dtype,
+fixed significant digits for floats, str for the rest.  So repeated
+runs of the same configuration produce byte identical files.  Each run
+directory gets a manifest.json recording the resolved configuration
+text, tool and library versions, convergence summary and timings; the
+embedded configuration is sufficient to replay the run.  A lock file
+makes sure a single process owns an output directory at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import platform
 from contextlib import contextmanager
@@ -30,27 +30,25 @@ FLOAT_FORMAT = "%.12g"
 LOCK_NAME = ".polarbec.lock"
 
 
-def format_value(value) -> str:
-    """Canonical text form of one CSV cell."""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        return FLOAT_FORMAT % v
-    return str(value)
+def _cell_format(column: np.ndarray):
+    """Canonical text form of the cells of one column, by its dtype."""
+    if column.dtype == bool:
+        return lambda v: "true" if v else "false"
+    if column.dtype.kind == "f":
+        return FLOAT_FORMAT.__mod__
+    return str
 
 
-def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
+def write_csv(path: str, columns: dict) -> None:
+    """One row per entry of the equal-length arrays in `columns`."""
+    arrays = [np.asarray(a) for a in columns.values()]
+    if len({len(a) for a in arrays}) > 1:
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n",
                             quoting=csv.QUOTE_MINIMAL)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(zip(*(map(_cell_format(a), a) for a in arrays)))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -37,12 +37,14 @@ its RateTable, so every sweep gets the same rate checks.  chi_sweep,
 grid_sweep and sensitivity share one per-chi solve (_solve_at_chi) and
 run in one process, in grid order.  chi -> -chi swaps the two blocks
 exactly, so chi_sweep and grid_sweep walk their chi grid through
-_chi_grid_rows: a point whose -chi came earlier in the grid is read off
-that solve's swapped blocks, not solved again, and the manifest counts
-those rows as mirrored_points.  A symmetric linear grid (SweepSpec.grid)
-pairs every point but a zero midpoint.  stokes_s3 and the batched
-drivers share one array readout, so a CSV row is the same bytes
-whichever driver produced it.
+_chi_grid_columns: a point whose -chi came earlier in the grid is read
+off that solve's swapped blocks, not solved again, and the manifest
+counts those rows as mirrored_points.  A symmetric linear grid
+(SweepSpec.grid) pairs every point but a zero midpoint.  A sweep's
+table is SweepResult.columns, one typed array per CSV column.  stokes_s3
+and the batched drivers share one array readout and fill the same
+_POINT_FIELDS columns, so a CSV row is the same bytes whichever driver
+produced it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,9 @@ class SweepSpec:
         if self.spacing not in ("log", "linear"):
             raise ValueError(
                 f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"endpoints must be finite, got {self.start} "
+                             f"and {self.stop}")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log spacing needs positive endpoints")
         if self.start > self.stop:
@@ -157,7 +162,7 @@ class SweepSpec:
                                self.points)
         # not np.linspace, whose grid is not symmetric when start == -stop:
         # t is exactly antisymmetric, so then g[k] == -g[n - k] and every
-        # point of a chi grid has its mirror on the grid (_chi_grid_rows)
+        # point of a chi grid has its mirror on the grid (_chi_grid_columns)
         n = self.points - 1
         t = (2.0 * np.arange(self.points) - n) / n
         half = (self.stop - self.start) / 2.0
@@ -168,33 +173,26 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Tabular sweep output: column names, rows and run metadata."""
+    """A sweep table, one array per column in CSV order, and run metadata."""
 
-    columns: list[str]
-    rows: list[list]
+    columns: dict[str, np.ndarray]
     meta: dict
 
     @property
     def all_converged(self) -> bool:
-        return self.meta.get("converged_points") == self.meta.get("points")
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([row[i] for row in self.rows], dtype=float)
+        return bool(self.columns["converged"].all())
 
 
-_POINT_FIELDS = ["N_L_total", "N_R_total", "N_ground_L", "N_ground_R",
-                 "S3", "S3_ground", "p_e", "residual_norm", "iterations",
-                 "converged"]
+# the columns every sweep reads off its steady states, in CSV order
+_POINT_FIELDS = {"N_L_total": float, "N_R_total": float, "N_ground_L": float,
+                 "N_ground_R": float, "S3": float, "S3_ground": float,
+                 "p_e": float, "residual_norm": float, "iterations": int,
+                 "converged": bool}
 
 
-def _point_rows(states: SteadyState, ladder: ModeLadder) -> list[list]:
-    """The _POINT_FIELDS of every row of a row-stacked steady state."""
-    obs = _readout(states.N, ladder)
-    obs.update(p_e=states.p_e, residual_norm=states.residual_norm,
-               iterations=states.iterations, converged=states.converged)
-    return [list(row) for row in
-            zip(*(np.asarray(obs[name]).tolist() for name in _POINT_FIELDS))]
+def _empty_fields(rows: int) -> dict:
+    return {name: np.empty(rows, dtype)
+            for name, dtype in _POINT_FIELDS.items()}
 
 
 def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
@@ -206,9 +204,9 @@ def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
     return ladder, steady_states(sys_, pumps, solver)
 
 
-def _chi_grid_rows(cavity, base_index, dye, l_max, kappa_override, solver,
-                   chis, pumps):
-    """_point_rows of every chi of a grid, in grid order, one list per chi,
+def _chi_grid_columns(cavity, base_index, dye, l_max, kappa_override, solver,
+                      chis, pumps):
+    """The _POINT_FIELDS of a chi grid, chi-major with one row per pump,
     and how many of those rows were read off a mirror partner's solve.
 
     chi -> -chi swaps n_L and n_R, so the ladder at -chi is the one at chi
@@ -218,38 +216,44 @@ def _chi_grid_rows(cavity, base_index, dye, l_max, kappa_override, solver,
     later in the grid its rows are read off the swapped occupations of
     this solve, while every per-row scalar carries over; the readout
     recomputes S3 from the swapped totals, which keeps the sign of a
-    zero.  Only rows are kept for the partner, never occupations.
+    zero.  Each readout goes straight into its slice of the columns, so
+    no occupations outlive their chi.
     """
+    n = len(pumps)
+    out = _empty_fields(len(chis) * n)
     last = {chi: k for k, chi in enumerate(chis)}
-    out = [None] * len(chis)
-    mirrored = 0
+    done, mirrored = set(), 0
     for k, chi in enumerate(chis):
-        if out[k] is not None:
+        if k in done:
             continue
         ladder, states = _solve_at_chi(cavity, base_index, dye, l_max,
                                        kappa_override, solver, chi, pumps)
-        out[k] = _point_rows(states, ladder)
+        slots = {k: states.N}
         j = last.get(-chi, k)
-        if j > k and out[j] is None:
+        if j > k and j not in done:
             nl = ladder.n_left
-            swapped = np.concatenate((states.N[:, nl:], states.N[:, :nl]),
-                                     axis=1)
-            out[j] = _point_rows(replace(states, N=swapped), ladder)
-            mirrored += len(out[j])
+            slots[j] = np.concatenate((states.N[:, nl:], states.N[:, :nl]),
+                                      axis=1)
+            mirrored += n
+        for slot, N in slots.items():
+            point = {**vars(states), **_readout(N, ladder)}
+            for name, column in out.items():
+                column[slot * n:(slot + 1) * n] = point[name]
+        done.update(slots)
     return out, mirrored
 
 
-def _meta(rows: list[list], columns: list[str], elapsed: float) -> dict:
+def _meta(columns: dict, elapsed: float) -> dict:
     """Run summary for the manifest; everything but elapsed_s repeats."""
-    i_conv = columns.index("converged")
-    i_res = columns.index("residual_norm")
-    i_it = columns.index("iterations")
+    iterations = columns["iterations"]
     return {
-        "points": len(rows),
-        "converged_points": sum(1 for r in rows if r[i_conv]),
-        "max_residual_norm": max((r[i_res] for r in rows), default=0.0),
-        "iterations_total": sum(r[i_it] for r in rows),
-        "iterations_max": max((r[i_it] for r in rows), default=0),
+        "points": len(iterations),
+        "converged_points": int(np.count_nonzero(columns["converged"])),
+        # NaN when any residual is, in whatever row (unlike Python's max)
+        "max_residual_norm": float(np.max(columns["residual_norm"],
+                                          initial=0.0)),
+        "iterations_total": int(iterations.sum()),
+        "iterations_max": int(iterations.max(initial=0)),
         "elapsed_s": elapsed,
     }
 
@@ -281,22 +285,22 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
         *[(float(ladder.kappa[i]), float(rates.gamma_up[i]),
            float(rates.gamma_down[i])) for i in ladder.ground()])
 
-    columns = ["pump"] + _POINT_FIELDS[:6] + ["S3_pinned"] + _POINT_FIELDS[6:]
-    rows = []
+    fields = _empty_fields(pumps.size)
     seed = before = None
-    for pump, pin in zip(pumps.tolist(), s3_pin.tolist()):
+    for i, pump in enumerate(pumps.tolist()):
         steady = find_steady_state(rates, ladder,
                                    replace(dye, gamma_up_pump=pump), solver,
                                    seed)
         seed, before = secant_seed(before, steady.N), steady.N
-        obs = stokes_s3(steady, ladder)
-        rows.append([pump, obs.N_L_total, obs.N_R_total, obs.N_ground_L,
-                     obs.N_ground_R, obs.S3, obs.S3_ground, pin, steady.p_e,
-                     steady.residual_norm, steady.iterations,
-                     steady.converged])
-    meta = _meta(rows, columns, time.perf_counter() - t0)
+        point = {**vars(steady), **vars(stokes_s3(steady, ladder))}
+        for name, column in fields.items():
+            column[i] = point[name]
+    names = list(_POINT_FIELDS)
+    columns = {"pump": pumps, **{k: fields[k] for k in names[:6]},
+               "S3_pinned": s3_pin, **{k: fields[k] for k in names[6:]}}
+    meta = _meta(columns, time.perf_counter() - t0)
     meta.update(axis="pump", modes=ladder.size)
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=columns, meta=meta)
 
 
 def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
@@ -308,31 +312,34 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     Every grid point is a cold solve, repeated for each absorption-scale
     factor in `scales`, except that a point whose -chi came earlier in
     the grid is read off that solve with its blocks swapped
-    (_chi_grid_rows), bit for bit what its own solve gives; meta counts
+    (_chi_grid_columns), bit for bit what its own solve gives; meta counts
     those rows as mirrored_points.  chi is linear in the
     enantiomeric excess, so `chi_per_epsilon`, the chi at full excess,
     maps each point back to the excess behind it, chi / chi_per_epsilon;
     the epsilon column is NaN when it is None or 0.
     """
     t0 = time.perf_counter()
-    chis = spec.grid().tolist()
-    eps_col = [chi / chi_per_epsilon if chi_per_epsilon else math.nan
-               for chi in chis]
-    rows = []
+    chis = spec.grid()
+    n = chis.size
+    fields = _empty_fields(len(scales) * n)
     mirrored = 0
-    for scale in map(float, scales):
+    for i, scale in enumerate(map(float, scales)):
         dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
-        point_rows, m = _chi_grid_rows(cavity, base_index, dye_s, l_max,
-                                       kappa_override, solver, chis,
-                                       [dye_s.gamma_up_pump])
+        part, m = _chi_grid_columns(cavity, base_index, dye_s, l_max,
+                                    kappa_override, solver, chis.tolist(),
+                                    [dye_s.gamma_up_pump])
         mirrored += m
-        rows += [[scale, chi, epsilon] + fields[0] for chi, epsilon, fields
-                 in zip(chis, eps_col, point_rows)]
-    columns = ["scale", "chi", "epsilon"] + _POINT_FIELDS
-    meta = _meta(rows, columns, time.perf_counter() - t0)
+        for name, column in fields.items():
+            column[i * n:(i + 1) * n] = part[name]
+    epsilon = (chis / chi_per_epsilon if chi_per_epsilon
+               else np.full(n, math.nan))
+    columns = {"scale": np.repeat(np.asarray(scales, dtype=float), n),
+               "chi": np.tile(chis, len(scales)),
+               "epsilon": np.tile(epsilon, len(scales)), **fields}
+    meta = _meta(columns, time.perf_counter() - t0)
     meta.update(axis=spec.axis, scales=list(scales),
                 pump=dye.gamma_up_pump, mirrored_points=mirrored)
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=columns, meta=meta)
 
 
 def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
@@ -345,23 +352,21 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     call: one lock-step root search on the exact route, while the
     pseudo-transient route seeds every point from the ones before it
     (secant_seed).  A column whose -chi came earlier in the grid is read
-    off that column's solve with its blocks swapped (_chi_grid_rows);
+    off that column's solve with its blocks swapped (_chi_grid_columns);
     meta counts those rows as mirrored_points.
     """
     t0 = time.perf_counter()
     chis = chi_spec.grid()
     pumps = pump_spec.grid()
-    per_chi, mirrored = _chi_grid_rows(cavity, base_index, dye, l_max,
-                                       kappa_override, solver, chis.tolist(),
-                                       pumps)
-    rows = [[chi, pump] + fields
-            for chi, column in zip(chis.tolist(), per_chi)
-            for pump, fields in zip(pumps.tolist(), column)]
-    columns = ["chi", "pump"] + _POINT_FIELDS
-    meta = _meta(rows, columns, time.perf_counter() - t0)
+    fields, mirrored = _chi_grid_columns(cavity, base_index, dye, l_max,
+                                         kappa_override, solver,
+                                         chis.tolist(), pumps)
+    columns = {"chi": np.repeat(chis, pumps.size),
+               "pump": np.tile(pumps, chis.size), **fields}
+    meta = _meta(columns, time.perf_counter() - t0)
     meta.update(axis1=chi_spec.axis, axis2=pump_spec.axis,
                 shape=[len(chis), len(pumps)], mirrored_points=mirrored)
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=columns, meta=meta)
 
 
 # --- sensitivity ----------------------------------------------------------

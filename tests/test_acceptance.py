@@ -132,10 +132,10 @@ def test_polarised_sweep_condenses_winner_takes_all(polarised_sweep):
     the winning block jumping by three decades across the knee."""
     res = polarised_sweep
     assert res.all_converged
-    pumps = res.column("pump")
-    s3 = res.column("S3")
-    n_L = res.column("N_L_total")
-    n_R = res.column("N_R_total")
+    pumps = res.columns["pump"]
+    s3 = res.columns["S3"]
+    n_L = res.columns["N_L_total"]
+    n_R = res.columns["N_R_total"]
 
     below = pumps < TEFF_L0
     above = pumps > TEFF_R0
@@ -163,7 +163,7 @@ def test_stokes_output_respects_the_chiral_symmetries():
     racemic = pump_sweep(cavity, MediumIndices(n_L=1.34, n_R=1.34),
                          make_dye(), 60, SolverConfig(), spec,
                          kappa_override=KAPPA)
-    s3 = racemic.column("S3")
+    s3 = racemic.columns["S3"]
     s3_resolution = 2.0 * (1e-6 * KAPPA) / KAPPA
     assert not np.any(np.isnan(s3))
     assert np.max(np.abs(s3)) <= 2.0 * s3_resolution       # measured 0.0
@@ -173,9 +173,9 @@ def test_stokes_output_respects_the_chiral_symmetries():
                       spacing="linear")
     mirrored = chi_sweep(cavity, 1.34, dye, 60, SolverConfig(), cspec,
                          kappa_override=KAPPA, scales=(1.0,))
-    cs3 = mirrored.column("S3")
-    cn_L = mirrored.column("N_L_total")
-    cn_R = mirrored.column("N_R_total")
+    cs3 = mirrored.columns["S3"]
+    cn_L = mirrored.columns["N_L_total"]
+    cn_R = mirrored.columns["N_R_total"]
     for i in range(9):
         assert cs3[i] == -cs3[8 - i]
         assert cn_L[i] == cn_R[8 - i]
@@ -203,8 +203,8 @@ def test_frozen_loser_trace_tracks_the_full_solution(polarised_sweep):
     """Above the winner's knee the two-mode frozen-loser shortcut stays
     within 0.15 of the full 402-mode Stokes parameter."""
     res = polarised_sweep
-    pumps = res.column("pump")
-    gap = np.abs(res.column("S3_pinned") - res.column("S3"))
+    pumps = res.columns["pump"]
+    gap = np.abs(res.columns["S3_pinned"] - res.columns["S3"])
     condensed = pumps > TEFF_L0
     assert np.max(gap[condensed]) <= 0.15                  # measured 0.026
 
@@ -283,10 +283,10 @@ def test_both_solver_routes_agree_along_the_sweep(polarised_sweep):
                            FULL_L_MAX, SolverConfig(mode="semi_dynamical"),
                            FULL_GRID, kappa_override=KAPPA)
     assert dynamical.all_converged
-    total_fp = (polarised_sweep.column("N_L_total")
-                + polarised_sweep.column("N_R_total"))
-    total_sd = (dynamical.column("N_L_total")
-                + dynamical.column("N_R_total"))
+    total_fp = (polarised_sweep.columns["N_L_total"]
+                + polarised_sweep.columns["N_R_total"])
+    total_sd = (dynamical.columns["N_L_total"]
+                + dynamical.columns["N_R_total"])
     agreement = np.max(np.abs(total_fp - total_sd) / total_fp)
     assert agreement <= 1e-4                               # measured 1.4e-5
 

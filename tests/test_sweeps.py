@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from polarbec import (
     SolverConfig,
     SolventParams,
     SteadyState,
+    SweepResult,
     SweepSpec,
     build_mode_set,
     build_rate_table,
@@ -32,7 +35,7 @@ from polarbec import (
 from polarbec import dynamics
 from polarbec.config import default_config
 from polarbec.dynamics import RateSystem, steady_states
-from polarbec.sweeps import _POINT_FIELDS, _point_rows
+from polarbec.sweeps import _POINT_FIELDS, _meta, _readout
 
 from conftest import (
     DN_L0,
@@ -56,6 +59,23 @@ METHANOL = SolventParams(number_density=1.488e28, base_index=1.34,
 def small_modes(l_max=1):
     return build_mode_set(make_cavity(), SWEEP_INDICES, l_max,
                           kappa_override=KAPPA)
+
+
+def table(res):
+    """The sweep table as floats, one row per CSV row."""
+    return np.column_stack(list(res.columns.values())).astype(float)
+
+
+def point_columns(states, ladder):
+    """The per-point columns of row-stacked steady states on a ladder."""
+    point = {**vars(states), **_readout(states.N, ladder)}
+    return {name: point[name] for name in _POINT_FIELDS}
+
+
+def assert_same_columns(got: dict, want: dict):
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
 
 
 def state_for(N, p_e=0.3):
@@ -160,6 +180,14 @@ def test_sweep_spec_guards():
                   spacing="log")
     with pytest.raises(ValueError):
         SweepSpec(axis="pump", start=1e10, stop=1e8, points=5)
+    # a non-finite endpoint would otherwise give [nan, nan, 1] and
+    # [nan, inf, inf] (with a RuntimeWarning)
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(axis="chi", start=float("nan"), stop=1.0, points=3,
+                  spacing="linear")
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(axis="pump", start=1e8, stop=float("inf"), points=3,
+                  spacing="log")
 
 
 # --- pump sweep -----------------------------------------------------------------
@@ -170,10 +198,10 @@ def test_pump_sweep_achiral_medium_keeps_exact_balance():
     res = pump_sweep(make_cavity(), MediumIndices(1.34, 1.34), make_dye(),
                      40, SOLVER, spec, kappa_override=KAPPA)
     assert res.all_converged
-    assert np.all(res.column("S3") == 0.0)
-    assert np.all(res.column("S3_pinned") == 0.0)
-    assert np.array_equal(res.column("N_L_total"), res.column("N_R_total"))
-    totals = res.column("N_L_total") + res.column("N_R_total")
+    assert np.all(res.columns["S3"] == 0.0)
+    assert np.all(res.columns["S3_pinned"] == 0.0)
+    assert np.array_equal(res.columns["N_L_total"], res.columns["N_R_total"])
+    totals = res.columns["N_L_total"] + res.columns["N_R_total"]
     assert np.all(np.diff(totals) > 0.0)
 
 
@@ -183,22 +211,20 @@ def test_pump_sweep_repeats_identically():
                    spec, kappa_override=KAPPA)
     b = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 30, SOLVER,
                    spec, kappa_override=KAPPA)
-    assert a.columns == b.columns
-    for name in a.columns:
-        assert np.array_equal(a.column(name), b.column(name))
+    assert_same_columns(a.columns, b.columns)
 
 
 def test_pump_sweep_column_layout():
     spec = SweepSpec(axis="pump", start=1e9, stop=2e9, points=2)
     res = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 5, SOLVER,
                      spec, kappa_override=KAPPA)
-    assert res.columns == [
+    assert list(res.columns) == [
         "pump", "N_L_total", "N_R_total", "N_ground_L", "N_ground_R",
         "S3", "S3_ground", "S3_pinned", "p_e", "residual_norm",
         "iterations", "converged"]
-    assert res.column("pump") == pytest.approx([1e9, 2e9], rel=1e-12)
-    with pytest.raises(ValueError):
-        res.column("no_such_column")
+    assert res.columns["pump"] == pytest.approx([1e9, 2e9], rel=1e-12)
+    assert res.columns["iterations"].dtype.kind == "i"
+    assert res.columns["converged"].dtype == bool
 
 
 def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
@@ -214,9 +240,9 @@ def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
                          config.kappa_override)
     sys_ = RateSystem.from_tables(build_rate_table(config.dye, ladder),
                                   ladder, config.dye)
-    column = _point_rows(steady_states(sys_, spec.grid(), pt), ladder)
-    fields = [res.columns.index(name) for name in _POINT_FIELDS]
-    assert [[row[i] for i in fields] for row in res.rows] == column
+    column = point_columns(steady_states(sys_, spec.grid(), pt), ladder)
+    assert_same_columns({name: res.columns[name] for name in _POINT_FIELDS},
+                        column)
 
 
 def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
@@ -229,7 +255,7 @@ def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
     assert kappa_L != kappa_R
     spec = SweepSpec(axis="pump", start=1e8, stop=1.2e9, points=4)
     res = pump_sweep(cavity, SWEEP_INDICES, dye, 5, SOLVER, spec)
-    for pump, s3 in zip(res.column("pump"), res.column("S3_pinned")):
+    for pump, s3 in zip(res.columns["pump"], res.columns["S3_pinned"]):
         N_L = single_mode_exact(pump, kappa_L, dye.gamma_down, UP_L0, DN_L0,
                                 dye.M)
         N_R = single_mode_exact(pump, kappa_R, dye.gamma_down, UP_R0, DN_R0,
@@ -256,9 +282,9 @@ def test_chi_sweep_is_antisymmetric_pointwise():
                      spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 30, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
-    s3 = res.column("S3")
-    nL = res.column("N_L_total")
-    nR = res.column("N_R_total")
+    s3 = res.columns["S3"]
+    nL = res.columns["N_L_total"]
+    nR = res.columns["N_R_total"]
     assert res.all_converged
     for i in range(9):
         assert s3[i] == -s3[8 - i]
@@ -271,12 +297,12 @@ def test_chi_sweep_scale_family_layout():
                      spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 10, SOLVER, spec,
                     kappa_override=KAPPA, scales=(0.5, 1.0))
-    assert res.columns[:3] == ["scale", "chi", "epsilon"]
-    assert list(res.column("scale")) == [0.5] * 3 + [1.0] * 3
-    assert np.all(np.isnan(res.column("epsilon")))
+    assert list(res.columns)[:3] == ["scale", "chi", "epsilon"]
+    assert list(res.columns["scale"]) == [0.5] * 3 + [1.0] * 3
+    assert np.all(np.isnan(res.columns["epsilon"]))
     # the absorption scale changes the physics, not just the labels
-    s3_half = res.column("S3")[:3]
-    s3_unit = res.column("S3")[3:]
+    s3_half = res.columns["S3"][:3]
+    s3_unit = res.columns["S3"][3:]
     assert not np.array_equal(s3_half, s3_unit)
 
 
@@ -285,12 +311,12 @@ def test_chi_sweep_reports_the_excess_behind_each_point():
                      spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,), chi_per_epsilon=1e-5)
-    assert list(res.column("epsilon")) == [chi / 1e-5 for chi in spec.grid()]
+    assert list(res.columns["epsilon"]) == [chi / 1e-5 for chi in spec.grid()]
     for unit in (None, 0.0):
         res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
                         kappa_override=KAPPA, scales=(1.0,),
                         chi_per_epsilon=unit)
-        assert np.all(np.isnan(res.column("epsilon")))
+        assert np.all(np.isnan(res.columns["epsilon"]))
 
 
 def test_chi_sweep_rows_equal_per_point_solves():
@@ -298,8 +324,9 @@ def test_chi_sweep_rows_equal_per_point_solves():
                      spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0, 2.0))
-    assert len(res.rows) == 10
-    for row in res.rows:
+    rows = table(res)
+    assert len(rows) == 10
+    for row in rows:
         scale, chi = row[0], row[1]
         dye = make_dye(5e9)
         dye = replace(dye, gamma_up0=dye.gamma_up0 * scale)
@@ -324,7 +351,7 @@ def test_chi_sweep_even_symmetric_grid_equals_per_point_solves():
     res = chi_sweep(make_cavity(), 1.34, dye, 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
     assert res.meta["mirrored_points"] == 3
-    for row in res.rows:
+    for row in table(res):
         modes = build_mode_set(make_cavity(), refractive_indices(1.34, row[1]),
                                20, kappa_override=KAPPA)
         steady = find_steady_state(build_rate_table(dye, modes), modes, dye,
@@ -359,13 +386,13 @@ def test_grid_sweep_layout_and_racemic_balance():
     pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=4)
     res = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
                      pump_spec, kappa_override=KAPPA)
-    assert res.columns[:2] == ["chi", "pump"]
-    assert len(res.rows) == 12
-    chis = res.column("chi")
+    assert list(res.columns)[:2] == ["chi", "pump"]
+    assert len(res.columns["chi"]) == 12
+    chis = res.columns["chi"]
     assert list(chis) == [-1e-5] * 4 + [0.0] * 4 + [1e-5] * 4
-    assert list(res.column("pump")) == pump_spec.grid().tolist() * 3
+    assert list(res.columns["pump"]) == pump_spec.grid().tolist() * 3
     # the racemic column keeps exact balance; the chiral columns break it
-    s3 = res.column("S3")
+    s3 = res.columns["S3"]
     assert np.all(s3[4:8] == 0.0)
     assert s3[3] > 0.9   # L-favouring chi at strong pump
     assert s3[11] < -0.9
@@ -383,17 +410,77 @@ def test_grid_sweep_mirrored_columns_equal_their_own_solves(mode, kappa):
     res = grid_sweep(make_cavity(), 1.34, dye, 20, solver, chi_spec,
                      pump_spec, kappa_override=kappa)
     assert res.meta["mirrored_points"] == 2 * 6
-    rows = np.array(res.rows, dtype=float)
+    rows = table(res)
     for k, chi in enumerate(chi_spec.grid().tolist()):
         ladder = mode_ladder(make_cavity(), refractive_indices(1.34, chi), 20,
                              kappa)
         sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder,
                                       dye)
         states = steady_states(sys_, pump_spec.grid(), solver)
-        own = [[chi, pump] + fields for pump, fields
-               in zip(pump_spec.grid().tolist(), _point_rows(states, ladder))]
-        assert np.array_equal(rows[6 * k:6 * (k + 1)],
-                              np.array(own, dtype=float), equal_nan=True)
+        own = np.column_stack([np.full(6, chi), pump_spec.grid(),
+                               *point_columns(states, ladder).values()])
+        assert np.array_equal(rows[6 * k:6 * (k + 1)], own, equal_nan=True)
+
+
+# --- the sweep table ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("residuals", [[1.0, math.nan], [math.nan, 1.0]])
+def test_max_residual_norm_is_nan_when_any_row_is(residuals):
+    # Python's max is order-dependent on NaN: max([1.0, nan]) is 1.0
+    meta = _meta({"residual_norm": np.array(residuals),
+                  "iterations": np.array([3, 5]),
+                  "converged": np.array([True, False])}, 0.5)
+    assert math.isnan(meta["max_residual_norm"])
+    assert [meta[k] for k in ("points", "converged_points",
+                              "iterations_total", "iterations_max")] == [
+        2, 1, 8, 5]
+    finite = _meta({"residual_norm": np.array([1.0, 2.0]),
+                    "iterations": np.array([3, 5]),
+                    "converged": np.array([True, True])}, 0.5)
+    assert finite["max_residual_norm"] == 2.0
+
+
+def test_all_converged_reads_the_converged_column():
+    # the column decides, whatever the summary counts say
+    meta = {"points": 2, "converged_points": 2}
+    assert not SweepResult({"converged": np.array([True, False])},
+                           meta).all_converged
+    assert SweepResult({"converged": np.array([True, True])},
+                       meta).all_converged
+
+
+def test_sweeps_keep_no_occupations():
+    # a sweep keeps its table, never a point's occupations: 200 pumps and
+    # 100 chi on the default 402-mode ladder peak about 30 one-point
+    # occupation vectors above the table (the ladder, the rate arrays and
+    # one solve's temporaries).  Keeping each point's SteadyState in
+    # pump_sweep, or per-chi readouts whose ground columns are views into
+    # N, keeps one more vector per point (255 and 180 measured).
+    config = default_config()
+    ladder = mode_ladder(config.cavity, config.medium_indices(),
+                         config.l_max, config.kappa_override)
+    runs = {
+        "pump": lambda: pump_sweep(
+            config.cavity, config.medium_indices(), config.dye, config.l_max,
+            config.solver, SweepSpec(axis="pump", start=1e8, stop=1e10,
+                                     points=200), config.kappa_override),
+        "chi": lambda: chi_sweep(
+            config.cavity, config.base_index(), config.dye, config.l_max,
+            config.solver, SweepSpec(axis="chi", start=-3e-5, stop=3e-5,
+                                     points=100, spacing="linear"),
+            config.kappa_override, scales=(1.0,)),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            res = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.all_converged
+        table = sum(column.nbytes for column in res.columns.values())
+        assert peak < table + 64 * ladder.size * 8, (name, peak, table)
 
 
 # --- sensitivity probe -------------------------------------------------------------
@@ -421,7 +508,7 @@ def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK_ELEMENTS", 3 * 62)
     split = run()
     assert chunks == [3, 3, 3, 1] * 2
-    assert split.rows == whole.rows
+    assert_same_columns(split.columns, whole.columns)
 
 
 def test_sensitivity_resolves_the_transition_slope():
