@@ -313,9 +313,10 @@ def parse_config(text: str) -> RunConfig:
     excess, a sensitivity excess or step outside (0, 1), a grid pump
     count below 1, an absorption scale that gives no valid dye at
     gamma_up0 * scale, a lossless cavity (mirror_loss = 0) without a
-    kappa_override, and a dye and cavity that leave some mode with a
-    zero or non-finite rate are errors; _check_solvable checks the
-    scales, the chi endpoints, the sample and the rates in one pass.
+    kappa_override, a kappa_override of zero or below, and a dye and
+    cavity that leave some mode with a zero or non-finite rate are
+    errors; _check_solvable checks the scales, the chi endpoints, the
+    sample and the rates in one pass.
     Retired keys are ignored with one warning each.
     """
     parser = _read_ini(text)
@@ -359,6 +360,9 @@ def parse_config(text: str) -> RunConfig:
             # the ladder needs a positive kappa for every mode
             raise ConfigError("[cavity] mirror_loss = 0 gives the modes no "
                               "decay rate; set [cavity] kappa_override")
+        if kappa_override is not None and not kappa_override > 0:
+            raise ConfigError(f"[cavity] kappa_override must be positive, "
+                              f"got {kappa_override!r} Hz")
 
         indices = sample = solvent = None
         if has_index:
@@ -375,8 +379,8 @@ def parse_config(text: str) -> RunConfig:
         solver = build(SolverConfig, "solver")
         sweep = build(
             SweepSettings, "sweep",
-            pump=build(SweepSpec, "sweep", "pump_", axis="pump"),
-            chi=build(SweepSpec, "sweep", "chi_", axis="chi"))
+            pump=build(SweepSpec, "sweep", "pump_"),
+            chi=build(SweepSpec, "sweep", "chi_"))
         if l_max < 0:
             raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
         if sweep.grid_pump_points < 1:

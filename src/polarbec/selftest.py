@@ -11,9 +11,11 @@ run in well under a second and catch most wiring mistakes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .analytic import single_mode_exact
+from .analytic import single_mode_exact, threshold_pump
 from .cavity import (CavityParams, MediumIndices, ModeLadder, mode_ladder,
                      cutoff_frequency, effective_mass, lateral_frequency)
 from .chiral import ChiralSample, SolventParams, chi_from_sample, chi_quick
@@ -35,15 +37,6 @@ def _one_mode(omega: float) -> ModeLadder:
     """A ladder of one L-polarised ground mode at omega, loss _KAPPA."""
     return ModeLadder(l=np.zeros(1, dtype=int), omega=np.array([omega]),
                       kappa=np.array([_KAPPA]), n_left=1)
-
-
-def _single_mode(pump: float):
-    ladder = _one_mode(cutoff_frequency(_CAVITY, 1.3435))
-    dye = DyeParams(Omega0=_DYE.Omega0, DeltaOmega=_DYE.DeltaOmega,
-                    linewidth=_DYE.linewidth, gamma_down0=_DYE.gamma_down0,
-                    gamma_up0=_DYE.gamma_up0, gamma_down=_DYE.gamma_down,
-                    gamma_up_pump=pump, M=_DYE.M)
-    return ladder, build_rate_table(dye, ladder), dye
 
 
 def check_mode_ladder():
@@ -94,13 +87,15 @@ def check_chirality_chain():
 
 
 def check_single_mode_oracle():
+    # the mode's rates do not depend on the pump
+    ladder = _one_mode(cutoff_frequency(_CAVITY, 1.3435))
+    rates = build_rate_table(_DYE, ladder)
+    up = float(rates.gamma_up[0])
+    dn = float(rates.gamma_down[0])
+    tau = threshold_pump(_DYE.gamma_down, up, dn)
     results = []
     for frac in (0.4, 2.0):
-        ladder, rates, dye = _single_mode(1.0)
-        up = float(rates.gamma_up[0])
-        dn = float(rates.gamma_down[0])
-        tau = dye.gamma_down * up / dn
-        ladder, rates, dye = _single_mode(frac * tau)
+        dye = replace(_DYE, gamma_up_pump=frac * tau)
         exact = single_mode_exact(frac * tau, _KAPPA, dye.gamma_down, up, dn,
                                   dye.M)
         # the seeded fixed point lands on the exact root; the dynamical

@@ -31,15 +31,16 @@ Sweep drivers:
 * sensitivity: central-difference slope dS3/depsilon at an operating
   point, with automatic step control and a noise-dominated flag when
   the S3 difference falls below what the solver tolerance can resolve.
+  Each bracket is a two-chi column, one chi per end.
 
 Every rate system comes from RateSystem.from_tables on a ModeLadder and
 its RateTable, so every sweep gets the same rate checks.  chi_sweep,
-grid_sweep and sensitivity share one per-chi solve (_solve_at_chi) and
-run in one process, in grid order.  chi -> -chi swaps the two blocks
-exactly, so chi_sweep and grid_sweep walk their chi grid through
-_chi_grid_columns: a point whose -chi came earlier in the grid is read
-off that solve's swapped blocks, not solved again, and the manifest
-counts those rows as mirrored_points.  A symmetric linear grid
+grid_sweep and sensitivity run in one process, in grid order, and turn
+each chi into its ladder, solved column and readout in one place,
+_chi_grid_columns.  chi -> -chi swaps the two blocks exactly, so a
+point whose -chi came earlier in the grid is read off that solve's
+swapped blocks, not solved again, and the manifest counts those rows as
+mirrored_points.  A symmetric linear grid
 (SweepSpec.grid) pairs every point but a zero midpoint.  A sweep's
 table is SweepResult.columns, one typed array per CSV column.  stokes_s3
 and the batched drivers share one array readout and fill the same
@@ -133,7 +134,6 @@ def stokes_s3(steady: SteadyState, ladder: ModeLadder) -> Observables:
 class SweepSpec:
     """One sweep axis: the grid definition."""
 
-    axis: str
     start: float
     stop: float
     points: int
@@ -195,19 +195,13 @@ def _empty_fields(rows: int) -> dict:
             for name, dtype in _POINT_FIELDS.items()}
 
 
-def _solve_at_chi(cavity, base_index, dye, l_max, kappa_override, solver,
-                  chi, pumps):
-    """Ladder and row-stacked steady states at one chi, one row per pump."""
-    ladder = mode_ladder(cavity, refractive_indices(base_index, chi), l_max,
-                         kappa_override)
-    sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye)
-    return ladder, steady_states(sys_, pumps, solver)
-
-
 def _chi_grid_columns(cavity, base_index, dye, l_max, kappa_override, solver,
                       chis, pumps):
     """The _POINT_FIELDS of a chi grid, chi-major with one row per pump,
     and how many of those rows were read off a mirror partner's solve.
+
+    Each solved chi gets its ladder, rate table and rate system here and
+    its pump grid in one steady_states call.
 
     chi -> -chi swaps n_L and n_R, so the ladder at -chi is the one at chi
     with its two blocks swapped (mode_ladder gives both l = 0 .. l_max),
@@ -226,8 +220,11 @@ def _chi_grid_columns(cavity, base_index, dye, l_max, kappa_override, solver,
     for k, chi in enumerate(chis):
         if k in done:
             continue
-        ladder, states = _solve_at_chi(cavity, base_index, dye, l_max,
-                                       kappa_override, solver, chi, pumps)
+        ladder = mode_ladder(cavity, refractive_indices(base_index, chi),
+                             l_max, kappa_override)
+        states = steady_states(
+            RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye),
+            pumps, solver)
         slots = {k: states.N}
         j = last.get(-chi, k)
         if j > k and j not in done:
@@ -337,7 +334,7 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
                "chi": np.tile(chis, len(scales)),
                "epsilon": np.tile(epsilon, len(scales)), **fields}
     meta = _meta(columns, time.perf_counter() - t0)
-    meta.update(axis=spec.axis, scales=list(scales),
+    meta.update(axis="chi", scales=list(scales),
                 pump=dye.gamma_up_pump, mirrored_points=mirrored)
     return SweepResult(columns=columns, meta=meta)
 
@@ -364,7 +361,7 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     columns = {"chi": np.repeat(chis, pumps.size),
                "pump": np.tile(pumps, chis.size), **fields}
     meta = _meta(columns, time.perf_counter() - t0)
-    meta.update(axis1=chi_spec.axis, axis2=pump_spec.axis,
+    meta.update(axis1="chi", axis2="pump",
                 shape=[len(chis), len(pumps)], mirrored_points=mirrored)
     return SweepResult(columns=columns, meta=meta)
 
@@ -430,34 +427,29 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     while h > h_limit:
         h *= 0.5
 
-    converged = []
+    # each bracket is one two-chi column; both ends lie at epsilon >= 0,
+    # so they are never a mirror pair and each end is solved
+    points = converged_points = 0
+    for doublings in range(MAX_DOUBLINGS + 1):
+        if doublings:
+            h *= 2.0
+        lo, hi = epsilon - h, epsilon + h
+        columns, _ = _chi_grid_columns(
+            cavity, solvent.base_index, dye, l_max, kappa_override, solver,
+            [chi_from_sample(replace(sample, epsilon=eps), solvent)
+             for eps in (lo, hi)],
+            [dye.gamma_up_pump])
+        s_lo, s_hi = columns["S3"].tolist()
+        points += 2
+        converged_points += int(np.count_nonzero(columns["converged"]))
+        noise_dominated = abs(s_hi - s_lo) < noise_floor
+        if not (noise_dominated and 2.0 * h <= h_limit):
+            break
 
-    def s3_at(eps: float) -> float:
-        chi = chi_from_sample(replace(sample, epsilon=eps), solvent)
-        ladder, states = _solve_at_chi(cavity, solvent.base_index, dye, l_max,
-                                       kappa_override, solver, chi,
-                                       [dye.gamma_up_pump])
-        converged.append(bool(states.converged[0]))
-        return float(_readout(states.N, ladder)["S3"][0])
-
-    def bracket(hh: float):
-        lo, hi = epsilon - hh, epsilon + hh
-        return lo, hi, s3_at(lo), s3_at(hi)
-
-    lo, hi, s_lo, s_hi = bracket(h)
-    doublings = 0
-    while (abs(s_hi - s_lo) < noise_floor and doublings < MAX_DOUBLINGS
-           and 2.0 * h <= h_limit):
-        h *= 2.0
-        doublings += 1
-        lo, hi, s_lo, s_hi = bracket(h)
-
-    noise_dominated = abs(s_hi - s_lo) < noise_floor
     slope = (s_hi - s_lo) / (hi - lo)
     return SensitivityReport(epsilon=epsilon, slope=slope, step=h,
                              epsilon_minus=lo, epsilon_plus=hi,
                              S3_minus=s_lo, S3_plus=s_hi,
                              noise_dominated=noise_dominated,
-                             points=len(converged),
-                             converged_points=sum(converged))
-
+                             points=points,
+                             converged_points=converged_points)

@@ -56,8 +56,7 @@ METHANOL = SolventParams(number_density=1.488e28, base_index=1.34,
                          wavelength=546e-9)
 
 # 100 pump points across both condensation knees, full 402-mode ladder
-FULL_GRID = SweepSpec(axis="pump", start=1e8, stop=1e10, points=100,
-                      spacing="log")
+FULL_GRID = SweepSpec(start=1e8, stop=1e10, points=100, spacing="log")
 FULL_L_MAX = 200
 
 
@@ -158,8 +157,7 @@ def test_stokes_output_respects_the_chiral_symmetries():
     S3 pointwise; relabelling the polarisations swaps the blocks exactly."""
     cavity = make_cavity()
 
-    spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=15,
-                     spacing="log")
+    spec = SweepSpec(start=1e8, stop=1e10, points=15, spacing="log")
     racemic = pump_sweep(cavity, MediumIndices(n_L=1.34, n_R=1.34),
                          make_dye(), 60, SolverConfig(), spec,
                          kappa_override=KAPPA)
@@ -169,8 +167,7 @@ def test_stokes_output_respects_the_chiral_symmetries():
     assert np.max(np.abs(s3)) <= 2.0 * s3_resolution       # measured 0.0
 
     dye = make_dye(6e9)
-    cspec = SweepSpec(axis="chi", start=-2.72e-5, stop=2.72e-5, points=9,
-                      spacing="linear")
+    cspec = SweepSpec(start=-2.72e-5, stop=2.72e-5, points=9, spacing="linear")
     mirrored = chi_sweep(cavity, 1.34, dye, 60, SolverConfig(), cspec,
                          kappa_override=KAPPA, scales=(1.0,))
     cs3 = mirrored.columns["S3"]

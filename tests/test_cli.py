@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -417,6 +418,54 @@ def test_sensitivity_needs_a_sample_medium(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+# --- gnuplot companions ------------------------------------------------------------
+
+
+def plotted_columns(script: str, out) -> list:
+    """(file, fields) per plot of a gnuplot script: each `using` field as
+    the CSV header names of the columns it reads, $k inside a bracketed
+    expression or a bare k."""
+    plots = []
+    for name, spec in re.findall(r'"([^"]+)" skip 1 using (\S+)', script):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        fields, depth, field = [], 0, ""
+        for ch in spec + ":":
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if ch == ":" and depth == 0:
+                refs = ([field] if field.isdigit()
+                        else re.findall(r"\$(\d+)", field))
+                fields.append([header[int(k) - 1] for k in refs])
+                field = ""
+            else:
+                field += ch
+        plots.append((name, fields))
+    return plots
+
+
+@pytest.mark.parametrize("command, script, expected", [
+    ("sweep-pump", "pump_sweep.gp",
+     [("pump_sweep.csv", [["pump"], [total]]) for total in
+      ("N_L_total", "N_R_total", "S3", "S3_pinned")]),
+    # the chi curve of each scale is selected by the scale column
+    ("sweep-chi", "chi_sweep.gp",
+     [("chi_sweep.csv", [["scale", "chi"], ["S3"]])]),
+    ("sweep-grid", "grid.gp", [("grid.csv", [["pump"], ["chi"], ["S3"]])]),
+    ("spectrum", "spectrum.gp",
+     [("dye_spectrum.csv", [["omega"], ["gamma_down"]]),
+      ("dye_spectrum.csv", [["omega"], ["gamma_up"]]),
+      ("mode_markers.csv", [["omega"], ["gamma_down"]])]),
+])
+def test_plot_scripts_read_the_columns_they_name(tmp_path, small_config,
+                                                 command, script, expected):
+    # the scripts address CSV columns by number; a reordered table must
+    # not plot the wrong quantity
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", small_config, "--out",
+                   str(out)) == EXIT_OK
+    assert plotted_columns((out / script).read_text(), out) == expected
+
+
 # --- the one finishing path ----------------------------------------------------------
 
 
@@ -517,6 +566,10 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-chi", "[sweep]\nscales = 1, 1e281\n"),
     ("modes", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
     ("sweep-pump", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
+    # the mode ladder would raise on a decay rate of zero or below
+    *[(command, f"[cavity]\nkappa_override = {value}\n")
+      for command in ("threshold", "modes", "sweep-pump")
+      for value in ("0 Hz", "-1 Hz")],
 ])
 def test_sweep_inputs_that_would_crash_exit_with_config_code(tmp_path,
                                                              command, text):

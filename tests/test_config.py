@@ -363,6 +363,9 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[dye]\nlinewidth = 1e160 THz\n", "linewidth"),
     # a lossless cavity leaves the ladder without a decay rate
     ("[cavity]\nmirror_loss = 0\nkappa_override = none\n", "mirror_loss"),
+    # so does a decay rate of zero or below
+    ("[cavity]\nkappa_override = 0 Hz\n", "kappa_override must be positive"),
+    ("[cavity]\nkappa_override = -1 Hz\n", "kappa_override must be positive"),
     # a mode whose rate rounds to zero, at the run's medium or only with
     # a scaled absorption, or a ladder whose spacing divides by zero
     ("[dye]\nlinewidth = 1e-170 Hz\n", "gamma_down of mode 0 is 0.0"),

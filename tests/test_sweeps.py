@@ -21,6 +21,7 @@ from polarbec import (
     build_mode_set,
     build_rate_table,
     cavity_decay,
+    chi_from_sample,
     chi_sweep,
     find_steady_state,
     grid_sweep,
@@ -129,21 +130,19 @@ def test_stokes_refuses_two_ground_modes_in_a_block():
 
 
 def test_sweep_spec_grids():
-    log = SweepSpec(axis="pump", start=1e8, stop=1e10, points=3,
-                    spacing="log")
+    log = SweepSpec(start=1e8, stop=1e10, points=3, spacing="log")
     assert log.grid() == pytest.approx([1e8, 1e9, 1e10], rel=1e-12)
-    lin = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=5,
-                    spacing="linear")
+    lin = SweepSpec(start=-1e-5, stop=1e-5, points=5, spacing="linear")
     assert lin.grid() == pytest.approx([-1e-5, -5e-6, 0.0, 5e-6, 1e-5],
                                        abs=1e-20)
-    single = SweepSpec(axis="pump", start=2e9, stop=9e9, points=1)
+    single = SweepSpec(start=2e9, stop=9e9, points=1)
     assert single.grid() == pytest.approx([2e9])
 
 
 @pytest.mark.parametrize("points", [2, 5, 60, 61, 244])
 def test_symmetric_linear_grids_are_exact_mirrors(points):
     for stop in (1e-5, 3.0e-5 * 1.0123, 0.01 * 0.97):
-        g = SweepSpec(axis="chi", start=-stop, stop=stop, points=points,
+        g = SweepSpec(start=-stop, stop=stop, points=points,
                       spacing="linear").grid()
         assert np.array_equal(g, -g[::-1])
         assert g[0] == -stop and g[-1] == stop
@@ -161,8 +160,7 @@ def test_linear_grids_track_linspace_within_a_few_ulps():
             b = max(abs(a), abs(b))
             a = -b
         points = int(rng.integers(2, 300))
-        g = SweepSpec(axis="chi", start=a, stop=b, points=points,
-                      spacing="linear").grid()
+        g = SweepSpec(start=a, stop=b, points=points, spacing="linear").grid()
         ref = np.linspace(a, b, points)
         assert g[0] == a and g[-1] == b
         assert np.all(np.diff(g) >= 0.0)
@@ -171,30 +169,26 @@ def test_linear_grids_track_linspace_within_a_few_ulps():
 
 def test_sweep_spec_guards():
     with pytest.raises(ValueError):
-        SweepSpec(axis="pump", start=1e8, stop=1e10, points=0)
+        SweepSpec(start=1e8, stop=1e10, points=0)
     with pytest.raises(ValueError):
-        SweepSpec(axis="pump", start=1e8, stop=1e10, points=5,
-                  spacing="cubic")
+        SweepSpec(start=1e8, stop=1e10, points=5, spacing="cubic")
     with pytest.raises(ValueError):
-        SweepSpec(axis="pump", start=-1.0, stop=1e10, points=5,
-                  spacing="log")
+        SweepSpec(start=-1.0, stop=1e10, points=5, spacing="log")
     with pytest.raises(ValueError):
-        SweepSpec(axis="pump", start=1e10, stop=1e8, points=5)
+        SweepSpec(start=1e10, stop=1e8, points=5)
     # a non-finite endpoint would otherwise give [nan, nan, 1] and
     # [nan, inf, inf] (with a RuntimeWarning)
     with pytest.raises(ValueError, match="finite"):
-        SweepSpec(axis="chi", start=float("nan"), stop=1.0, points=3,
-                  spacing="linear")
+        SweepSpec(start=float("nan"), stop=1.0, points=3, spacing="linear")
     with pytest.raises(ValueError, match="finite"):
-        SweepSpec(axis="pump", start=1e8, stop=float("inf"), points=3,
-                  spacing="log")
+        SweepSpec(start=1e8, stop=float("inf"), points=3, spacing="log")
 
 
 # --- pump sweep -----------------------------------------------------------------
 
 
 def test_pump_sweep_achiral_medium_keeps_exact_balance():
-    spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=8)
+    spec = SweepSpec(start=1e8, stop=1e10, points=8)
     res = pump_sweep(make_cavity(), MediumIndices(1.34, 1.34), make_dye(),
                      40, SOLVER, spec, kappa_override=KAPPA)
     assert res.all_converged
@@ -206,7 +200,7 @@ def test_pump_sweep_achiral_medium_keeps_exact_balance():
 
 
 def test_pump_sweep_repeats_identically():
-    spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=6)
+    spec = SweepSpec(start=1e8, stop=1e10, points=6)
     a = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 30, SOLVER,
                    spec, kappa_override=KAPPA)
     b = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 30, SOLVER,
@@ -215,7 +209,7 @@ def test_pump_sweep_repeats_identically():
 
 
 def test_pump_sweep_column_layout():
-    spec = SweepSpec(axis="pump", start=1e9, stop=2e9, points=2)
+    spec = SweepSpec(start=1e9, stop=2e9, points=2)
     res = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 5, SOLVER,
                      spec, kappa_override=KAPPA)
     assert list(res.columns) == [
@@ -233,7 +227,7 @@ def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
     # column, bit for bit, iterations included
     config = default_config()
     pt = replace(config.solver, mode="semi_dynamical")
-    spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=200)
+    spec = SweepSpec(start=1e8, stop=1e10, points=200)
     res = pump_sweep(config.cavity, config.medium_indices(), config.dye,
                      config.l_max, pt, spec, config.kappa_override)
     ladder = mode_ladder(config.cavity, config.medium_indices(), config.l_max,
@@ -253,7 +247,7 @@ def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
     kappa_L = cavity_decay(cavity, SWEEP_INDICES.n_L)
     kappa_R = cavity_decay(cavity, SWEEP_INDICES.n_R)
     assert kappa_L != kappa_R
-    spec = SweepSpec(axis="pump", start=1e8, stop=1.2e9, points=4)
+    spec = SweepSpec(start=1e8, stop=1.2e9, points=4)
     res = pump_sweep(cavity, SWEEP_INDICES, dye, 5, SOLVER, spec)
     for pump, s3 in zip(res.columns["pump"], res.columns["S3_pinned"]):
         N_L = single_mode_exact(pump, kappa_L, dye.gamma_down, UP_L0, DN_L0,
@@ -278,8 +272,7 @@ def test_doubling_the_molecule_number_doubles_the_condensate():
 
 
 def test_chi_sweep_is_antisymmetric_pointwise():
-    spec = SweepSpec(axis="chi", start=-2e-5, stop=2e-5, points=9,
-                     spacing="linear")
+    spec = SweepSpec(start=-2e-5, stop=2e-5, points=9, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 30, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
     s3 = res.columns["S3"]
@@ -293,8 +286,7 @@ def test_chi_sweep_is_antisymmetric_pointwise():
 
 
 def test_chi_sweep_scale_family_layout():
-    spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=3,
-                     spacing="linear")
+    spec = SweepSpec(start=-1e-5, stop=1e-5, points=3, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 10, SOLVER, spec,
                     kappa_override=KAPPA, scales=(0.5, 1.0))
     assert list(res.columns)[:3] == ["scale", "chi", "epsilon"]
@@ -307,8 +299,7 @@ def test_chi_sweep_scale_family_layout():
 
 
 def test_chi_sweep_reports_the_excess_behind_each_point():
-    spec = SweepSpec(axis="chi", start=1e-6, stop=3e-6, points=3,
-                     spacing="linear")
+    spec = SweepSpec(start=1e-6, stop=3e-6, points=3, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,), chi_per_epsilon=1e-5)
     assert list(res.columns["epsilon"]) == [chi / 1e-5 for chi in spec.grid()]
@@ -320,8 +311,7 @@ def test_chi_sweep_reports_the_excess_behind_each_point():
 
 
 def test_chi_sweep_rows_equal_per_point_solves():
-    spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=5,
-                     spacing="linear")
+    spec = SweepSpec(start=-1e-5, stop=1e-5, points=5, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0, 2.0))
     rows = table(res)
@@ -345,8 +335,7 @@ def test_chi_sweep_rows_equal_per_point_solves():
 
 def test_chi_sweep_even_symmetric_grid_equals_per_point_solves():
     # no zero point: every row on the + side is read off its partner
-    spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=6,
-                     spacing="linear")
+    spec = SweepSpec(start=-1e-5, stop=1e-5, points=6, spacing="linear")
     dye = make_dye(5e9)
     res = chi_sweep(make_cavity(), 1.34, dye, 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
@@ -366,13 +355,12 @@ def test_chi_sweep_even_symmetric_grid_equals_per_point_solves():
 
 
 def test_asymmetric_chi_grids_mirror_nothing():
-    spec = SweepSpec(axis="chi", start=-1e-5, stop=2e-5, points=4,
-                     spacing="linear")
+    spec = SweepSpec(start=-1e-5, stop=2e-5, points=4, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 5, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0,))
     assert res.meta["mirrored_points"] == 0
     res = grid_sweep(make_cavity(), 1.34, make_dye(), 5, SOLVER, spec,
-                     SweepSpec(axis="pump", start=1e8, stop=1e10, points=3),
+                     SweepSpec(start=1e8, stop=1e10, points=3),
                      kappa_override=KAPPA)
     assert res.meta["mirrored_points"] == 0
 
@@ -381,9 +369,8 @@ def test_asymmetric_chi_grids_mirror_nothing():
 
 
 def test_grid_sweep_layout_and_racemic_balance():
-    chi_spec = SweepSpec(axis="chi", start=-1e-5, stop=1e-5, points=3,
-                         spacing="linear")
-    pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=4)
+    chi_spec = SweepSpec(start=-1e-5, stop=1e-5, points=3, spacing="linear")
+    pump_spec = SweepSpec(start=1e8, stop=1e10, points=4)
     res = grid_sweep(make_cavity(), 1.34, make_dye(), 25, SOLVER, chi_spec,
                      pump_spec, kappa_override=KAPPA)
     assert list(res.columns)[:2] == ["chi", "pump"]
@@ -403,9 +390,8 @@ def test_grid_sweep_layout_and_racemic_balance():
 @pytest.mark.parametrize("kappa", [KAPPA, None])
 def test_grid_sweep_mirrored_columns_equal_their_own_solves(mode, kappa):
     solver = SolverConfig(mode=mode)
-    chi_spec = SweepSpec(axis="chi", start=-2e-5, stop=2e-5, points=4,
-                         spacing="linear")
-    pump_spec = SweepSpec(axis="pump", start=1e9, stop=3e9, points=6)
+    chi_spec = SweepSpec(start=-2e-5, stop=2e-5, points=4, spacing="linear")
+    pump_spec = SweepSpec(start=1e9, stop=3e9, points=6)
     dye = make_dye()
     res = grid_sweep(make_cavity(), 1.34, dye, 20, solver, chi_spec,
                      pump_spec, kappa_override=kappa)
@@ -463,11 +449,11 @@ def test_sweeps_keep_no_occupations():
     runs = {
         "pump": lambda: pump_sweep(
             config.cavity, config.medium_indices(), config.dye, config.l_max,
-            config.solver, SweepSpec(axis="pump", start=1e8, stop=1e10,
+            config.solver, SweepSpec(start=1e8, stop=1e10,
                                      points=200), config.kappa_override),
         "chi": lambda: chi_sweep(
             config.cavity, config.base_index(), config.dye, config.l_max,
-            config.solver, SweepSpec(axis="chi", start=-3e-5, stop=3e-5,
+            config.solver, SweepSpec(start=-3e-5, stop=3e-5,
                                      points=100, spacing="linear"),
             config.kappa_override, scales=(1.0,)),
     }
@@ -488,9 +474,8 @@ def test_sweeps_keep_no_occupations():
 
 def test_grid_column_splits_long_pump_grids_into_chunks(monkeypatch):
     # no mirror pair on this chi grid, so both columns are solved
-    chi_spec = SweepSpec(axis="chi", start=1e-6, stop=1e-5, points=2,
-                         spacing="linear")
-    pump_spec = SweepSpec(axis="pump", start=1e8, stop=1e10, points=10)
+    chi_spec = SweepSpec(start=1e-6, stop=1e-5, points=2, spacing="linear")
+    pump_spec = SweepSpec(start=1e8, stop=1e10, points=10)
 
     def run():
         return grid_sweep(make_cavity(), 1.34, make_dye(), 30, SOLVER,
@@ -555,6 +540,24 @@ def test_sensitivity_is_antisymmetric_in_the_dominant_enantiomer():
     assert right.slope == -left.slope
     assert right.S3_minus == -left.S3_minus
     assert right.S3_plus == -left.S3_plus
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 0.005, 0.5])
+def test_sensitivity_reads_the_chi_sweep_at_its_bracket_ends(epsilon):
+    # resolved at once, with one end at epsilon = 0, and still
+    # noise-dominated at the widest bracket: either way each end is
+    # chi_sweep's point at its chi, bit for bit
+    dye = make_dye(1e10)
+    rep = sensitivity(make_cavity(), GLUCOSE, METHANOL, dye, 40, SOLVER,
+                      epsilon=epsilon, kappa_override=KAPPA)
+    chis = [chi_from_sample(replace(GLUCOSE, epsilon=eps), METHANOL)
+            for eps in (rep.epsilon_minus, rep.epsilon_plus)]
+    res = chi_sweep(make_cavity(), METHANOL.base_index, dye, 40, SOLVER,
+                    SweepSpec(start=min(chis), stop=max(chis), points=2,
+                              spacing="linear"),
+                    kappa_override=KAPPA, scales=[1.0])
+    s3 = dict(zip(res.columns["chi"].tolist(), res.columns["S3"].tolist()))
+    assert [s3[chi] for chi in chis] == [rep.S3_minus, rep.S3_plus]
 
 
 def test_sensitivity_rejects_an_excess_outside_range():
