@@ -35,7 +35,8 @@ import numpy as np
 from . import __version__
 from .analytic import ground_thresholds
 from .cavity import mode_ladder
-from .config import ConfigError, RunConfig, default_config, parse_config
+from .config import (ConfigError, RunConfig, check_excess_range,
+                     default_config, parse_config)
 from .dye import absorption_rate, build_rate_table, emission_rate
 from .dynamics import CrosscheckError
 from .runio import (OutputLockError, build_manifest,
@@ -85,10 +86,12 @@ def _load_config(args) -> RunConfig:
     if text.lstrip().startswith("{"):
         text = config_text_from_manifest(text)
     config = parse_config(text)
-    if args.command == "sensitivity" and config.medium_kind != "sample":
-        raise ConfigError(
-            "sensitivity needs the chiral-sample medium description "
-            "(epsilon enters through the sample)")
+    if args.command == "sensitivity":
+        if config.medium_kind != "sample":
+            raise ConfigError(
+                "sensitivity needs the chiral-sample medium description "
+                "(epsilon enters through the sample)")
+        check_excess_range(config)
     return config
 
 

@@ -8,7 +8,9 @@ rad/s), rate-kind values are 1/s; both use the same Hz-family suffixes.
 Unknown sections or keys are errors, not warnings; the one exception
 is the retired solver and sweep keys that manifests of earlier versions
 carry, which are ignored with a warning so those manifests still
-replay.  No environment variables are consulted.
+replay, [solver] abs_tol and max_iters only at their old defaults.  An
+optional value reads "none" when absent.  No environment variables are
+consulted.
 
 The [medium] section takes exactly one of two descriptions:
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -107,9 +110,6 @@ _KEYS = {
     },
     "solver": {
         "mode": ("choice:" + ",".join(SOLVER_MODES), "fixed_point"),
-        # "auto" resolves against min(kappa)
-        "abs_tol": ("rate?", "auto"),
-        "max_iters": ("int", "200000"),
     },
     "sweep": {
         "pump_start": ("rate", "100 MHz"),
@@ -131,10 +131,12 @@ _KEYS = {
 }
 
 # keys that earlier versions wrote into every manifest; they no longer
-# change anything and are accepted (with a warning) only for replay
+# change anything and are accepted (with a warning) only for replay, at
+# the values listed where there are any: the defaults those versions wrote
 _RETIRED = {
-    "solver": ("rel_tol", "max_time", "damping"),
-    "sweep": ("warm_start",),
+    "solver": {"rel_tol": None, "max_time": None, "damping": None,
+               "abs_tol": ("none", "auto"), "max_iters": ("200000",)},
+    "sweep": {"warm_start": None},
 }
 
 # the explicit-index description of [medium]; its other keys describe
@@ -221,10 +223,9 @@ def _parse_number(field: str, token: str, scale: float = 1.0) -> float:
 
 def _parse_value(field: str, kind: str, raw: str):
     raw = raw.strip()
-    optional = kind.endswith("?")
-    if optional:
+    if kind.endswith("?"):
         kind = kind[:-1]
-        if raw.lower() in ("none", "auto"):
+        if raw.lower() == "none":
             return None
     if kind in _UNIT_TABLES:
         parts = raw.split()
@@ -248,9 +249,9 @@ def _parse_value(field: str, kind: str, raw: str):
                 f"got {raw!r}")
         return _parse_number(field, raw)
     if kind == "int":
-        if not raw.lstrip("+-").isdigit():
+        if not re.fullmatch(r"[+-]?[0-9]+", raw):
             raise ConfigError(f"{field}: expected an integer, got {raw!r}")
-        return int(raw)
+        return _checked(field, int, raw)
     if kind.startswith("choice:"):
         choices = kind.split(":", 1)[1].split(",")
         if raw not in choices:
@@ -273,8 +274,7 @@ def _parse_value(field: str, kind: str, raw: str):
 
 
 def _render_value(kind: str, value) -> str:
-    optional = kind.endswith("?")
-    if optional:
+    if kind.endswith("?"):
         kind = kind[:-1]
         if value is None:
             return "none"
@@ -307,25 +307,26 @@ def _read_ini(text: str) -> configparser.ConfigParser:
 def parse_config(text: str) -> RunConfig:
     """Resolve an INI config (or override fragment merged over defaults).
 
-    Missing keys take their defaults; unknown sections or keys, mixed
-    medium descriptions, malformed quantities, chi grids whose endpoints
-    give no valid index pair, a chiral sample that gives none at its own
-    excess, a sensitivity excess or step outside (0, 1), a grid pump
-    count below 1, an absorption scale that gives no valid dye at
-    gamma_up0 * scale, a lossless cavity (mirror_loss = 0) without a
-    kappa_override, a kappa_override of zero or below, and a dye and
-    cavity that leave some mode with a zero or non-finite rate are
-    errors; _check_solvable checks the scales, the chi endpoints, the
-    sample and the rates in one pass.
-    Retired keys are ignored with one warning each.
+    Missing keys take their defaults.  An input the run could not solve
+    is a ConfigError here: unknown sections or keys, mixed medium
+    descriptions, malformed or non-finite quantities, values out of
+    range, a cavity without photon loss, and, in one pass of
+    _check_solvable, scales, chi endpoints, a sample and rates that give
+    no valid dye, index pair or ladder.  Retired keys are ignored with
+    one warning each (_RETIRED).
     """
     parser = _read_ini(text)
 
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key in _RETIRED.get(section, ()):
+        retired = _RETIRED.get(section, {})
+        for key, raw in parser[section].items():
+            if key in retired:
+                if retired[key] and raw.strip().lower() not in retired[key]:
+                    raise ConfigError(
+                        f"[{section}] {key} is retired: {raw.strip()} cannot "
+                        f"be reproduced, only {' or '.join(retired[key])}")
                 warnings.warn(f"[{section}] {key} is retired and ignored",
                               stacklevel=2)
             elif key not in _KEYS[section]:
@@ -347,55 +348,54 @@ def parse_config(text: str) -> RunConfig:
         return _parse_value(f"[{section}] {key}", kind, raw)
 
     def build(cls, section: str, prefix: str = "", **given):
-        # one keyword per dataclass field, resolved in field order
-        return cls(**{f.name: given[f.name] if f.name in given
-                      else resolve(section, prefix + f.name)
-                      for f in fields(cls)})
+        # one keyword per field, in field order; errors get the key's prefix
+        values = {f.name: given[f.name] if f.name in given
+                  else resolve(section, prefix + f.name)
+                  for f in fields(cls)}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {prefix}{exc}") from None
 
-    try:
-        cavity = build(CavityParams, "cavity")
-        l_max = resolve("cavity", "l_max")
-        kappa_override = resolve("cavity", "kappa_override")
-        if cavity.mirror_loss == 0 and kappa_override is None:
-            # the ladder needs a positive kappa for every mode
-            raise ConfigError("[cavity] mirror_loss = 0 gives the modes no "
-                              "decay rate; set [cavity] kappa_override")
-        if kappa_override is not None and not kappa_override > 0:
-            raise ConfigError(f"[cavity] kappa_override must be positive, "
-                              f"got {kappa_override!r} Hz")
+    cavity = build(CavityParams, "cavity")
+    l_max = resolve("cavity", "l_max")
+    kappa_override = resolve("cavity", "kappa_override")
+    if cavity.mirror_loss == 0 and kappa_override is None:
+        # the ladder needs a positive kappa for every mode
+        raise ConfigError("[cavity] mirror_loss = 0 gives the modes no "
+                          "decay rate; set [cavity] kappa_override")
+    if kappa_override is not None and not kappa_override > 0:
+        raise ConfigError(f"[cavity] kappa_override must be positive, "
+                          f"got {kappa_override!r} Hz")
 
-        indices = sample = solvent = None
-        if has_index:
-            for key in _INDEX_KEYS:
-                if key not in medium_raw:
-                    raise ConfigError(
-                        f"[medium] explicit-index description needs {key}")
-            indices = build(MediumIndices, "medium")
-        else:
-            sample = build(ChiralSample, "medium")
-            solvent = build(SolventParams, "medium")
-
-        dye = build(DyeParams, "dye")
-        solver = build(SolverConfig, "solver")
-        sweep = build(
-            SweepSettings, "sweep",
-            pump=build(SweepSpec, "sweep", "pump_"),
-            chi=build(SweepSpec, "sweep", "chi_"))
-        if l_max < 0:
-            raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
-        if sweep.grid_pump_points < 1:
-            raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
-                              f"{sweep.grid_pump_points}")
-        for key in ("sensitivity_epsilon", "sensitivity_step"):
-            value = getattr(sweep, key)
-            if not 0.0 < value < 1.0:
+    indices = sample = solvent = None
+    if has_index:
+        for key in _INDEX_KEYS:
+            if key not in medium_raw:
                 raise ConfigError(
-                    f"[sweep] {key} must lie in (0, 1), got {value!r}")
-        output_dir = resolve("output", "directory")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+                    f"[medium] explicit-index description needs {key}")
+        indices = build(MediumIndices, "medium")
+    else:
+        sample = build(ChiralSample, "medium")
+        solvent = build(SolventParams, "medium")
+
+    dye = build(DyeParams, "dye")
+    solver = build(SolverConfig, "solver")
+    sweep = build(
+        SweepSettings, "sweep",
+        pump=build(SweepSpec, "sweep", "pump_"),
+        chi=build(SweepSpec, "sweep", "chi_"))
+    if l_max < 0:
+        raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
+    if sweep.grid_pump_points < 1:
+        raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
+                          f"{sweep.grid_pump_points}")
+    for key in ("sensitivity_epsilon", "sensitivity_step"):
+        value = getattr(sweep, key)
+        if not 0.0 < value < 1.0:
+            raise ConfigError(
+                f"[sweep] {key} must lie in (0, 1), got {value!r}")
+    output_dir = resolve("output", "directory")
 
     config = RunConfig(
         cavity=cavity, l_max=l_max, kappa_override=kappa_override,
@@ -442,14 +442,31 @@ def _check_solvable(config: RunConfig) -> None:
         f"epsilon = {config.sample.epsilon!r}", config.medium_indices)
     for where, medium, ladder_dyes in [("the run's medium", own, dyes[:1]),
                                        *media]:
-        omega = _checked(f"[cavity] gives no mode ladder at {where}",
-                         ladder_frequencies, config.cavity, medium,
-                         config.l_max)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gamma_down = emission_rate(dye, omega)
-            for scaled, d in ladder_dyes:
-                _checked(f"[dye] on the ladder at {where}{scaled}",
-                         check_rates, gamma_down, absorption_rate(d, omega))
+        _check_ladder_rates(config, where, medium, ladder_dyes)
+
+
+def _check_ladder_rates(config: RunConfig, where: str, medium, dyes) -> None:
+    """ConfigError unless each (label, dye) of `dyes` has positive,
+    finite rates on every mode of the ladder at `medium`, named `where`."""
+    omega = _checked(f"[cavity] gives no mode ladder at {where}",
+                     ladder_frequencies, config.cavity, medium, config.l_max)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma_down = emission_rate(config.dye, omega)
+        for scaled, d in dyes:
+            _checked(f"[dye] on the ladder at {where}{scaled}",
+                     check_rates, gamma_down, absorption_rate(d, omega))
+
+
+def check_excess_range(config: RunConfig) -> None:
+    """ConfigError unless the sample's index pair and ladder rates are
+    valid at excess 0 and 1, so at every sensitivity bracket between: chi
+    is linear in the excess, and the rates monotone (_check_solvable)."""
+    for epsilon in (0.0, 1.0):
+        at = replace(config, sample=replace(config.sample, epsilon=epsilon))
+        where = f"epsilon = {epsilon!r} (sensitivity brackets lie in [0, 1])"
+        medium = _checked(f"[medium] the chiral sample gives no valid index "
+                          f"pair at {where}", at.medium_indices)
+        _check_ladder_rates(config, where, medium, [("", config.dye)])
 
 
 def _field_values(obj, prefix: str = "") -> dict:

@@ -68,16 +68,17 @@ Two independent solvers find F(N) = 0:
   candidate or after SEEDED_STEPS unconverged steps, restarts from the
   seed on the cold schedule, reusing the seed's drift.  Steps taken
   before such a restart count toward the reported iterations and
-  toward max_iters.
+  toward the MAX_STEPS budget.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
 mode, with an extra term covering float64 cancellation of the two
 nearly-equal fluxes.  The reported residual_norm is normalised so that
-converged means residual_norm <= abs_tol.  The reported p_e comes from
-the totals of the drift that residual was measured on; only a row
-clamped for negative occupations has its totals evaluated again.  A
-non-finite state reports a NaN p_e, never a made-up value.
+converged means residual_norm <= abs_tol = TOL_PER_KAPPA kappa_min.
+The reported p_e comes from the totals of the drift that residual was
+measured on; only a row clamped for negative occupations has its totals
+evaluated again.  A non-finite state reports a NaN p_e, never a made-up
+value.
 
 steady_states is the engine: one rate system, a grid of pumps, one row
 per pump.  Each route returns one row-stacked record (N, iterations,
@@ -111,6 +112,10 @@ CHUNK_ELEMENTS = 1 << 16
 # most pseudo-time steps a seeded solve takes at Newton scale before it
 # restarts from its seed on the cold schedule
 SEEDED_STEPS = 12
+# residual tolerance abs_tol per unit of the smallest loss rate kappa_min
+TOL_PER_KAPPA = 1e-6
+# most pseudo-time steps one pseudo-transient solve takes
+MAX_STEPS = 200_000
 
 SOLVER_MODES = ("fixed_point", "semi_dynamical", "both_crosscheck")
 
@@ -124,36 +129,22 @@ class CrosscheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Steady-state solver selection and tolerances.
-
-    mode:      'fixed_point', 'semi_dynamical' or 'both_crosscheck'
-    abs_tol:   residual tolerance, 1/s; None means tolerance(kappa_min)
-    max_iters: step budget of the pseudo-transient route
-    """
+    """The steady-state route: 'fixed_point', 'semi_dynamical' or
+    'both_crosscheck'; TOL_PER_KAPPA and MAX_STEPS are constants."""
 
     mode: str = "fixed_point"
-    abs_tol: float | None = None
-    max_iters: int = 200_000
 
     def __post_init__(self):
         if self.mode not in SOLVER_MODES:
             raise ValueError(
                 f"mode must be one of {SOLVER_MODES}, got {self.mode!r}")
-        if self.abs_tol is not None and not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-    def tolerance(self, kappa_min: float) -> float:
-        """abs_tol, or 1e-6 * kappa_min when it is None (the default)."""
-        return self.abs_tol if self.abs_tol is not None else 1e-6 * kappa_min
 
 
 @dataclass(frozen=True)
 class SteadyState:
     """Converged (or best-effort) stationary point of the rate equations.
 
-    converged implies residual_norm <= the resolved abs_tol.  From
+    converged implies residual_norm <= TOL_PER_KAPPA * kappa_min.  From
     find_steady_state every field belongs to one point; from
     steady_states they are row-stacked, one row per pump.
     """
@@ -530,8 +521,7 @@ def _pt_step(sys_: RateSystem, N, drift, h):
     return N + y + (sys_.blockdot(c, y) / denom) * wd
 
 
-def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
-                    max_iters: int):
+def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float):
     # returns the one-row record (N, steps, norm, Gamma_up, Gamma_dn), the
     # totals read off the drift the norm was taken on.
     # N0 is None (the empty cavity) or a float array, never written to.
@@ -540,7 +530,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     # steps have not converged, it restarts from the seed on the cold
     # schedule, with the seed's drift and norm held from the start rather
     # than evaluated again.  Steps before a restart count toward `steps`
-    # and max_iters.
+    # and MAX_STEPS.
     kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
     N = np.zeros(sys_.n) if N0 is None else N0
     h_cold = 0.1 / kap0
@@ -553,7 +543,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float,
     norm = sys_.scaled_norm(N, abs_tol, drift)
     start = drift, norm
     rejected = False
-    while it < max_iters and norm > abs_tol:
+    while it < MAX_STEPS and norm > abs_tol:
         if fast and (rejected or it == SEEDED_STEPS):
             N, h, fast = N0, h_cold, False
             drift, norm = start
@@ -623,13 +613,13 @@ def secant_seed(before, last):
     return np.maximum(2.0 * last - before, 0.0)
 
 
-def _pseudo_transient(sys_, pumps, seed, abs_tol, max_iters):
+def _pseudo_transient(sys_, pumps, seed, abs_tol):
     # record of the pseudo-transient route: rows solved in pump order,
     # the first seeded with `seed` and every later one by secant_seed
     # from the rows before it
     rows, before = [], None
     for pump in pumps.tolist():
-        rows.append(_semi_dynamical(sys_, pump, seed, abs_tol, max_iters))
+        rows.append(_semi_dynamical(sys_, pump, seed, abs_tol))
         last = rows[-1][0]
         seed, before = secant_seed(before, last), last
     steps, norm, Gu, Gd = np.array([r[1:] for r in rows]).reshape(-1, 4).T
@@ -654,7 +644,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     routes' steps as iterations.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
-    abs_tol = config.tolerance(float(np.min(sys_.kap)))
+    abs_tol = TOL_PER_KAPPA * float(np.min(sys_.kap))
     if seed is not None and config.mode != "fixed_point":
         seed = np.asarray(seed, dtype=float)
         if seed.ndim != 1 or seed.size != sys_.n:
@@ -665,11 +655,10 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                 "seed occupations must be finite and non-negative")
 
     N, iters, norm, Gu, Gd = (
-        _pseudo_transient(sys_, pumps, seed, abs_tol, config.max_iters)
+        _pseudo_transient(sys_, pumps, seed, abs_tol)
         if config.mode == "semi_dynamical" else _exact(sys_, pumps, abs_tol))
     if config.mode == "both_crosscheck":
-        N_pt, iters_pt = _pseudo_transient(
-            sys_, pumps, seed, abs_tol, config.max_iters)[:2]
+        N_pt, iters_pt = _pseudo_transient(sys_, pumps, seed, abs_tol)[:2]
         dev = np.abs(N - N_pt) / (np.maximum(N, N_pt) + 1.0)
         bound = crosscheck_bound()
         # a NaN gap fails too: it compares False against the bound
@@ -696,7 +685,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
 
 
 def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
-                      config: SolverConfig | None = None,
+                      config: SolverConfig = SolverConfig(),
                       seed=None) -> SteadyState:
     """Stationary point of the photon rate equations.
 
@@ -706,8 +695,6 @@ def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
     route ignores it.  This is the one-row call of steady_states, which
     checks the seed and documents the routes and the cross-check.
     """
-    if config is None:
-        config = SolverConfig()
     sys_ = RateSystem.from_tables(rates, ladder, dye)
     rows = steady_states(sys_, [dye.gamma_up_pump], config, seed)
     return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),

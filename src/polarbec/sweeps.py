@@ -56,11 +56,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import CavityParams, ModeLadder, cavity_decay, mode_ladder
+from .cavity import CavityParams, ModeLadder, mode_ladder
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, build_rate_table
 from .analytic import pinned_pair
-from .dynamics import (RateSystem, SolverConfig, SteadyState,
+from .dynamics import (TOL_PER_KAPPA, RateSystem, SolverConfig, SteadyState,
                        find_steady_state, occupations, row_dot, secant_seed,
                        steady_states)
 
@@ -132,7 +132,7 @@ def stokes_s3(steady: SteadyState, ladder: ModeLadder) -> Observables:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis: the grid definition."""
+    """One sweep axis; each error starts with the field it is about."""
 
     start: float
     stop: float
@@ -146,10 +146,11 @@ class SweepSpec:
             raise ValueError(
                 f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"endpoints must be finite, got {self.start} "
-                             f"and {self.stop}")
+            raise ValueError(f"start and stop must be finite, got "
+                             f"{self.start} and {self.stop}")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ValueError("log spacing needs positive endpoints")
+            raise ValueError(f"spacing = log needs a positive start and "
+                             f"stop, got {self.start} and {self.stop}")
         if self.start > self.stop:
             raise ValueError(
                 f"start must not exceed stop, got {self.start} > {self.stop}")
@@ -374,9 +375,10 @@ class SensitivityReport:
     """Central-difference slope of S3 against enantiomeric excess.
 
     noise_dominated marks a bracket whose S3 difference is within ten
-    times what the solver tolerance can resolve; the slope value is then
-    an upper-bound artefact, not a measurement.  points counts the
-    bracket-end solves and converged_points those that converged.
+    times 2 * TOL_PER_KAPPA, the tolerance relative to the loss at both
+    ends; the slope value is then an upper-bound artefact, not a
+    measurement.  points counts the bracket-end solves and
+    converged_points those that converged.
     """
 
     epsilon: float
@@ -407,17 +409,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if not 0.0 < step < 1.0:
         raise ValueError(f"step must lie in (0, 1), got {step}")
-    kappa_ref = kappa_override
-    if kappa_ref is None:
-        kappa_ref = cavity_decay(cavity, solvent.base_index)
-    if not kappa_ref > 0.0:
-        # the noise floor below is measured in units of the photon loss
-        raise ValueError(
-            f"mirror_loss = {cavity.mirror_loss} and kappa_override = "
-            f"{kappa_override} give the modes no decay rate; set a "
-            "positive kappa_override")
-    abs_tol = solver.tolerance(kappa_ref)
-    noise_floor = 10.0 * (2.0 * abs_tol / kappa_ref)
+    noise_floor = 10.0 * (2.0 * TOL_PER_KAPPA)
 
     h_limit = min(epsilon, 1.0 - epsilon)
     if h_limit <= 0.0:

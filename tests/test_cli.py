@@ -21,6 +21,7 @@ from polarbec.cli import (
     EXIT_UNCONVERGED,
     main,
 )
+from polarbec.config import parse_config, render_config
 
 SMALL_CONFIG = """
 [cavity]
@@ -258,6 +259,49 @@ def test_manifest_with_retired_keys_replays(tmp_path, small_config):
         out_b / "pump_sweep.csv").read_bytes()
 
 
+def previous_manifest(tmp_path, abs_tol="none", max_iters="200000"):
+    """A manifest as the previous version wrote it for SMALL_CONFIG: the
+    canonical text with [solver] abs_tol and max_iters, then retired."""
+    text = render_config(parse_config(SMALL_CONFIG)).replace(
+        "[solver]\nmode = fixed_point\n",
+        f"[solver]\nmode = fixed_point\nabs_tol = {abs_tol}\n"
+        f"max_iters = {max_iters}\n")
+    path = tmp_path / "previous_manifest.json"
+    path.write_text(json.dumps({"config_text": text}), encoding="utf-8")
+    return path
+
+
+def test_a_manifest_of_the_previous_version_replays(tmp_path, small_config):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("sweep-pump", "--config", small_config, "--out",
+                   str(out_a)) == EXIT_OK
+    with pytest.warns(UserWarning, match="retired") as record:
+        code = run_cli("sweep-pump", "--config",
+                       str(previous_manifest(tmp_path)), "--out", str(out_b))
+    assert code == EXIT_OK
+    assert sorted(str(w.message) for w in record) == [
+        "[solver] abs_tol is retired and ignored",
+        "[solver] max_iters is retired and ignored",
+    ]
+    assert (out_a / "pump_sweep.csv").read_bytes() == (
+        out_b / "pump_sweep.csv").read_bytes()
+
+
+# the other key, at its default, still warns before the refusal
+@pytest.mark.filterwarnings("ignore:.* is retired and ignored")
+@pytest.mark.parametrize("key, value", [("abs_tol", "5 Hz"),
+                                        ("max_iters", "1000")])
+def test_a_previous_manifest_with_a_tuned_solver_is_refused(tmp_path, capsys,
+                                                            key, value):
+    # the solver no longer has the setting, so that run cannot be redone
+    manifest = previous_manifest(tmp_path, **{key: value})
+    out = tmp_path / "x"
+    assert run_cli("sweep-pump", "--config", str(manifest), "--out",
+                   str(out)) == EXIT_CONFIG
+    assert f"[solver] {key} is retired" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_chi_maps_points_back_to_the_excess(tmp_path, small_config):
     out = tmp_path / "sc"
     assert run_cli("sweep-chi", "--config", small_config, "--out",
@@ -392,12 +436,13 @@ l_max = 30
 
 [solver]
 mode = semi_dynamical
-max_iters = 1
 """
 
 
-def test_sensitivity_exits_unconverged_unless_partial_is_allowed(tmp_path,
-                                                                 capsys):
+def test_sensitivity_exits_unconverged_unless_partial_is_allowed(
+        tmp_path, capsys, monkeypatch):
+    # one pseudo-time step per solve leaves the cold bracket ends short
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 1)
     cfg = tmp_path / "short.ini"
     cfg.write_text(UNCONVERGED_CONFIG, encoding="utf-8")
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
@@ -407,6 +452,24 @@ def test_sensitivity_exits_unconverged_unless_partial_is_allowed(tmp_path,
     assert report["converged_points"] < report["points"]
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
                    str(tmp_path / "partial"), "--allow-partial") == EXIT_OK
+
+
+def test_sensitivity_checks_the_sample_over_the_whole_excess_range(
+        tmp_path, capsys):
+    # valid at its own excess, so it parses; at full excess the index
+    # splitting |n_L - n_R| reaches 0.16, and a bracket doubling towards
+    # it would fail inside the run
+    cfg = tmp_path / "strong.ini"
+    cfg.write_text("[medium]\ntheta_deg = 129000\n", encoding="utf-8")
+    out = tmp_path / "s"
+    assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "epsilon = 1.0" in err and "Traceback" not in err
+    assert not out.exists()
+    # the other commands stay at the sample's own excess
+    assert run_cli("threshold", "--config", str(cfg), "--out",
+                   str(tmp_path / "t")) == EXIT_OK
 
 
 def test_sensitivity_needs_a_sample_medium(tmp_path):
@@ -560,6 +623,8 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-pump", "[sweep]\npump_stop = inf Hz\n"),
     ("sweep-pump", "[dye]\nM = inf\n"),
     ("sweep-pump", "[solver]\nabs_tol = inf Hz\n"),
+    ("sweep-chi", "[sweep]\nchi_points = 0\n"),
+    ("modes", "[cavity]\nl_max = +-5\n"),
     ("sweep-pump", "[dye]\ngamma_down = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_up_pump = inf Hz\n"),
     ("sweep-pump", "[dye]\ngamma_down0 = 1e300 Hz\n"),

@@ -64,7 +64,6 @@ def test_default_values_land_in_si_units():
     assert config.dye.gamma_down == pytest.approx(1e9)
     assert config.dye.M == 1e9
     assert config.solver.mode == "fixed_point"
-    assert config.solver.abs_tol is None
     assert config.sweep.pump.points == 100
     assert config.sweep.chi.points == 61
     assert config.sweep.scales == (0.5, 1.0, 2.0, 10.0)
@@ -97,8 +96,6 @@ M = 1000000000.0
 
 [solver]
 mode = fixed_point
-abs_tol = none
-max_iters = 200000
 
 [sweep]
 pump_start = 100000000.0 Hz
@@ -172,8 +169,6 @@ M = 2e8
 
 [solver]
 mode = semi_dynamical
-abs_tol = 5 Hz
-max_iters = 1000
 
 [sweep]
 pump_start = 200 MHz
@@ -269,8 +264,6 @@ def test_unknown_unit_is_rejected():
 def test_optional_fields_accept_none():
     config = parse_config("[cavity]\nkappa_override = none\n")
     assert config.kappa_override is None
-    config = parse_config("[solver]\nabs_tol = auto\n")
-    assert config.solver.abs_tol is None
 
 
 # --- schema guards ----------------------------------------------------------------
@@ -291,12 +284,15 @@ def test_unknown_key_is_rejected():
 
 def test_retired_keys_are_ignored_with_one_warning_each():
     text = ("[solver]\nrel_tol = 1e-12\nmax_time = none\ndamping = 0.5\n"
+            "abs_tol = auto\nmax_iters = 200000\n"
             "[sweep]\nwarm_start = false\n")
     with pytest.warns(UserWarning, match="retired") as record:
         config = parse_config(text)
     assert config == default_config()
     assert sorted(str(w.message) for w in record) == [
+        "[solver] abs_tol is retired and ignored",
         "[solver] damping is retired and ignored",
+        "[solver] max_iters is retired and ignored",
         "[solver] max_time is retired and ignored",
         "[solver] rel_tol is retired and ignored",
         "[sweep] warm_start is retired and ignored",
@@ -351,6 +347,19 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[sweep]\npump_stop = inf Hz\n", "pump_stop"),
     ("[dye]\nM = inf\n", "M"),
     ("[solver]\nabs_tol = inf Hz\n", "abs_tol"),
+    # a retired solver key replays only at the default its version wrote
+    ("[solver]\nabs_tol = 5 Hz\n", r"\[solver\] abs_tol is retired"),
+    ("[solver]\nmax_iters = 1000\n", r"\[solver\] max_iters is retired"),
+    # "auto" was the absent spelling of abs_tol alone
+    ("[cavity]\nkappa_override = auto\n", r"\[cavity\] kappa_override"),
+    # every error names its key, the sweep grids' own checks included
+    ("[cavity]\nl_max = +-5\n", r"\[cavity\] l_max"),
+    ("[cavity]\nl_max = \u00b2\n", r"\[cavity\] l_max"),
+    ("[sweep]\nchi_points = 0\n", r"\[sweep\] chi_points"),
+    ("[sweep]\npump_points = 0\n", r"\[sweep\] pump_points"),
+    ("[sweep]\npump_start = -1 Hz\n", r"\[sweep\] pump_spacing = log"),
+    ("[sweep]\nchi_start = 1e-5\nchi_stop = -1e-5\n",
+     r"\[sweep\] chi_start must not exceed"),
     ("[dye]\ngamma_down = inf Hz\n", "gamma_down"),
     ("[dye]\ngamma_up_pump = inf Hz\n", "gamma_up_pump"),
     ("[dye]\ngamma_down = nan Hz\n", "not a finite number"),

@@ -286,11 +286,12 @@ def test_total_photon_number_grows_with_pump():
     assert np.all(np.diff(totals) > 0.0)
 
 
-def test_unconverged_result_is_reported_honestly():
+def test_unconverged_result_is_reported_honestly(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 1)
     modes, rates, dye = single_mode_problem(2.0 * TAU_L0)
     far_off = np.array([1e15])
     steady = find_steady_state(
-        rates, modes, dye, SolverConfig(mode="semi_dynamical", max_iters=1),
+        rates, modes, dye, SolverConfig(mode="semi_dynamical"),
         seed=far_off)
     assert not steady.converged
     assert steady.residual_norm > ABS_TOL
@@ -357,10 +358,6 @@ def test_seeded_pseudo_transient_solve_converges_faster():
 def test_solver_config_guards():
     with pytest.raises(ValueError):
         SolverConfig(mode="implicit_euler")
-    with pytest.raises(ValueError):
-        SolverConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
 
 
 def test_steady_state_residual_contract():

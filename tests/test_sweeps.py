@@ -568,7 +568,7 @@ def test_sensitivity_rejects_an_excess_outside_range():
 
 
 def test_sensitivity_rejects_a_lossless_cavity_without_kappa_override():
-    # the noise floor is measured in units of the photon loss rate
-    with pytest.raises(ValueError, match="mirror_loss = 0.0 and kappa_"):
+    # the mode ladder refuses a zero loss rate before any solve
+    with pytest.raises(ValueError, match="kappa must be positive"):
         sensitivity(make_cavity(mirror_loss=0.0), GLUCOSE, METHANOL,
                     make_dye(1e10), 10, SOLVER, epsilon=0.5)
