@@ -45,7 +45,7 @@ from .cavity import CavityParams, MediumIndices, ladder_frequencies
 from .chiral import ChiralSample, SolventParams, chi_from_sample, refractive_indices
 from .dye import DyeParams, absorption_rate, check_rates, emission_rate
 from .dynamics import SOLVER_MODES, SolverConfig
-from .sweeps import SweepSpec
+from .sweeps import SweepSpec, bracket_steps
 
 
 class ConfigError(ValueError):
@@ -424,7 +424,8 @@ def _check_solvable(config: RunConfig) -> None:
     every mode: at the run's own medium with the dye, at both endpoints
     with the dye and each scales dye.  A rate is monotone in omega on
     either side of its peak and omega is monotone in chi, so no chi
-    inside the grid gives a mode a rate below those at both ends.
+    inside the grid gives a mode a rate below those at both ends; the
+    same argument covers sensitivity's brackets (check_excess_range).
     """
     dye, sweep = config.dye, config.sweep
     dyes = [("", dye)] + [
@@ -458,12 +459,18 @@ def _check_ladder_rates(config: RunConfig, where: str, medium, dyes) -> None:
 
 
 def check_excess_range(config: RunConfig) -> None:
-    """ConfigError unless the sample's index pair and ladder rates are
-    valid at excess 0 and 1, so at every sensitivity bracket between: chi
-    is linear in the excess, and the rates monotone (_check_solvable)."""
-    for epsilon in (0.0, 1.0):
-        at = replace(config, sample=replace(config.sample, epsilon=epsilon))
-        where = f"epsilon = {epsilon!r} (sensitivity brackets lie in [0, 1])"
+    """ConfigError unless sensitivity can run: a chiral sample whose index
+    pair and ladder rates are valid at both ends of the widest bracket of
+    sweeps.bracket_steps, so at every bracket inside it (chi is linear in
+    the excess, the rates monotone: _check_solvable)."""
+    if config.medium_kind != "sample":
+        raise ConfigError("sensitivity needs the chiral-sample medium "
+                          "description (epsilon enters through the sample)")
+    epsilon = config.sweep.sensitivity_epsilon
+    h = bracket_steps(epsilon, config.sweep.sensitivity_step)[-1]
+    for end in (epsilon - h, epsilon + h):
+        at = replace(config, sample=replace(config.sample, epsilon=end))
+        where = f"epsilon = {end:g} (the widest bracket, {epsilon:g} +- {h:g})"
         medium = _checked(f"[medium] the chiral sample gives no valid index "
                           f"pair at {where}", at.medium_indices)
         _check_ladder_rates(config, where, medium, [("", config.dye)])

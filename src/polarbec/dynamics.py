@@ -531,7 +531,7 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float):
     # schedule, with the seed's drift and norm held from the start rather
     # than evaluated again.  Steps before a restart count toward `steps`
     # and MAX_STEPS.
-    kap0 = float(np.min(sys_.kap)) if sys_.n else 1.0
+    kap0 = float(np.min(sys_.kap))
     N = np.zeros(sys_.n) if N0 is None else N0
     h_cold = 0.1 / kap0
     h_min = 1e-3 / kap0
@@ -587,7 +587,7 @@ def _exact(sys_, pumps, abs_tol):
     N = np.empty((pumps.size, sys_.n))
     steps = np.empty(pumps.size, dtype=int)
     norm, Gu, Gd = np.empty((3, pumps.size))
-    chunk = max(1, CHUNK_ELEMENTS // max(sys_.n, 1))
+    chunk = max(1, CHUNK_ELEMENTS // sys_.n)
     for start in range(0, pumps.size, chunk):
         part = slice(start, start + chunk)
         N[part], steps[part] = sys_.solve(pumps[part])

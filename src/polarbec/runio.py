@@ -70,18 +70,8 @@ def build_manifest(command: str, config: RunConfig, outputs: list[str],
         "outputs": sorted(outputs),
     }
     if meta:
-        manifest["run"] = {k: _jsonable(v) for k, v in meta.items()}
+        manifest["run"] = meta
     return manifest
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def config_text_from_manifest(text: str) -> str:

@@ -29,9 +29,10 @@ Sweep drivers:
   chunked to bound memory; the seeded pseudo-transient loop otherwise),
   and reads the observables from the row-stacked occupations.
 * sensitivity: central-difference slope dS3/depsilon at an operating
-  point, with automatic step control and a noise-dominated flag when
-  the S3 difference falls below what the solver tolerance can resolve.
-  Each bracket is a two-chi column, one chi per end.
+  point over the brackets bracket_steps lists (which the configuration
+  check reads too), with a noise-dominated flag when the S3 difference
+  falls below what the solver tolerance can resolve.  Each bracket is a
+  two-chi column, one chi per end.
 
 Every rate system comes from RateSystem.from_tables on a ModeLadder and
 its RateTable, so every sweep gets the same rate checks.  chi_sweep,
@@ -393,38 +394,41 @@ class SensitivityReport:
     converged_points: int
 
 
+def bracket_steps(epsilon: float, step: float) -> list[float]:
+    """The bracket half-widths sensitivity tries at `epsilon`, in order:
+    `step` halved until epsilon +- step fits in [0, 1], then doubled at
+    most MAX_DOUBLINGS times while the bracket still fits.  The last is
+    the widest bracket any run at (epsilon, step) can reach."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if not 0.0 < step < 1.0:
+        raise ValueError(f"step must lie in (0, 1), got {step}")
+    h_limit = min(epsilon, 1.0 - epsilon)
+    if h_limit <= 0.0:
+        raise ValueError(
+            f"epsilon = {epsilon} leaves no room for a central bracket")
+    while step > h_limit:
+        step *= 0.5
+    widths = (step * 2.0**k for k in range(MAX_DOUBLINGS + 1))
+    return [h for h in widths if h <= h_limit]
+
+
 def sensitivity(cavity: CavityParams, sample: ChiralSample,
                 solvent: SolventParams, dye: DyeParams, l_max: int,
                 solver: SolverConfig, epsilon: float, step: float = 0.01,
                 kappa_override: float | None = None) -> SensitivityReport:
     """Slope dS3/depsilon at an operating excess, by central difference.
 
-    The step is halved until the bracket fits inside [0, 1], then
-    doubled (within the bracket limit, at most MAX_DOUBLINGS times) while
-    the S3 difference stays below the solver noise floor.  The final
-    bracket is reported either way, with the noise flag set when even the
-    widest usable bracket cannot resolve a slope.
+    Walks the half-widths of bracket_steps and stops at the first
+    bracket whose S3 difference clears the solver noise floor.  The
+    final bracket is reported either way, with the noise flag set when
+    even the widest one cannot resolve a slope.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if not 0.0 < step < 1.0:
-        raise ValueError(f"step must lie in (0, 1), got {step}")
     noise_floor = 10.0 * (2.0 * TOL_PER_KAPPA)
-
-    h_limit = min(epsilon, 1.0 - epsilon)
-    if h_limit <= 0.0:
-        raise ValueError(
-            f"epsilon = {epsilon} leaves no room for a central bracket")
-    h = step
-    while h > h_limit:
-        h *= 0.5
-
     # each bracket is one two-chi column; both ends lie at epsilon >= 0,
     # so they are never a mirror pair and each end is solved
     points = converged_points = 0
-    for doublings in range(MAX_DOUBLINGS + 1):
-        if doublings:
-            h *= 2.0
+    for h in bracket_steps(epsilon, step):
         lo, hi = epsilon - h, epsilon + h
         columns, _ = _chi_grid_columns(
             cavity, solvent.base_index, dye, l_max, kappa_override, solver,
@@ -435,7 +439,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
         points += 2
         converged_points += int(np.count_nonzero(columns["converged"]))
         noise_dominated = abs(s_hi - s_lo) < noise_floor
-        if not (noise_dominated and 2.0 * h <= h_limit):
+        if not noise_dominated:
             break
 
     slope = (s_hi - s_lo) / (hi - lo)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -21,7 +22,9 @@ from polarbec.cli import (
     EXIT_UNCONVERGED,
     main,
 )
+from polarbec.chiral import chi_from_sample, refractive_indices
 from polarbec.config import parse_config, render_config
+from polarbec.sweeps import bracket_steps, sensitivity
 
 SMALL_CONFIG = """
 [cavity]
@@ -456,28 +459,101 @@ def test_sensitivity_exits_unconverged_unless_partial_is_allowed(
 
 def test_sensitivity_checks_the_sample_over_the_whole_excess_range(
         tmp_path, capsys):
-    # valid at its own excess, so it parses; at full excess the index
-    # splitting |n_L - n_R| reaches 0.16, and a bracket doubling towards
-    # it would fail inside the run
+    # valid at its own excess, so it parses; the widest bracket at the
+    # default epsilon = 0.5 and step 0.01 is 0.5 +- 0.32, where the index
+    # splitting |n_L - n_R| reaches 0.131, so that bracket would fail
+    # inside the run
     cfg = tmp_path / "strong.ini"
     cfg.write_text("[medium]\ntheta_deg = 129000\n", encoding="utf-8")
     out = tmp_path / "s"
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
                    str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "epsilon = 1.0" in err and "Traceback" not in err
+    assert "epsilon = 0.82 " in err and "Traceback" not in err
     assert not out.exists()
     # the other commands stay at the sample's own excess
     assert run_cli("threshold", "--config", str(cfg), "--out",
                    str(tmp_path / "t")) == EXIT_OK
 
 
-def test_sensitivity_needs_a_sample_medium(tmp_path):
+EDGE_CONFIG = """
+[cavity]
+l_max = 30
+
+[medium]
+theta_deg = 129000
+
+[sweep]
+sensitivity_epsilon = 0.1
+"""
+
+
+def test_sensitivity_runs_when_its_brackets_stay_in_range(tmp_path):
+    # at full excess this sample's splitting is 0.16, but no bracket
+    # around 0.1 reaches past 0.18, where it is 0.029
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text(EDGE_CONFIG, encoding="utf-8")
+    out = tmp_path / "s"
+    assert run_cli("sensitivity", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_OK
+    c = parse_config(EDGE_CONFIG)
+    report = sensitivity(c.cavity, c.sample, c.solvent, c.dye, c.l_max,
+                         c.solver, c.sweep.sensitivity_epsilon,
+                         c.sweep.sensitivity_step, c.kappa_override)
+    assert (report.epsilon_minus, report.epsilon_plus) == pytest.approx(
+        (0.02, 0.18))
+    assert (out / "sensitivity.json").read_text(encoding="utf-8") == (
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+
+
+def reaches_an_invalid_index_pair(config) -> bool:
+    """Brute force: any end of any bracket the run can try gives no
+    valid index pair."""
+    epsilon = config.sweep.sensitivity_epsilon
+    for h in bracket_steps(epsilon, config.sweep.sensitivity_step):
+        for end in (epsilon - h, epsilon + h):
+            chi = chi_from_sample(replace(config.sample, epsilon=end),
+                                  config.solvent)
+            try:
+                refractive_indices(config.solvent.base_index, chi)
+            except ValueError:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("theta_deg, epsilon, invalid", [
+    # the splitting is 0.1 at excess 0.627 for theta_deg = 129000; the
+    # widest bracket at 0.31 is 0.31 +- 0.16, at 0.32 it is 0.32 +- 0.32
+    (129000, 0.31, False),
+    (129000, 0.32, True),
+    # the widest bracket at 0.1 is 0.1 +- 0.08; the splitting at 0.18
+    # crosses 0.1 between these two rotations
+    (440000, 0.1, False),
+    (450000, 0.1, True),
+])
+def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
+        tmp_path, capsys, theta_deg, epsilon, invalid):
+    text = (f"[cavity]\nl_max = 3\n[medium]\ntheta_deg = {theta_deg}\n"
+            f"epsilon = {epsilon}\n[sweep]\nsensitivity_epsilon = "
+            f"{epsilon}\n")
+    assert reaches_an_invalid_index_pair(parse_config(text)) is invalid
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "s"
+    code = run_cli("sensitivity", "--config", str(cfg), "--out", str(out))
+    assert code == (EXIT_CONFIG if invalid else EXIT_OK)
+    assert out.exists() is not invalid
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sensitivity_needs_a_sample_medium(tmp_path, capsys):
     cfg = tmp_path / "idx.ini"
     cfg.write_text("[medium]\nn_L = 1.3435\nn_R = 1.3395\n",
                    encoding="utf-8")
     assert run_cli("sensitivity", "--config", str(cfg), "--out",
                    str(tmp_path / "s")) == EXIT_CONFIG
+    assert "sensitivity needs the chiral-sample medium description" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "s").exists()
 
 

@@ -36,7 +36,8 @@ from polarbec import (
 from polarbec import dynamics
 from polarbec.config import default_config
 from polarbec.dynamics import RateSystem, steady_states
-from polarbec.sweeps import _POINT_FIELDS, _meta, _readout
+from polarbec.sweeps import (MAX_DOUBLINGS, _POINT_FIELDS, _meta, _readout,
+                             bracket_steps)
 
 from conftest import (
     DN_L0,
@@ -558,13 +559,41 @@ def test_sensitivity_reads_the_chi_sweep_at_its_bracket_ends(epsilon):
                     kappa_override=KAPPA, scales=[1.0])
     s3 = dict(zip(res.columns["chi"].tolist(), res.columns["S3"].tolist()))
     assert [s3[chi] for chi in chis] == [rep.S3_minus, rep.S3_plus]
+    # the first bracket resolves at once; the plateau walks them all
+    steps = bracket_steps(epsilon, 0.01)
+    if epsilon == 1e-6:
+        assert rep.step == steps[0] and not rep.noise_dominated
+    if epsilon == 0.5:
+        assert rep.step == steps[-1] and rep.noise_dominated
 
 
-def test_sensitivity_rejects_an_excess_outside_range():
-    dye = make_dye(1e10)
-    with pytest.raises(ValueError):
-        sensitivity(make_cavity(), GLUCOSE, METHANOL, dye, 10, SOLVER,
-                    epsilon=1.5, kappa_override=KAPPA)
+@pytest.mark.parametrize("epsilon, step, message", [
+    (0.0, 0.01, "leaves no room for a central bracket"),
+    (1.0, 0.01, "leaves no room for a central bracket"),
+    (1.5, 0.01, r"epsilon must lie in \[0, 1\], got 1.5"),
+    (0.5, 0.0, r"step must lie in \(0, 1\), got 0.0"),
+    (0.5, 1.0, r"step must lie in \(0, 1\), got 1.0"),
+])
+def test_sensitivity_rejects_an_excess_outside_range(epsilon, step, message):
+    # bracket_steps refuses these before any solve
+    with pytest.raises(ValueError, match=message):
+        sensitivity(make_cavity(), GLUCOSE, METHANOL, make_dye(1e10), 10,
+                    SOLVER, epsilon=epsilon, step=step, kappa_override=KAPPA)
+    with pytest.raises(ValueError, match=message):
+        bracket_steps(epsilon, step)
+
+
+@pytest.mark.parametrize("epsilon, step, steps", [
+    # halved to fit, then doubled while the doubled bracket still fits
+    (0.5, 0.01, [0.01, 0.02, 0.04, 0.08, 0.16, 0.32]),
+    (0.1, 0.3, [0.075]),
+    (0.9, 0.01, [0.01, 0.02, 0.04, 0.08]),
+    # at most MAX_DOUBLINGS doublings
+    (0.5, 1e-4, [1e-4 * 2.0 ** k for k in range(MAX_DOUBLINGS + 1)]),
+])
+def test_bracket_steps_halve_to_fit_then_double_within_the_range(
+        epsilon, step, steps):
+    assert bracket_steps(epsilon, step) == steps
 
 
 def test_sensitivity_rejects_a_lossless_cavity_without_kappa_override():
