@@ -841,6 +841,68 @@ def test_clamped_rows_read_p_e_off_the_clamped_occupations(monkeypatch):
     assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
 
 
+# --- the convergence norm --------------------------------------------------------
+
+
+def written_out_norm(sys_, N, pump):
+    """The balance-scaled residual norm, term by term, per row.
+
+    F and b are the drift's; S = r dn Gu and the gross one-way flux
+    kap N + r (dn (N + 1) Gu + up N Gd), r = M / (Gu + Gd), are written
+    out here.  floor = abs_tol + BALANCE_FTOL (S + |b N|) + CANCEL_EPS
+    gross with abs_tol = TOL_PER_KAPPA kappa_min, and the norm is
+    max(|F| / floor) abs_tol.
+    """
+    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
+    F, b, *_, Gu, Gd = sys_.drift(N, pump)
+    gu, gd = np.asarray(Gu)[..., None], np.asarray(Gd)[..., None]
+    r = sys_.M / (gu + gd)
+    S = r * sys_.dn * gu
+    gross = ((N + 1.0) * sys_.dn * gu + sys_.up * N * gd) * r + sys_.kap * N
+    floor = (abs_tol + BALANCE_FTOL * (S + np.abs(b * N))
+             + dynamics.CANCEL_EPS * gross)
+    return np.max(np.abs(F) / floor, axis=-1) * abs_tol
+
+
+def drift_norm(sys_, N, pump):
+    """The norm the solver routes read off one drift evaluation."""
+    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
+    return sys_.scaled_norm(N, abs_tol, sys_.drift(N, pump))
+
+
+@pytest.mark.parametrize("l_max", [0, 30, 200])
+def test_the_drift_norm_is_the_written_out_floor_bitwise(l_max):
+    # at the exact answer, a perturbed copy and the empty cavity, each
+    # alone and stacked as three rows, at every pump across the knee
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
+    wobble = 1.0 + 1e-3 * np.cos(np.arange(sys_.n))
+    for pump in KNEE_PUMPS.tolist():
+        exact = sys_.solve(pump)[0][0]
+        states = (exact, exact * wobble, np.zeros(sys_.n))
+        lone = []
+        for N in states:
+            norm = drift_norm(sys_, N, pump)
+            assert norm.shape == ()
+            assert norm == written_out_norm(sys_, N, pump)
+            lone.append(norm)
+        assert lone[0] <= abs_tol < lone[1]
+        stack, pumps = np.stack(states), np.full(3, pump)
+        rows = drift_norm(sys_, stack, pumps)
+        assert np.array_equal(rows, lone)
+        assert np.array_equal(rows, written_out_norm(sys_, stack, pumps))
+
+
+@pytest.mark.parametrize("mode", ["fixed_point", "semi_dynamical"])
+def test_converged_means_the_norm_is_within_the_tolerance(mode):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
+    pumps = np.concatenate([[0.0], KNEE_PUMPS])
+    rows = steady_states(sys_, pumps, SolverConfig(mode=mode))
+    assert np.array_equal(rows.converged, rows.residual_norm <= abs_tol)
+    assert rows.converged.all()
+
+
 # --- seeded pseudo-transient solves ---------------------------------------------
 
 PT = SolverConfig(mode="semi_dynamical")
