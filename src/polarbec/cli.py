@@ -82,7 +82,7 @@ def _load_config(args) -> RunConfig:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
     if text.lstrip().startswith("{"):
         text = config_text_from_manifest(text)

@@ -159,6 +159,15 @@ class SweepSettings:
     sensitivity_epsilon: float
     sensitivity_step: float
 
+    def __post_init__(self):
+        if self.grid_pump_points < 1:
+            raise ValueError(f"grid_pump_points must be >= 1, got "
+                             f"{self.grid_pump_points}")
+        for key in ("sensitivity_epsilon", "sensitivity_step"):
+            value = getattr(self, key)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{key} must lie in (0, 1), got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -387,14 +396,6 @@ def parse_config(text: str) -> RunConfig:
         chi=build(SweepSpec, "sweep", "chi_"))
     if l_max < 0:
         raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
-    if sweep.grid_pump_points < 1:
-        raise ConfigError(f"[sweep] grid_pump_points must be >= 1, got "
-                          f"{sweep.grid_pump_points}")
-    for key in ("sensitivity_epsilon", "sensitivity_step"):
-        value = getattr(sweep, key)
-        if not 0.0 < value < 1.0:
-            raise ConfigError(
-                f"[sweep] {key} must lie in (0, 1), got {value!r}")
     output_dir = resolve("output", "directory")
 
     config = RunConfig(

@@ -66,19 +66,21 @@ Two independent solvers find F(N) = 0:
   grows h from 0.1 / kappa_min; a seeded one starts at Newton scale
   (h_max, still under the growth cap) and, at its first rejected
   candidate or after SEEDED_STEPS unconverged steps, restarts from the
-  seed on the cold schedule, reusing the seed's drift.  Steps taken
-  before such a restart count toward the reported iterations and
-  toward the MAX_STEPS budget.
+  seed on the cold schedule, reusing the seed's drift, norm and all.
+  Steps taken before such a restart count toward the reported
+  iterations and toward the MAX_STEPS budget.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
 mode, with an extra term covering float64 cancellation of the two
-nearly-equal fluxes.  The reported residual_norm is normalised so that
-converged means residual_norm <= abs_tol = TOL_PER_KAPPA kappa_min.
-The reported p_e comes from the totals of the drift that residual was
-measured on; only a row clamped for negative occupations has its totals
-evaluated again.  A non-finite state reports a NaN p_e, never a made-up
-value.
+nearly-equal fluxes.  Each drift evaluation carries this norm, built in
+the same pass as F, so the rule lives in RateSystem.drift alone.  The
+reported residual_norm is normalised so that converged means
+residual_norm <= RateSystem.abs_tol = TOL_PER_KAPPA kappa_min, which
+the rate system computes once.  The reported p_e comes from the totals
+of the drift that residual was measured on; only a row clamped for
+negative occupations has its totals evaluated again.  A non-finite
+state reports a NaN p_e, never a made-up value.
 
 steady_states is the engine: one rate system, a grid of pumps, one row
 per pump.  Each route returns one row-stacked record (N, iterations,
@@ -144,7 +146,7 @@ class SolverConfig:
 class SteadyState:
     """Converged (or best-effort) stationary point of the rate equations.
 
-    converged implies residual_norm <= TOL_PER_KAPPA * kappa_min.  From
+    converged implies residual_norm <= RateSystem.abs_tol.  From
     find_steady_state every field belongs to one point; from
     steady_states they are row-stacked, one row per pump.
     """
@@ -184,8 +186,10 @@ class RateSystem:
     per polarisation block, and the block results are then combined.
     That makes every solver step exactly symmetric under relabelling the
     two blocks, and makes each row's arithmetic the same float
-    operations whatever the other rows hold.  drift is the one F(N);
-    its users take it whole, so a candidate state is evaluated once.
+    operations whatever the other rows hold.  drift is the one F(N),
+    and it carries the convergence norm against abs_tol = TOL_PER_KAPPA
+    kappa_min; its users take it whole, so a candidate state is
+    evaluated once.
 
     The constructor precomputes what h(u) reads, per mode:
     m1 = M ((dn_w - dn) - (up - up_w)) and m0 = M (up - up_w)
@@ -206,6 +210,8 @@ class RateSystem:
         self.n = self.deg.size
         self.bL = slice(0, n_left)
         self.bR = slice(n_left, self.n)
+        self.kappa_min = float(np.min(self.kap))
+        self.abs_tol = TOL_PER_KAPPA * self.kappa_min
         if self.M > 0.0:
             # mode with the smallest saturated molecular fraction wins
             xnu = (self.kap / self.M + self.up) / (self.up + self.dn)
@@ -252,11 +258,15 @@ class RateSystem:
         return pump + t[..., 0], self.gd0 + t[..., 1]
 
     def drift(self, N, pump):
-        """The one slaved drift F(N), per row: (F, b, S, gross, Gu, Gd).
+        """The one slaved drift F(N) and its convergence norm, per row.
 
-        F = b N + S, b = r (dn Gu - up Gd) - kap, S = r dn Gu, gross flux
-        kap N + r (dn (N + 1) Gu + up N Gd), r = M / (Gu + Gd); Gu, Gd
-        are the totals.  Built in place: few (rows, modes) temporaries.
+        Returns (F, b, norm, Gu, Gd): F = b N + S, b = r (dn Gu - up Gd)
+        - kap, S = r dn Gu, r = M / (Gu + Gd); Gu, Gd are the totals.
+        The norm measures F against the balance-scaled floor abs_tol
+        + BALANCE_FTOL (S + |b N|) + CANCEL_EPS gross, where gross = kap N
+        + r (dn (N + 1) Gu + up N Gd) is the gross one-way flux:
+        max |F| / floor times abs_tol, so norm <= abs_tol means converged.
+        Built in place: few (rows, modes) temporaries.
         """
         Gu, Gd = self.totals(N, pump)
         r = _col(self.M / (Gu + Gd))
@@ -276,27 +286,18 @@ class RateSystem:
         np.multiply(self.kap, N, out=t)
         gross += t
         b -= self.kap
-        F = np.multiply(b, N, out=t)
-        F += S
-        return F, b, S, gross, Gu, Gd
-
-    def scaled_norm(self, N, abs_tol, drift):
-        """Balance-scaled residual norm per row; <= abs_tol means converged.
-
-        The residual F is measured against the floor abs_tol
-        + BALANCE_FTOL (S + |b N|) + CANCEL_EPS gross.  `drift` is
-        self.drift(N, pump), read and never modified.
-        """
-        F, b, S, gross, _, _ = drift
-        floor = b * N
+        floor = np.multiply(b, N, out=t)    # b N, then the floor
+        F = floor + S
         np.abs(floor, out=floor)
         floor += S
         floor *= BALANCE_FTOL
-        floor += abs_tol
-        floor += gross * CANCEL_EPS
-        f = np.abs(F)
+        floor += self.abs_tol
+        gross *= CANCEL_EPS
+        floor += gross
+        f = np.abs(F, out=gross)
         f /= floor
-        return np.maximum.reduce(f, axis=-1) * abs_tol
+        norm = np.maximum.reduce(f, axis=-1) * self.abs_tol
+        return F, b, norm, Gu, Gd
 
     # --- exact one-variable reduction (the fixed_point route) ---
 
@@ -506,7 +507,7 @@ def _pt_step(sys_: RateSystem, N, drift, h):
     Sherman-Morrison identity.  The step is capped so that no locally
     growing direction is amplified past its linear-regime horizon.
     """
-    F, b, _, _, Gu, Gd = drift
+    F, b, _, Gu, Gd = drift
     bpos = b[b > 0]
     if bpos.size:
         h = min(h, 0.7 / float(bpos.max()))
@@ -521,32 +522,28 @@ def _pt_step(sys_: RateSystem, N, drift, h):
     return N + y + (sys_.blockdot(c, y) / denom) * wd
 
 
-def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float):
+def _semi_dynamical(sys_: RateSystem, pump: float, N0):
     # returns the one-row record (N, steps, norm, Gamma_up, Gamma_dn), the
-    # totals read off the drift the norm was taken on.
+    # norm and the totals those of the last accepted state's drift.
     # N0 is None (the empty cavity) or a float array, never written to.
     # A cold start grows h from 0.1 / kappa_min.  A seed starts at h_max,
     # Newton scale; at its first rejected candidate, or once SEEDED_STEPS
     # steps have not converged, it restarts from the seed on the cold
-    # schedule, with the seed's drift and norm held from the start rather
-    # than evaluated again.  Steps before a restart count toward `steps`
-    # and MAX_STEPS.
-    kap0 = float(np.min(sys_.kap))
+    # schedule, with the seed's drift, norm included, held from the start
+    # rather than evaluated again.  Steps before a restart count toward
+    # `steps` and MAX_STEPS.
     N = np.zeros(sys_.n) if N0 is None else N0
-    h_cold = 0.1 / kap0
-    h_min = 1e-3 / kap0
-    h_max = 1e12 / kap0
+    h_cold = 0.1 / sys_.kappa_min
+    h_min = 1e-3 / sys_.kappa_min
+    h_max = 1e12 / sys_.kappa_min
     fast = N0 is not None
     h = h_max if fast else h_cold
     it = 0
-    drift = sys_.drift(N, pump)
-    norm = sys_.scaled_norm(N, abs_tol, drift)
-    start = drift, norm
+    drift = start = sys_.drift(N, pump)
     rejected = False
-    while it < MAX_STEPS and norm > abs_tol:
+    while it < MAX_STEPS and drift[2] > sys_.abs_tol:
         if fast and (rejected or it == SEEDED_STEPS):
-            N, h, fast = N0, h_cold, False
-            drift, norm = start
+            N, h, fast, drift = N0, h_cold, False, start
         raw = _pt_step(sys_, N, drift, h)
         it += 1
         rejected = True
@@ -556,14 +553,13 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0, abs_tol: float):
             continue
         cand = np.maximum(raw, 0.0)
         cand_drift = sys_.drift(cand, pump)
-        cand_norm = sys_.scaled_norm(cand, abs_tol, cand_drift)
-        if cand_norm <= 4.0 * norm:
-            N, norm, drift = cand, cand_norm, cand_drift
+        if cand_drift[2] <= 4.0 * drift[2]:
+            N, drift = cand, cand_drift
             h = min(h * 2.0, h_max)
             rejected = False
         else:
             h = max(h * 0.25, h_min)
-    return N, it, norm, drift[4], drift[5]
+    return (N, it) + drift[2:]
 
 
 def crosscheck_bound() -> float:
@@ -580,7 +576,7 @@ def crosscheck_bound() -> float:
     return 4.0 * BALANCE_FTOL
 
 
-def _exact(sys_, pumps, abs_tol):
+def _exact(sys_, pumps):
     # record of the exact route, CHUNK_ELEMENTS occupations at a time: each
     # chunk of rows gets its lock-step root search, its drift and its norm,
     # written into the column's record, so no temporary outgrows a chunk
@@ -591,9 +587,7 @@ def _exact(sys_, pumps, abs_tol):
     for start in range(0, pumps.size, chunk):
         part = slice(start, start + chunk)
         N[part], steps[part] = sys_.solve(pumps[part])
-        drift = sys_.drift(N[part], pumps[part])
-        norm[part] = sys_.scaled_norm(N[part], abs_tol, drift)
-        Gu[part], Gd[part] = drift[4], drift[5]
+        norm[part], Gu[part], Gd[part] = sys_.drift(N[part], pumps[part])[2:]
     return N, steps, norm, Gu, Gd
 
 
@@ -613,13 +607,13 @@ def secant_seed(before, last):
     return np.maximum(2.0 * last - before, 0.0)
 
 
-def _pseudo_transient(sys_, pumps, seed, abs_tol):
+def _pseudo_transient(sys_, pumps, seed):
     # record of the pseudo-transient route: rows solved in pump order,
     # the first seeded with `seed` and every later one by secant_seed
     # from the rows before it
     rows, before = [], None
     for pump in pumps.tolist():
-        rows.append(_semi_dynamical(sys_, pump, seed, abs_tol))
+        rows.append(_semi_dynamical(sys_, pump, seed))
         last = rows[-1][0]
         seed, before = secant_seed(before, last), last
     steps, norm, Gu, Gd = np.array([r[1:] for r in rows]).reshape(-1, 4).T
@@ -644,7 +638,6 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
     routes' steps as iterations.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1)
-    abs_tol = TOL_PER_KAPPA * float(np.min(sys_.kap))
     if seed is not None and config.mode != "fixed_point":
         seed = np.asarray(seed, dtype=float)
         if seed.ndim != 1 or seed.size != sys_.n:
@@ -655,10 +648,10 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                 "seed occupations must be finite and non-negative")
 
     N, iters, norm, Gu, Gd = (
-        _pseudo_transient(sys_, pumps, seed, abs_tol)
-        if config.mode == "semi_dynamical" else _exact(sys_, pumps, abs_tol))
+        _pseudo_transient(sys_, pumps, seed)
+        if config.mode == "semi_dynamical" else _exact(sys_, pumps))
     if config.mode == "both_crosscheck":
-        N_pt, iters_pt = _pseudo_transient(sys_, pumps, seed, abs_tol)[:2]
+        N_pt, iters_pt = _pseudo_transient(sys_, pumps, seed)[:2]
         dev = np.abs(N - N_pt) / (np.maximum(N, N_pt) + 1.0)
         bound = crosscheck_bound()
         # a NaN gap fails too: it compares False against the bound
@@ -681,7 +674,7 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
         # Gd >= gamma_down + sum g dn > 0 on a finite state; NaN stays NaN
         p_e = Gu / (Gu + Gd)
     return SteadyState(N=N, p_e=p_e, residual_norm=norm, iterations=iters,
-                       converged=(norm <= abs_tol) & ~negative)
+                       converged=(norm <= sys_.abs_tol) & ~negative)
 
 
 def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,

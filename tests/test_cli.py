@@ -758,9 +758,18 @@ def test_a_fault_inside_a_command_is_not_an_io_error(tmp_path, monkeypatch,
     assert not (out / ".polarbec.lock").exists()
 
 
-def test_missing_config_file_is_a_config_error(tmp_path):
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert run_cli("modes", "--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "x")) == EXIT_CONFIG
+    # a file that is not UTF-8 is named in the message as well
+    garbled = tmp_path / "garbled.ini"
+    garbled.write_bytes(b"[cavity]\nl_max = \xff30\n")
+    capsys.readouterr()
+    assert run_cli("modes", "--config", str(garbled),
+                   "--out", str(tmp_path / "y")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read config {str(garbled)!r}" in err
+    assert "can't decode byte 0xff" in err
 
 
 def test_locked_output_directory_is_refused(tmp_path):

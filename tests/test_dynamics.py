@@ -451,11 +451,11 @@ def test_chunking_does_not_change_a_single_bit(monkeypatch):
 
 def test_exact_route_memory_stays_within_chunks_of_the_column():
     # 2,000 rows of 402 modes span a dozen chunks.  A chunk's drift holds
-    # four (rows, modes) arrays (F, b, S, gross) and its norm three more,
-    # so beside the column's N the route needs seven chunk-sized arrays
-    # and a little more (8.3 chunks measured); twelve leave room.  The
-    # same drift and norm over the whole column would hold seven
-    # column-sized arrays (7 N in all, measured).
+    # five (rows, modes) arrays (b, S, gross, the norm's floor and F), so
+    # beside the column's N the route needs five chunk-sized arrays and
+    # a little more (5.2 chunks measured); twelve leave room.  The same
+    # drift over the whole column would hold five column-sized arrays
+    # (6 N in all, measured).
     _, sys_ = ladder_system(SWEEP_INDICES)
     pumps = np.geomspace(1e8, 1e10, 2000)
     chunk_bytes = (dynamics.CHUNK_ELEMENTS // sys_.n) * sys_.n * 8
@@ -864,31 +864,25 @@ def written_out_norm(sys_, N, pump):
     return np.max(np.abs(F) / floor, axis=-1) * abs_tol
 
 
-def drift_norm(sys_, N, pump):
-    """The norm the solver routes read off one drift evaluation."""
-    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
-    return sys_.scaled_norm(N, abs_tol, sys_.drift(N, pump))
-
-
 @pytest.mark.parametrize("l_max", [0, 30, 200])
 def test_the_drift_norm_is_the_written_out_floor_bitwise(l_max):
     # at the exact answer, a perturbed copy and the empty cavity, each
     # alone and stacked as three rows, at every pump across the knee
     _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
-    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
+    assert sys_.abs_tol == dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
     wobble = 1.0 + 1e-3 * np.cos(np.arange(sys_.n))
     for pump in KNEE_PUMPS.tolist():
         exact = sys_.solve(pump)[0][0]
         states = (exact, exact * wobble, np.zeros(sys_.n))
         lone = []
         for N in states:
-            norm = drift_norm(sys_, N, pump)
+            norm = sys_.drift(N, pump)[2]
             assert norm.shape == ()
             assert norm == written_out_norm(sys_, N, pump)
             lone.append(norm)
-        assert lone[0] <= abs_tol < lone[1]
+        assert lone[0] <= sys_.abs_tol < lone[1]
         stack, pumps = np.stack(states), np.full(3, pump)
-        rows = drift_norm(sys_, stack, pumps)
+        rows = sys_.drift(stack, pumps)[2]
         assert np.array_equal(rows, lone)
         assert np.array_equal(rows, written_out_norm(sys_, stack, pumps))
 
@@ -896,10 +890,9 @@ def test_the_drift_norm_is_the_written_out_floor_bitwise(l_max):
 @pytest.mark.parametrize("mode", ["fixed_point", "semi_dynamical"])
 def test_converged_means_the_norm_is_within_the_tolerance(mode):
     _, sys_ = ladder_system(SWEEP_INDICES)
-    abs_tol = dynamics.TOL_PER_KAPPA * float(np.min(sys_.kap))
     pumps = np.concatenate([[0.0], KNEE_PUMPS])
     rows = steady_states(sys_, pumps, SolverConfig(mode=mode))
-    assert np.array_equal(rows.converged, rows.residual_norm <= abs_tol)
+    assert np.array_equal(rows.converged, rows.residual_norm <= sys_.abs_tol)
     assert rows.converged.all()
 
 
