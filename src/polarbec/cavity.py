@@ -157,6 +157,9 @@ class ModeLadder:
     kappa:      photon loss rate per mode, 1/s
     n_left:     modes [0, n_left) are L-polarised, the rest R
     degeneracy: l + 1 per mode; derived from l on first use, then cached
+
+    l, omega and kappa are read-only copies (l integer, the others float):
+    an in-place write raises ValueError, so a built ladder never changes.
     """
 
     l: np.ndarray
@@ -165,6 +168,9 @@ class ModeLadder:
     n_left: int
 
     def __post_init__(self):
+        for name, dtype in (("l", None), ("omega", float), ("kappa", float)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype))
+            getattr(self, name).setflags(write=False)
         n = self.l.size
         if not self.omega.size == self.kappa.size == n:
             raise ValueError("ladder arrays must have one entry per mode")
@@ -192,9 +198,14 @@ class ModeLadder:
     def ground(self) -> tuple[int | None, int | None]:
         """Indices of the l = 0 mode of the L and of the R block.
 
-        Every ground-mode lookup goes through here.  None for a block
-        without one; ValueError for a block with several.
+        Every ground-mode lookup goes through here, and the answer is
+        cached on first use.  None for a block without one; ValueError,
+        at every call, for a block with several.
         """
+        return self._ground
+
+    @cached_property
+    def _ground(self) -> tuple[int | None, int | None]:
         blocks = (slice(0, self.n_left), slice(self.n_left, self.size))
         out = []
         for sigma, block in zip(POLARISATIONS, blocks):

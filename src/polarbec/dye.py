@@ -98,12 +98,14 @@ class DyeParams:
                 raise ValueError(f"linewidth**2 * {name} overflows a float")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateTable:
     """Per-mode emission and absorption rates on one mode ladder.
 
     gamma_down[i] and gamma_up[i] belong to mode i of `ladder`.  Entries
-    are strictly positive and finite; an empty ladder is rejected.
+    are strictly positive and finite; an empty ladder is rejected.  Both
+    are read-only float copies, so an in-place write raises ValueError;
+    like a ModeLadder, a table compares and hashes by identity.
     """
 
     ladder: ModeLadder
@@ -117,6 +119,9 @@ class RateTable:
                 or len(self.gamma_up) != self.ladder.size):
             raise ValueError("rate arrays must align with the mode ladder")
         check_rates(self.gamma_down, self.gamma_up)
+        for name in ("gamma_down", "gamma_up"):
+            object.__setattr__(self, name, np.array(getattr(self, name), float))
+            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
         return self.ladder.size

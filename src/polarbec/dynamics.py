@@ -445,6 +445,22 @@ def _root_search(umax, floor):
 
 # --- public rate-equation operations ------------------------------------
 
+_last_system: dict = {}     # _rate_system's one entry, {key: system}
+
+
+def _rate_system(rates, ladder, dye) -> RateSystem:
+    """RateSystem.from_tables(rates, ladder, dye), kept under a key of all
+    it reads: the table and the ladder by identity (their arrays are
+    read-only; the key holds both, so no other object can take their
+    ids) and the bits of dye.M and dye.gamma_down."""
+    key = (rates, ladder, float(dye.M).hex(), float(dye.gamma_down).hex())
+    sys_ = _last_system.get(key)
+    if sys_ is None:
+        sys_ = RateSystem.from_tables(rates, ladder, dye)
+        _last_system.clear()
+        _last_system[key] = sys_
+    return sys_
+
 
 def occupations(N, ladder: ModeLadder) -> np.ndarray:
     """N as a float array, one occupation per mode of the ladder."""
@@ -459,7 +475,7 @@ def total_rates(N, rates: RateTable, ladder: ModeLadder,
                 dye: DyeParams) -> tuple[float, float]:
     """Collective molecular rates (Gamma_up, Gamma_dn) at occupations N."""
     N = occupations(N, ladder)
-    sys_ = RateSystem.from_tables(rates, ladder, dye)
+    sys_ = _rate_system(rates, ladder, dye)
     gu, gd = sys_.totals(N, dye.gamma_up_pump)
     return float(gu), float(gd)
 
@@ -474,7 +490,7 @@ def full_derivatives(N, p_e: float, rates: RateTable, ladder: ModeLadder,
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"p_e must lie in [0, 1], got {p_e}")
     N = occupations(N, ladder)
-    sys_ = RateSystem.from_tables(rates, ladder, dye)
+    sys_ = _rate_system(rates, ladder, dye)
     Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
     dN = (-sys_.kap * N
           - sys_.up * N * sys_.M * (1.0 - p_e)
@@ -492,8 +508,7 @@ def adiabatic_derivative(N, rates: RateTable, ladder: ModeLadder,
     of both routes.  With no molecules it reduces to pure cavity decay.
     """
     N = occupations(N, ladder)
-    return RateSystem.from_tables(rates, ladder, dye).drift(
-        N, dye.gamma_up_pump)[0]
+    return _rate_system(rates, ladder, dye).drift(N, dye.gamma_up_pump)[0]
 
 
 # --- steady-state solvers ------------------------------------------------
@@ -686,10 +701,12 @@ def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
     empty cavity (all occupations zero) is returned.  `seed`, one
     occupation per mode, starts the semi_dynamical route; the exact
     route ignores it.  This is the one-row call of steady_states, which
-    checks the seed and documents the routes and the cross-check.
+    checks the seed and documents the routes and the cross-check.  The
+    rate system comes from a one-entry memo keyed by `rates`, `ladder`,
+    dye.M and dye.gamma_down, not the pump: a pump sweep builds one.
     """
-    sys_ = RateSystem.from_tables(rates, ladder, dye)
-    rows = steady_states(sys_, [dye.gamma_up_pump], config, seed)
+    rows = steady_states(_rate_system(rates, ladder, dye),
+                         [dye.gamma_up_pump], config, seed)
     return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),
                        residual_norm=float(rows.residual_norm[0]),
                        iterations=int(rows.iterations[0]),

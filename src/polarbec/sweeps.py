@@ -18,8 +18,8 @@ Sweep drivers:
   it, the rule steady_states applies along a column (only the
   pseudo-transient route reads the seed), plus the frozen-loser
   two-mode trace for comparison.  It runs point by point through the
-  public find_steady_state and stokes_s3, on one mode ladder and the
-  rate table built on it.
+  public find_steady_state and stokes_s3, on one mode ladder, one rate
+  table and one rate system (find_steady_state's memo).
 * chi_sweep: one steady state per index splitting chi at fixed pump,
   repeated for a family of absorption-scale factors.  Each solved point
   builds its own ladder, rate table and rate system.
@@ -265,14 +265,16 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
                kappa_override: float | None = None) -> SweepResult:
     """Steady states along an ascending pump grid at a fixed medium.
 
-    Runs sequentially so every point can be seeded from the points
-    below it, by secant_seed, as steady_states seeds a column; the
-    frozen-loser trace of the two ground modes (ModeLadder.ground),
-    each at its own loss and rates, is evaluated on the same grid and
-    reported in the S3_pinned column.  A ground mode whose gain never
-    exceeds its loss (M * gamma_dn_nu <= kappa, e.g. M = 0) never reaches
-    its knee, so it is never the winner: with neither mode able to
-    condense, S3_pinned follows the two single-mode laws at every pump.
+    Runs sequentially on one mode ladder, one rate table and one rate
+    system (find_steady_state keeps it while only the pump changes), so
+    every point can be seeded from the points below it, by secant_seed,
+    as steady_states seeds a column; the frozen-loser trace of the two
+    ground modes (ModeLadder.ground), each at its own loss and rates, is
+    evaluated on the same grid and reported in the S3_pinned column.  A
+    ground mode whose gain never exceeds its loss (M * gamma_dn_nu <=
+    kappa, e.g. M = 0) never reaches its knee, so it is never the winner:
+    with neither mode able to condense, S3_pinned follows the two
+    single-mode laws at every pump.
     """
     t0 = time.perf_counter()
     pumps = spec.grid()

@@ -23,6 +23,7 @@ from polarbec import (
     build_rate_table,
     cutoff_frequency,
 )
+from polarbec.dynamics import RateSystem
 
 # --- reference configuration ----------------------------------------------
 
@@ -71,6 +72,20 @@ def two_order_modes() -> ModeLadder:
 
 def with_pump(dye: DyeParams, pump: float) -> DyeParams:
     return replace(dye, gamma_up_pump=pump)
+
+
+def count_system_builds(monkeypatch) -> list:
+    """Wrap RateSystem.from_tables; each call appends its (rates, ladder,
+    dye) to the returned list and builds the system as before."""
+    builds = []
+    build = RateSystem.__dict__["from_tables"].__func__
+
+    def counted(cls, rates, ladder, dye):
+        builds.append((rates, ladder, dye))
+        return build(cls, rates, ladder, dye)
+
+    monkeypatch.setattr(RateSystem, "from_tables", classmethod(counted))
+    return builds
 
 
 def bisect_single_mode(pump: float, kappa: float, gamma_down: float,

@@ -27,6 +27,7 @@ from conftest import (
     KAPPA,
     LATERAL_134,
     MASS_134,
+    SWEEP_INDICES,
     make_cavity,
     two_order_modes,
 )
@@ -244,8 +245,12 @@ def test_array_ladder_checks_every_mode():
 
 def test_ground_modes_need_one_l0_mode_per_block():
     ladder = two_order_modes()
-    with pytest.raises(ValueError, match="L block holds 2 l = 0 modes"):
-        ladder.ground()
+    # the lookup is cached, and a refused one is refused at every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="L block holds 2 l = 0 modes"):
+            ladder.ground()
+    good = build_mode_set(make_cavity(), SWEEP_INDICES, 3, KAPPA)
+    assert good.ground() == (0, 4) and good.ground() is good.ground()
     # a block without an l = 0 mode has no ground mode
     l_shifted = ModeLadder(l=ladder.l + 1, omega=ladder.omega,
                            kappa=ladder.kappa, n_left=ladder.n_left)

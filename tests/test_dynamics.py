@@ -48,6 +48,7 @@ from conftest import (
     TEFF_L0,
     bisect_margin_roots,
     bisect_single_mode,
+    count_system_builds,
     direct_occ_at_u,
     direct_totals,
     make_cavity,
@@ -1004,3 +1005,86 @@ def test_a_secant_seeded_column_takes_fewer_steps():
     assert rows.converged.all()
     assert rows.iterations.sum() <= 2.2 * pumps.size
     assert max_route_gap(rows.N, exact.N) <= crosscheck_bound()
+
+
+# --- one rate system per table, ladder and dye ----------------------------------
+
+
+def assert_bitwise_equal(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fixed_point", "semi_dynamical",
+                                  "both_crosscheck"])
+def test_find_steady_state_builds_one_system_per_table_ladder_and_dye(
+        monkeypatch, mode):
+    # the pump is no part of a rate system: a new pump reuses the last
+    # one, while a new M, gamma_down (signed zero included), table or
+    # ladder builds its own; only the last system is kept
+    fresh = RateSystem.from_tables
+    builds = count_system_builds(monkeypatch)
+    config = SolverConfig(mode=mode)
+    ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 30, KAPPA)
+    same_ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 30, KAPPA)
+    dye = make_dye()
+    rates = build_rate_table(dye, ladder)
+    calls = [(rates, ladder, dye, 1e9, 1),
+             (rates, ladder, dye, 5e9, 0),
+             (rates, ladder, replace(dye, M=2e9), 5e9, 1),
+             (rates, ladder, replace(dye, gamma_down=2e9), 5e9, 1),
+             (build_rate_table(dye, ladder), ladder, dye, 5e9, 1),
+             (rates, same_ladder, dye, 5e9, 1),
+             (rates, ladder, dye, 2e9, 1),
+             (rates, ladder, replace(dye, M=0.0), 2e9, 1),
+             (rates, ladder, replace(dye, M=-0.0), 2e9, 1),
+             (rates, ladder, replace(dye, gamma_down=0.0), 2e9, 1),
+             (rates, ladder, replace(dye, gamma_down=-0.0), 2e9, 1)]
+    for rates_k, ladder_k, dye_k, pump, new in calls:
+        before = len(builds)
+        dye_k = replace(dye_k, gamma_up_pump=pump)
+        got = find_steady_state(rates_k, ladder_k, dye_k, config)
+        assert len(builds) == before + new
+        assert builds[-1][:2] == (rates_k, ladder_k)
+        want = steady_states(fresh(rates_k, ladder_k, dye_k), [pump], config)
+        for name in ("N", "p_e", "residual_norm", "iterations", "converged"):
+            assert_bitwise_equal(getattr(got, name), getattr(want, name)[0])
+    assert len(builds) == 10
+
+
+def test_every_public_rate_operation_shares_the_system(monkeypatch):
+    fresh = RateSystem.from_tables
+    builds = count_system_builds(monkeypatch)
+    ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 30, KAPPA)
+    dye = make_dye(5e9)
+    rates = build_rate_table(dye, ladder)
+    N = find_steady_state(rates, ladder, dye).N
+    sys_ = fresh(rates, ladder, dye)
+    Gu, Gd = sys_.totals(N, dye.gamma_up_pump)
+    assert total_rates(N, rates, ladder, dye) == (float(Gu), float(Gd))
+    assert_bitwise_equal(adiabatic_derivative(N, rates, ladder, dye),
+                         sys_.drift(N, dye.gamma_up_pump)[0])
+    dN, dpe = full_derivatives(N, 0.5, rates, ladder, dye)
+    assert_bitwise_equal(dN, -sys_.kap * N - sys_.up * N * sys_.M * 0.5
+                         + sys_.dn * (N + 1.0) * sys_.M * 0.5)
+    assert dpe == float(-Gd * 0.5 + Gu * 0.5)
+    assert len(builds) == 1
+    # a new pump is no new system either
+    total_rates(N, rates, ladder, replace(dye, gamma_up_pump=1e9))
+    assert len(builds) == 1
+
+
+def test_ladders_and_tables_refuse_in_place_writes():
+    # a memoised system can never see its arrays change under it
+    omega = np.array([3.4e15, 3.5e15])
+    ladder = ModeLadder(l=np.array([0, 1]), omega=omega,
+                        kappa=np.full(2, KAPPA), n_left=2)
+    rates = build_rate_table(make_dye(), ladder)
+    for arr in (ladder.l, ladder.omega, ladder.kappa, rates.gamma_up,
+                rates.gamma_down):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(arr, 2.0, out=arr)
+    # the ladder holds a copy: the caller's array stays its own
+    omega[0] = 1.0
+    assert ladder.omega[0] == 3.4e15

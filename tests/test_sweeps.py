@@ -46,6 +46,7 @@ from conftest import (
     SWEEP_INDICES,
     UP_L0,
     UP_R0,
+    count_system_builds,
     make_cavity,
     make_dye,
     two_order_modes,
@@ -238,6 +239,19 @@ def test_pump_sweep_seeds_its_points_as_steady_states_seeds_a_column():
     column = point_columns(steady_states(sys_, spec.grid(), pt), ladder)
     assert_same_columns({name: res.columns[name] for name in _POINT_FIELDS},
                         column)
+
+
+@pytest.mark.parametrize("mode", ["fixed_point", "semi_dynamical",
+                                  "both_crosscheck"])
+def test_a_pump_sweep_builds_one_rate_system(monkeypatch, mode):
+    # one find_steady_state per point, all on one ladder, one table and
+    # one dye but for the pump, so all on one rate system
+    builds = count_system_builds(monkeypatch)
+    spec = SweepSpec(start=1e8, stop=1e10, points=12)
+    res = pump_sweep(make_cavity(), SWEEP_INDICES, make_dye(), 30,
+                     SolverConfig(mode=mode), spec, kappa_override=KAPPA)
+    assert res.all_converged and res.meta["points"] == 12
+    assert len(builds) == 1
 
 
 def test_pinned_trace_reads_each_ground_mode_at_its_own_loss():
