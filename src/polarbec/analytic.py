@@ -109,10 +109,14 @@ def single_mode_exact(pump: float, kappa: float, gamma_down: float,
                       M: float) -> float:
     """Exact stationary occupation of one mode (positive quadratic root).
 
-    Evaluated in the cancellation-safe form on both sides of the knee.
+    Evaluated in the cancellation-safe form on both sides of the knee,
+    after scaling kappa and M by one power of two, which a, b and c follow
+    exactly: the root keeps its bits and b * b stays finite at any loss.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    e = -math.frexp(max(kappa, M))[1]
+    kappa, M = math.ldexp(kappa, e), math.ldexp(M, e)
     a = kappa * (gamma_up_nu + gamma_dn_nu)
     b = kappa * (pump + gamma_down + gamma_dn_nu) - M * (
         pump * gamma_dn_nu - gamma_down * gamma_up_nu)

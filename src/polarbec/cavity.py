@@ -156,10 +156,11 @@ class ModeLadder:
     omega:      angular frequency per mode, rad/s
     kappa:      photon loss rate per mode, 1/s
     n_left:     modes [0, n_left) are L-polarised, the rest R
-    degeneracy: l + 1 per mode; derived from l on first use, then cached
+    degeneracy: l + 1.0 per mode, derived from l on first use, then cached
 
-    l, omega and kappa are read-only copies (l integer, the others float):
-    an in-place write raises ValueError, so a built ladder never changes.
+    l, omega and kappa are read-only copies (l integer, the others float)
+    and degeneracy is read-only: an in-place write raises ValueError, so a
+    built ladder never changes, nor a rate system holding its arrays.
     """
 
     l: np.ndarray
@@ -193,7 +194,9 @@ class ModeLadder:
 
     @cached_property
     def degeneracy(self) -> np.ndarray:
-        return self.l + 1
+        deg = self.l + 1.0
+        deg.setflags(write=False)
+        return deg
 
     def ground(self) -> tuple[int | None, int | None]:
         """Indices of the l = 0 mode of the L and of the R block.

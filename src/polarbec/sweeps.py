@@ -21,8 +21,9 @@ Sweep drivers:
   public find_steady_state and stokes_s3, on one mode ladder, one rate
   table and one rate system (find_steady_state's memo).
 * chi_sweep: one steady state per index splitting chi at fixed pump,
-  repeated for a family of absorption-scale factors.  Each solved point
-  builds its own ladder, rate table and rate system.
+  repeated for a family of absorption-scale factors.  Each solved chi
+  builds one ladder for every scale, and on it a rate table and rate
+  system per scale.
 * grid_sweep: chi x pump map.  Each solved chi column builds one ladder,
   rate table and rate system and solves its whole pump grid in one call
   (steady_states: one lock-step root search on the exact route,
@@ -95,8 +96,7 @@ class Observables:
 
 def _readout(N, ladder: ModeLadder) -> dict:
     """Stokes readout of row-stacked occupations on a ladder, per row."""
-    deg = ladder.degeneracy.astype(float)
-    nl = ladder.n_left
+    deg, nl = ladder.degeneracy, ladder.n_left
     # one BLAS dot per row and block, the call a lone readout makes
     total_L = row_dot(N[:, :nl], deg[:nl])
     total_R = row_dot(N[:, nl:], deg[nl:])
@@ -197,13 +197,15 @@ def _empty_fields(rows: int) -> dict:
             for name, dtype in _POINT_FIELDS.items()}
 
 
-def _chi_grid_columns(cavity, base_index, dye, l_max, kappa_override, solver,
+def _chi_grid_columns(cavity, base_index, dyes, l_max, kappa_override, solver,
                       chis, pumps):
-    """The _POINT_FIELDS of a chi grid, chi-major with one row per pump,
-    and how many of those rows were read off a mirror partner's solve.
+    """The _POINT_FIELDS of a dye x chi x pump table, dye-major, then
+    chi-major with one row per pump, and how many of its rows were read
+    off a mirror partner's solve.
 
-    Each solved chi gets its ladder, rate table and rate system here and
-    its pump grid in one steady_states call.
+    Each solved chi gets its ladder here, once for every dye (a dye does
+    not enter the ladder); each dye then gets its rate table and rate
+    system on that ladder and its pump grid in one steady_states call.
 
     chi -> -chi swaps n_L and n_R, so the ladder at -chi is the one at chi
     with its two blocks swapped (mode_ladder gives both l = 0 .. l_max),
@@ -213,33 +215,32 @@ def _chi_grid_columns(cavity, base_index, dye, l_max, kappa_override, solver,
     this solve, while every per-row scalar carries over; the readout
     recomputes S3 from the swapped totals, which keeps the sign of a
     zero.  Each readout goes straight into its slice of the columns, so
-    no occupations outlive their chi.
+    no occupations outlive their solve.
     """
-    n = len(pumps)
-    out = _empty_fields(len(chis) * n)
+    n, m = len(pumps), len(chis)
+    out = _empty_fields(len(dyes) * m * n)
     last = {chi: k for k, chi in enumerate(chis)}
-    done, mirrored = set(), 0
+    mirrored = set()
     for k, chi in enumerate(chis):
-        if k in done:
+        if k in mirrored:
             continue
         ladder = mode_ladder(cavity, refractive_indices(base_index, chi),
                              l_max, kappa_override)
-        states = steady_states(
-            RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye),
-            pumps, solver)
-        slots = {k: states.N}
+        nl = ladder.n_left
         j = last.get(-chi, k)
-        if j > k and j not in done:
-            nl = ladder.n_left
-            slots[j] = np.concatenate((states.N[:, nl:], states.N[:, :nl]),
-                                      axis=1)
-            mirrored += n
-        for slot, N in slots.items():
-            point = {**vars(states), **_readout(N, ladder)}
-            for name, column in out.items():
-                column[slot * n:(slot + 1) * n] = point[name]
-        done.update(slots)
-    return out, mirrored
+        slots = (k, j) if j > k and j not in mirrored else (k,)
+        mirrored.update(slots[1:])
+        for d, dye in enumerate(dyes):
+            states = steady_states(RateSystem.from_tables(
+                build_rate_table(dye, ladder), ladder, dye), pumps, solver)
+            for slot in slots:
+                N = states.N if slot == k else np.concatenate(
+                    (states.N[:, nl:], states.N[:, :nl]), axis=1)
+                point = {**vars(states), **_readout(N, ladder)}
+                start = (d * m + slot) * n
+                for name, column in out.items():
+                    column[start:start + n] = point[name]
+    return out, len(mirrored) * len(dyes) * n
 
 
 def _meta(columns: dict, elapsed: float) -> dict:
@@ -310,11 +311,11 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
               chi_per_epsilon: float | None = None) -> SweepResult:
     """Steady states along an index-splitting grid at fixed pump.
 
-    Every grid point is a cold solve, repeated for each absorption-scale
-    factor in `scales`, except that a point whose -chi came earlier in
-    the grid is read off that solve with its blocks swapped
-    (_chi_grid_columns), bit for bit what its own solve gives; meta counts
-    those rows as mirrored_points.  chi is linear in the
+    Every grid point is a cold solve, repeated on its chi's one ladder for
+    each absorption-scale factor in `scales`, except that a point whose
+    -chi came earlier in the grid is read off that solve with its blocks
+    swapped (_chi_grid_columns), bit for bit what its own solve gives;
+    meta counts those rows as mirrored_points.  chi is linear in the
     enantiomeric excess, so `chi_per_epsilon`, the chi at full excess,
     maps each point back to the excess behind it, chi / chi_per_epsilon;
     the epsilon column is NaN when it is None or 0.
@@ -322,16 +323,11 @@ def chi_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     t0 = time.perf_counter()
     chis = spec.grid()
     n = chis.size
-    fields = _empty_fields(len(scales) * n)
-    mirrored = 0
-    for i, scale in enumerate(map(float, scales)):
-        dye_s = replace(dye, gamma_up0=dye.gamma_up0 * scale)
-        part, m = _chi_grid_columns(cavity, base_index, dye_s, l_max,
-                                    kappa_override, solver, chis.tolist(),
-                                    [dye_s.gamma_up_pump])
-        mirrored += m
-        for name, column in fields.items():
-            column[i * n:(i + 1) * n] = part[name]
+    dyes = [replace(dye, gamma_up0=dye.gamma_up0 * scale)
+            for scale in map(float, scales)]
+    fields, mirrored = _chi_grid_columns(cavity, base_index, dyes, l_max,
+                                         kappa_override, solver, chis.tolist(),
+                                         [dye.gamma_up_pump])
     epsilon = (chis / chi_per_epsilon if chi_per_epsilon
                else np.full(n, math.nan))
     columns = {"scale": np.repeat(np.asarray(scales, dtype=float), n),
@@ -359,7 +355,7 @@ def grid_sweep(cavity: CavityParams, base_index: float, dye: DyeParams,
     t0 = time.perf_counter()
     chis = chi_spec.grid()
     pumps = pump_spec.grid()
-    fields, mirrored = _chi_grid_columns(cavity, base_index, dye, l_max,
+    fields, mirrored = _chi_grid_columns(cavity, base_index, [dye], l_max,
                                          kappa_override, solver,
                                          chis.tolist(), pumps)
     columns = {"chi": np.repeat(chis, pumps.size),
@@ -433,7 +429,7 @@ def sensitivity(cavity: CavityParams, sample: ChiralSample,
     for h in bracket_steps(epsilon, step):
         lo, hi = epsilon - h, epsilon + h
         columns, _ = _chi_grid_columns(
-            cavity, solvent.base_index, dye, l_max, kappa_override, solver,
+            cavity, solvent.base_index, [dye], l_max, kappa_override, solver,
             [chi_from_sample(replace(sample, epsilon=eps), solvent)
              for eps in (lo, hi)],
             [dye.gamma_up_pump])

@@ -194,6 +194,18 @@ def test_symmetric_rates_give_half_gain_occupation():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("factor", [0.3, 0.9, 1.1, 2.0, 20.0])
+def test_exact_root_is_blind_to_a_common_power_of_two(factor):
+    # kappa and M enter the quadratic only as a common scale, which the
+    # closed form divides out exactly: below and above the knee alike,
+    # scaling both by 2**500 leaves every bit of the root
+    pump = factor * TEFF_L0
+    big = 2.0**500
+    assert single_mode_exact(pump, KAPPA * big, GAMMA_DOWN, UP_L0, DN_L0,
+                             M * big) == single_mode_exact(
+        pump, KAPPA, GAMMA_DOWN, UP_L0, DN_L0, M)
+
+
 def test_exact_root_requires_positive_loss():
     with pytest.raises(ValueError):
         single_mode_exact(2.0 * TAU_L0, 0.0, GAMMA_DOWN, UP_L0, DN_L0, M)

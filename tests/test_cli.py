@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -421,6 +422,22 @@ def test_a_non_finite_state_prints_a_non_finite_p_e(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert [row["p_e"] for row in rows] == ["nan"] * 4
+
+
+def test_a_huge_loss_keeps_the_pinned_trace(tmp_path):
+    # single_mode_exact scales kappa and M by a power of two before it
+    # squares b, so a loss of 1e300 /s overflows nothing (pytest turns a
+    # RuntimeWarning into an error) and S3_pinned is not flattened to 0
+    cfg = tmp_path / "lossy.ini"
+    cfg.write_text("[cavity]\nl_max = 3\nkappa_override = 1e300 Hz\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("sweep-pump", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_OK
+    with open(out / "pump_sweep.csv", newline="", encoding="utf-8") as fh:
+        pinned = [float(row["S3_pinned"]) for row in csv.DictReader(fh)]
+    assert len(pinned) == 100
+    assert all(math.isfinite(s3) and s3 != 0.0 for s3 in pinned)
 
 
 def test_sensitivity_writes_report(tmp_path, small_config):

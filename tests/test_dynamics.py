@@ -1079,8 +1079,8 @@ def test_ladders_and_tables_refuse_in_place_writes():
     ladder = ModeLadder(l=np.array([0, 1]), omega=omega,
                         kappa=np.full(2, KAPPA), n_left=2)
     rates = build_rate_table(make_dye(), ladder)
-    for arr in (ladder.l, ladder.omega, ladder.kappa, rates.gamma_up,
-                rates.gamma_down):
+    for arr in (ladder.l, ladder.omega, ladder.kappa, ladder.degeneracy,
+                rates.gamma_up, rates.gamma_down):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

@@ -33,7 +33,7 @@ from polarbec import (
     stokes_s3,
 )
 
-from polarbec import dynamics
+from polarbec import dynamics, sweeps
 from polarbec.config import default_config
 from polarbec.dynamics import RateSystem, steady_states
 from polarbec.sweeps import (MAX_DOUBLINGS, _POINT_FIELDS, _meta, _readout,
@@ -325,10 +325,20 @@ def test_chi_sweep_reports_the_excess_behind_each_point():
         assert np.all(np.isnan(res.columns["epsilon"]))
 
 
-def test_chi_sweep_rows_equal_per_point_solves():
+def test_chi_sweep_rows_equal_per_point_solves(monkeypatch):
+    ladders = []
+
+    def counted(*args, **kwargs):
+        ladders.append(args)
+        return mode_ladder(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "mode_ladder", counted)
     spec = SweepSpec(start=-1e-5, stop=1e-5, points=5, spacing="linear")
     res = chi_sweep(make_cavity(), 1.34, make_dye(5e9), 20, SOLVER, spec,
                     kappa_override=KAPPA, scales=(1.0, 2.0))
+    # one ladder per solved chi (-1e-5, -5e-6 and 0), shared by both scales
+    assert len(ladders) == 3
+    assert res.meta["mirrored_points"] == 4
     rows = table(res)
     assert len(rows) == 10
     for row in rows:
