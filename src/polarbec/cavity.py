@@ -56,8 +56,8 @@ class CavityParams:
     mirror_separation:  on-axis mirror distance L0, m
     longitudinal_index: fixed longitudinal order j (integer >= 1)
     mirror_loss:        fractional field loss per round trip delta_mirror;
-                        must sit well below 1/2, zero is accepted as the
-                        lossless limit
+                        must sit well below 1/2; zero, the lossless
+                        limit, gives a ladder only with a kappa_override
     """
 
     mirror_radius: float
@@ -220,38 +220,46 @@ class ModeLadder:
         return out[0], out[1]
 
 
-def ladder_frequencies(cavity: CavityParams, medium: MediumIndices,
-                       l_max: int) -> np.ndarray:
-    """omega of every ladder mode, L block (l = 0 .. l_max) then R block.
+def ladder_frequencies(cavity: CavityParams, medium: MediumIndices, l_max: int,
+                       kappa_override: float | None = None):
+    """(omega, kappa) of every ladder mode, L block (l = 0 .. l_max) then R.
 
-    Each block's modes sit at omega_cutoff(sigma) + l * omega_lateral(sigma).
-    """
-    l = np.arange(l_max + 1)
-    return np.concatenate([
-        cutoff_frequency(cavity, n) + l * lateral_frequency(cavity, n)
-        for n in (medium.index(sigma) for sigma in POLARISATIONS)])
-
-
-def mode_ladder(cavity: CavityParams, medium: MediumIndices, l_max: int,
-                kappa_override: float | None = None) -> ModeLadder:
-    """The full polarised ladder as arrays, L block first then R block.
-
-    Each block carries modes l = 0 .. l_max at ladder_frequencies with
-    degeneracy l + 1; 2 * (l_max + 1) modes in total.  kappa_override,
-    when given, replaces the mirror-loss formula with a single measured
-    loss rate for every mode.
+    The one pass that decides a ladder.  Block sigma sits at
+    omega_cutoff(sigma) + l * omega_lateral(sigma) and decays at
+    cavity_decay(sigma), or at kappa_override, one measured loss rate
+    for every mode, when given.  ValueError for l_max < 0, a
+    kappa_override that is not positive, or a block loss that is not:
+    mirror_loss = 0, or a mirror-loss rate that underflows to zero.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     if kappa_override is not None and not kappa_override > 0:
         raise ValueError(f"kappa_override must be positive, got {kappa_override}")
     l = np.arange(l_max + 1)
-    kappas = [kappa_override if kappa_override is not None
-              else cavity_decay(cavity, medium.index(sigma))
-              for sigma in POLARISATIONS]
-    return ModeLadder(l=np.concatenate([l, l]),
-                      omega=ladder_frequencies(cavity, medium, l_max),
-                      kappa=np.repeat(kappas, l.size), n_left=l.size)
+    omega, kappa = [], []
+    for sigma in POLARISATIONS:
+        n = medium.index(sigma)
+        k = cavity_decay(cavity, n) if kappa_override is None else kappa_override
+        if not k > 0:
+            raise ValueError(
+                f"kappa must be positive, got {k} in the {sigma} block, "
+                f"where mirror_loss = {cavity.mirror_loss!r} gives the modes "
+                "no decay rate; set kappa_override")
+        omega.append(cutoff_frequency(cavity, n) + l * lateral_frequency(cavity, n))
+        kappa.append(np.full(l.size, k))
+    return np.concatenate(omega), np.concatenate(kappa)
+
+
+def mode_ladder(cavity: CavityParams, medium: MediumIndices, l_max: int,
+                kappa_override: float | None = None) -> ModeLadder:
+    """The full polarised ladder as arrays, L block first then R block.
+
+    ladder_frequencies decides every argument and gives the omega and
+    kappa; each block carries l = 0 .. l_max, degeneracy l + 1.
+    """
+    omega, kappa = ladder_frequencies(cavity, medium, l_max, kappa_override)
+    l = np.arange(l_max + 1)
+    return ModeLadder(l=np.tile(l, 2), omega=omega, kappa=kappa, n_left=l.size)
 
 
 # the public name of mode_ladder, kept for callers that import it

@@ -319,10 +319,10 @@ def parse_config(text: str) -> RunConfig:
     Missing keys take their defaults.  An input the run could not solve
     is a ConfigError here: unknown sections or keys, mixed medium
     descriptions, malformed or non-finite quantities, values out of
-    range, a cavity without photon loss, and, in one pass of
-    _check_solvable, scales, chi endpoints, a sample and rates that give
-    no valid dye, index pair or ladder.  Retired keys are ignored with
-    one warning each (_RETIRED).
+    range, and, in one pass of _check_solvable, scales, chi endpoints, a
+    sample, a cavity (l_max, kappa_override, photon loss) and rates that
+    give no valid dye, index pair or ladder.  Retired keys are ignored
+    with one warning each (_RETIRED).
     """
     parser = _read_ini(text)
 
@@ -369,13 +369,6 @@ def parse_config(text: str) -> RunConfig:
     cavity = build(CavityParams, "cavity")
     l_max = resolve("cavity", "l_max")
     kappa_override = resolve("cavity", "kappa_override")
-    if cavity.mirror_loss == 0 and kappa_override is None:
-        # the ladder needs a positive kappa for every mode
-        raise ConfigError("[cavity] mirror_loss = 0 gives the modes no "
-                          "decay rate; set [cavity] kappa_override")
-    if kappa_override is not None and not kappa_override > 0:
-        raise ConfigError(f"[cavity] kappa_override must be positive, "
-                          f"got {kappa_override!r} Hz")
 
     indices = sample = solvent = None
     if has_index:
@@ -394,8 +387,6 @@ def parse_config(text: str) -> RunConfig:
         SweepSettings, "sweep",
         pump=build(SweepSpec, "sweep", "pump_"),
         chi=build(SweepSpec, "sweep", "chi_"))
-    if l_max < 0:
-        raise ConfigError(f"[cavity] l_max must be >= 0, got {l_max}")
     output_dir = resolve("output", "directory")
 
     config = RunConfig(
@@ -421,9 +412,10 @@ def _check_solvable(config: RunConfig) -> None:
     One pass builds each object once, in this order: the dye of each
     [sweep] scales entry (the chi sweep runs with it), the index pair at
     both chi-grid endpoints, the run's own pair, then per medium its
-    ladder, on which both rate profiles must be positive and finite for
-    every mode: at the run's own medium with the dye, at both endpoints
-    with the dye and each scales dye.  A rate is monotone in omega on
+    ladder, decided by mode_ladder's own pass (ladder_frequencies), on
+    which both rate profiles must be positive and finite for every
+    mode: at the run's own medium with the dye, at both endpoints with
+    the dye and each scales dye.  A rate is monotone in omega on
     either side of its peak and omega is monotone in chi, so no chi
     inside the grid gives a mode a rate below those at both ends; the
     same argument covers sensitivity's brackets (check_excess_range).
@@ -448,10 +440,11 @@ def _check_solvable(config: RunConfig) -> None:
 
 
 def _check_ladder_rates(config: RunConfig, where: str, medium, dyes) -> None:
-    """ConfigError unless each (label, dye) of `dyes` has positive,
-    finite rates on every mode of the ladder at `medium`, named `where`."""
-    omega = _checked(f"[cavity] gives no mode ladder at {where}",
-                     ladder_frequencies, config.cavity, medium, config.l_max)
+    """ConfigError unless the ladder at `medium`, named `where`, exists
+    and each (label, dye) of `dyes` has positive, finite rates on it."""
+    omega, _ = _checked(f"[cavity] gives no mode ladder at {where}",
+                        ladder_frequencies, config.cavity, medium,
+                        config.l_max, config.kappa_override)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gamma_down = emission_rate(config.dye, omega)
         for scaled, d in dyes:

@@ -150,25 +150,24 @@ def check_rates(gamma_down, gamma_up) -> None:
                              "rate must be positive and finite")
 
 
-def emission_rate(dye: DyeParams, omega):
-    """Dye emission rate into a mode at angular frequency omega, 1/s.
-
-    Accepts a scalar or an array of frequencies.
-    """
+def _lorentzian(dye: DyeParams, gamma0: float, centre: float, omega):
+    # the profile of gamma0 peaked at detuning `centre` from Omega0
     detuning = np.asarray(omega, dtype=float) - dye.Omega0
     width2 = dye.linewidth ** 2
-    out = width2 * dye.gamma_down0 / (
-        width2 / 4.0 + (detuning - dye.DeltaOmega) ** 2)
+    out = width2 * gamma0 / (width2 / 4.0 + (detuning - centre) ** 2)
     return float(out) if np.isscalar(omega) else out
+
+
+def emission_rate(dye: DyeParams, omega):
+    """Dye emission rate into a mode at angular frequency omega (a scalar
+    or an array), 1/s."""
+    return _lorentzian(dye, dye.gamma_down0, dye.DeltaOmega, omega)
 
 
 def absorption_rate(dye: DyeParams, omega):
     """Dye absorption rate out of a mode at angular frequency omega, 1/s."""
-    detuning = np.asarray(omega, dtype=float) - dye.Omega0
-    width2 = dye.linewidth ** 2
-    out = width2 * dye.gamma_up0 / (
-        width2 / 4.0 + (detuning + dye.DeltaOmega) ** 2)
-    return float(out) if np.isscalar(omega) else out
+    # detuning - (-DeltaOmega) rounds exactly as detuning + DeltaOmega
+    return _lorentzian(dye, dye.gamma_up0, -dye.DeltaOmega, omega)
 
 
 def build_rate_table(dye: DyeParams, ladder: ModeLadder) -> RateTable:

@@ -30,6 +30,11 @@ from polarbec.dynamics import RateSystem
 KAPPA = 1e8
 BASE_INDEX = 1.34
 SWEEP_INDICES = MediumIndices(n_L=1.3435, n_R=1.3395)
+# a [cavity] that parses, but whose decay rate 2 mirror_loss c_sigma / L0
+# underflows to zero: no mode of its ladder would decay
+UNDERFLOW_LOSS = ("[cavity]\nl_max = 3\nmirror_loss = 1e-320\n"
+                  "kappa_override = none\nmirror_separation = 1e14 m\n"
+                  "mirror_radius = 1e20 m\n")
 
 
 def make_cavity(mirror_loss: float = 0.01) -> CavityParams:

@@ -27,6 +27,8 @@ from polarbec.chiral import chi_from_sample, refractive_indices
 from polarbec.config import parse_config, render_config
 from polarbec.sweeps import bracket_steps, sensitivity
 
+from conftest import UNDERFLOW_LOSS
+
 SMALL_CONFIG = """
 [cavity]
 l_max = 30
@@ -724,6 +726,9 @@ def test_parse_time_rejections_exit_with_config_code(tmp_path, text):
     ("sweep-chi", "[sweep]\nscales = 1, 1e281\n"),
     ("modes", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
     ("sweep-pump", "[cavity]\nmirror_loss = 0\nkappa_override = none\n"),
+    # a mirror-loss rate that underflows to zero leaves no decay rate either
+    *[(command, UNDERFLOW_LOSS)
+      for command in ("modes", "threshold", "sweep-pump")],
     # the mode ladder would raise on a decay rate of zero or below
     *[(command, f"[cavity]\nkappa_override = {value}\n")
       for command in ("threshold", "modes", "sweep-pump")

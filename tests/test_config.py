@@ -11,7 +11,7 @@ from polarbec.config import (
     render_config,
 )
 
-from conftest import CHI_FULL_EPS1
+from conftest import CHI_FULL_EPS1, UNDERFLOW_LOSS
 
 
 # --- defaults and canonical round trip ----------------------------------------
@@ -372,6 +372,8 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[dye]\nlinewidth = 1e160 THz\n", "linewidth"),
     # a lossless cavity leaves the ladder without a decay rate
     ("[cavity]\nmirror_loss = 0\nkappa_override = none\n", "mirror_loss"),
+    # or one whose mirror-loss rate underflows to zero
+    (UNDERFLOW_LOSS, r"\[cavity\] gives no mode ladder.*mirror_loss"),
     # so does a decay rate of zero or below
     ("[cavity]\nkappa_override = 0 Hz\n", "kappa_override must be positive"),
     ("[cavity]\nkappa_override = -1 Hz\n", "kappa_override must be positive"),

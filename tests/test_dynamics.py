@@ -897,6 +897,66 @@ def test_converged_means_the_norm_is_within_the_tolerance(mode):
     assert rows.converged.all()
 
 
+# --- the pseudo-time step ---------------------------------------------------------
+
+
+def step_matrix(sys_, N, pump, h):
+    """I/h - J, J the slaved drift's Jacobian written out as a dense matrix.
+
+    The unslaved equations of full_derivatives in (N, E = M p_e),
+        dN_nu/dt = -kap N - up N (M - E) + dn (N + 1) E,
+        dE/dt    = M Gu - (Gu + Gd) E,
+    have the Jacobian blocks A = diag(-kap - up (M - E) + dn E),
+    B = up N + dn (N + 1), C = g (M up - E (up + dn)) and
+    D = -(Gu + Gd).  At the slaved E = M Gu / (Gu + Gd), where dE/dt = 0,
+    eliminating E leaves the Schur complement J = A - B C^T / D, which is
+    diag(b) - u v^T / a with u = B, v = C and a = D.
+    """
+    M, up, dn = sys_.M, sys_.up, sys_.dn
+    Gu = pump + np.dot(sys_.deg * up, N)
+    Gd = sys_.gamma_dn + np.dot(sys_.deg * dn, N + 1.0)
+    E = M * Gu / (Gu + Gd)
+    A = np.diag(-sys_.kap - up * (M - E) + dn * E)
+    B = up * N + dn * (N + 1.0)
+    C = sys_.deg * (M * up - E * (up + dn))
+    return np.eye(sys_.n) / h - (A - np.outer(B, C) / -(Gu + Gd))
+
+
+@pytest.mark.parametrize("pump", [3e8, 1.3e9, 1e10])
+def test_the_pseudo_time_step_solves_the_linearised_drift(pump):
+    # on a 62-mode ladder, below, at and above the knee, from perturbed
+    # states and at step sizes below the step's own cap 0.7 / max(b > 0),
+    # _pt_step is N + solve(I/h - J, F).  The solve is good to cond eps
+    # relative, reading the increment off N + dN costs eps |N| / |dN|,
+    # and each route rounds a few times: 16 eps (cond + |N| / |dN|).
+    # Dropping the rank-one term, or the + 1 in its vector, misses the
+    # bound a hundredfold or more.
+    _, sys_ = ladder_system(refractive_indices(BASE_INDEX, 2e-3), l_max=30)
+    _, mirror = ladder_system(refractive_indices(BASE_INDEX, -2e-3), l_max=30)
+    exact = sys_.solve(pump)[0][0]
+    wobble = 1.0 + 0.3 * np.cos(np.arange(sys_.n))
+    half = sys_.n // 2
+    for N in (exact * wobble, 0.5 * exact + 1.0, 2.0 * exact):
+        drift = sys_.drift(N, pump)
+        b = drift[1]
+        cap = 0.7 / b.max() if b.max() > 0 else math.inf
+        for h in np.array([0.1, 10.0, 1e6]) / sys_.kappa_min:
+            h = min(h, 0.5 * cap)
+            step = dynamics._pt_step(sys_, N, drift, h)
+            matrix = step_matrix(sys_, N, pump, h)
+            dN = np.linalg.solve(matrix, drift[0])
+            scale = np.max(np.abs(dN))
+            bound = 16 * np.finfo(float).eps * (np.linalg.cond(matrix)
+                                                + np.max(N) / scale)
+            assert np.max(np.abs(step - N - dN)) <= bound * scale, (N, h)
+            # chi -> -chi swaps the blocks of the step bitwise
+            swap = np.concatenate([N[half:], N[:half]])
+            mirrored = dynamics._pt_step(mirror, swap,
+                                         mirror.drift(swap, pump), h)
+            assert np.array_equal(mirrored[:half], step[half:])
+            assert np.array_equal(mirrored[half:], step[:half])
+
+
 # --- seeded pseudo-transient solves ---------------------------------------------
 
 PT = SolverConfig(mode="semi_dynamical")
