@@ -53,9 +53,11 @@ Two independent solvers find F(N) = 0:
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
   rank-one coupling through the saturated molecular bath and therefore
   inverts in O(n).  The step size grows geometrically on accepted steps
-  (h -> infinity recovers Newton) and shrinks on rejection; candidate
-  steps that would push any occupation strongly negative are rejected
-  outright and small negative undershoots are clamped to zero.  F has
+  (h -> infinity recovers Newton), shrinks on rejection and is capped at
+  0.7 / max(b > 0) per step.  A non-negative candidate is taken as it
+  is; one with some occupation below -0.1 (N + 1) is rejected outright,
+  and smaller undershoots are clamped to zero (a NaN candidate passes
+  through the clamp, and its NaN norm rejects it).  F has
   one definition, RateSystem.drift, evaluated once per candidate: its
   norm decides acceptance and the next step reuses it.  This is the
   only route that reads a starting state, the seed: one occupation per
@@ -162,8 +164,9 @@ class SteadyState:
 
 
 def _col(a):
-    """Per-row scalars as a column that broadcasts against (rows, modes)."""
-    return np.asarray(a)[..., None]
+    """Per-row scalars as a column that broadcasts against (rows, modes);
+    one row's numpy scalar becomes a float."""
+    return a[..., None] if a.ndim else float(a)
 
 
 def row_dot(a, c):
@@ -254,6 +257,10 @@ class RateSystem:
 
     def totals(self, N, pump):
         """Collective molecular rates (Gamma_up, Gamma_dn), one per row."""
+        if N.ndim == 1:     # one row: the four lone dots row_dot would make
+            (wu, wd), L, R = self.w_ud, self.bL, self.bR
+            return (pump + (np.dot(N[L], wu[L]) + np.dot(N[R], wu[R])),
+                    self.gd0 + (np.dot(N[L], wd[L]) + np.dot(N[R], wd[R])))
         t = self.blockdot(N[..., None, :], self.w_ud)
         return pump + t[..., 0], self.gd0 + t[..., 1]
 
@@ -518,23 +525,35 @@ def _pt_step(sys_: RateSystem, N, drift, h):
     """One linearly implicit pseudo-time step from N, solved in O(n).
 
     `drift` is sys_.drift(N, pump).  The Jacobian of F is diagonal (the
-    net rates b) plus rank one, so (I/h - J) inverts by the
-    Sherman-Morrison identity.  The step is capped so that no locally
-    growing direction is amplified past its linear-regime horizon.
+    net rates b) plus rank one, w c^T with w = M (dn (N + 1) + up N) and
+    c = deg (up Gd - dn Gu) / (Gu + Gd)**2, so (I/h - J) inverts by the
+    Sherman-Morrison identity, in place and in the float order of those
+    formulas.  h is capped at 0.7 / max(b > 0), fmax skipping a NaN, so
+    that no locally growing direction outruns its linear-regime horizon.
     """
     F, b, _, Gu, Gd = drift
-    bpos = b[b > 0]
-    if bpos.size:
-        h = min(h, 0.7 / float(bpos.max()))
-    w = sys_.M * (sys_.dn * (N + 1.0) + sys_.up * N)
-    c = sys_.deg * (sys_.up * Gd - sys_.dn * Gu) / (Gu + Gd)**2
-    d = 1.0 / h - b
-    y = F / d
-    wd = w / d
-    denom = 1.0 - sys_.blockdot(c, wd)
+    bmax = np.fmax.reduce(b)
+    if bmax > 0.0:
+        h = min(h, 0.7 / float(bmax))
+    c = np.multiply(sys_.up, Gd)
+    w = np.multiply(sys_.dn, Gu)
+    c -= w
+    c *= sys_.deg
+    c /= (Gu + Gd)**2
+    d = np.multiply(sys_.up, N)
+    np.add(N, 1.0, out=w)
+    w *= sys_.dn
+    w += d
+    w *= sys_.M
+    np.subtract(1.0 / h, b, out=d)      # d = 1/h - b
+    w /= d                              # w / d
+    y = np.divide(F, d, out=d)
+    denom = 1.0 - sys_.blockdot(c, w)
     if denom <= 0.0:
-        return N + y
-    return N + y + (sys_.blockdot(c, y) / denom) * wd
+        return np.add(N, y, out=y)
+    w *= sys_.blockdot(c, y) / denom
+    np.add(N, y, out=y)
+    return np.add(y, w, out=y)
 
 
 def _semi_dynamical(sys_: RateSystem, pump: float, N0):
@@ -562,11 +581,14 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0):
         raw = _pt_step(sys_, N, drift, h)
         it += 1
         rejected = True
-        if float(np.min(raw / (N + 1.0))) < -0.1:
+        if np.minimum.reduce(raw) >= 0.0:
+            cand = raw
+        elif float(np.min(raw / (N + 1.0))) < -0.1:
             # candidate would drive occupations strongly negative
             h = max(h * 0.25, h_min)
             continue
-        cand = np.maximum(raw, 0.0)
+        else:
+            cand = np.maximum(raw, 0.0)
         cand_drift = sys_.drift(cand, pump)
         if cand_drift[2] <= 4.0 * drift[2]:
             N, drift = cand, cand_drift
@@ -619,21 +641,27 @@ def secant_seed(before, last):
     """
     if before is None:
         return last
-    return np.maximum(2.0 * last - before, 0.0)
+    seed = 2.0 * last
+    seed -= before
+    return np.maximum(seed, 0.0, out=seed)
 
 
 def _pseudo_transient(sys_, pumps, seed):
     # record of the pseudo-transient route: rows solved in pump order,
     # the first seeded with `seed` and every later one by secant_seed
-    # from the rows before it
-    rows, before = [], None
-    for pump in pumps.tolist():
-        rows.append(_semi_dynamical(sys_, pump, seed))
-        last = rows[-1][0]
-        seed, before = secant_seed(before, last), last
-    steps, norm, Gu, Gd = np.array([r[1:] for r in rows]).reshape(-1, 4).T
-    return (np.array([r[0] for r in rows]).reshape(pumps.size, sys_.n),
-            steps.astype(int), norm, Gu, Gd)
+    # from the rows before it.  N is stacked after the solves: a record
+    # allocated first would add a ladder-long array to every solve's peak
+    N = []
+    steps = np.empty(pumps.size, dtype=int)
+    norm, Gu, Gd = np.empty((3, pumps.size))
+    before, end = None, pumps.size - 1
+    for k, pump in enumerate(pumps.tolist()):
+        last, steps[k], norm[k], Gu[k], Gd[k] = _semi_dynamical(sys_, pump,
+                                                                seed)
+        N.append(last)
+        if k < end:
+            seed, before = secant_seed(before, last), last
+    return np.array(N).reshape(pumps.size, sys_.n), steps, norm, Gu, Gd
 
 
 def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
@@ -658,7 +686,9 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
         if seed.ndim != 1 or seed.size != sys_.n:
             raise ValueError(
                 f"seed holds {seed.size} occupations for {sys_.n} modes")
-        if not (np.isfinite(seed).all() and (seed >= 0.0).all()):
+        # a NaN minimum compares False, as an infinite maximum does
+        if not (np.minimum.reduce(seed) >= 0.0
+                and np.maximum.reduce(seed) < math.inf):
             raise ValueError(
                 "seed occupations must be finite and non-negative")
 
@@ -680,8 +710,8 @@ def steady_states(sys_: RateSystem, pumps, config: SolverConfig,
                 f"{float(dev[k, worst]):.3e} (allowed {bound:.3e})")
         iters = iters + iters_pt
 
-    # negative occupations indicate a failed step; clamp and flag
-    negative = np.any(N < 0.0, axis=-1)
+    # negative occupations (fmin skips NaN) mean a failed step: clamp, flag
+    negative = np.fmin.reduce(N, axis=-1) < 0.0
     if negative.any():
         N[negative] = np.maximum(N[negative], 0.0)
         Gu[negative], Gd[negative] = sys_.totals(N[negative], pumps[negative])

@@ -288,16 +288,16 @@ def pump_sweep(cavity: CavityParams, medium, dye: DyeParams, l_max: int,
            float(rates.gamma_down[i])) for i in ladder.ground()])
 
     fields = _empty_fields(pumps.size)
+    names = list(_POINT_FIELDS)
     seed = before = None
     for i, pump in enumerate(pumps.tolist()):
         steady = find_steady_state(rates, ladder,
                                    replace(dye, gamma_up_pump=pump), solver,
                                    seed)
         seed, before = secant_seed(before, steady.N), steady.N
-        point = {**vars(steady), **vars(stokes_s3(steady, ladder))}
-        for name, column in fields.items():
-            column[i] = point[name]
-    names = list(_POINT_FIELDS)
+        obs = stokes_s3(steady, ladder)
+        for k, name in enumerate(names):    # the first 6 are the readout's
+            fields[name][i] = getattr(obs if k < 6 else steady, name)
     columns = {"pump": pumps, **{k: fields[k] for k in names[:6]},
                "S3_pinned": s3_pin, **{k: fields[k] for k in names[6:]}}
     meta = _meta(columns, time.perf_counter() - t0)

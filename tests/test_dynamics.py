@@ -957,6 +957,161 @@ def test_the_pseudo_time_step_solves_the_linearised_drift(pump):
             assert np.array_equal(mirrored[half:], step[:half])
 
 
+def written_out_step(sys_, N, drift, h, square=lambda x: x**2):
+    """_pt_step term by term, and the Sherman-Morrison denominator.
+
+    h is capped at 0.7 / b[b > 0].max(); w = M (dn (N + 1) + up N),
+    c = deg (up Gd - dn Gu) / (Gu + Gd)**2, d = 1/h - b, y = F / d and
+    wd = w / d; the step is N + y + (c.y / (1 - c.wd)) wd, or N + y when
+    1 - c.wd <= 0.
+    """
+    F, b, _, Gu, Gd = drift
+    positive = b[b > 0]
+    if positive.size:
+        h = min(h, 0.7 / float(positive.max()))
+    w = sys_.M * (sys_.dn * (N + 1.0) + sys_.up * N)
+    c = sys_.deg * (sys_.up * Gd - sys_.dn * Gu) / square(Gu + Gd)
+    d = 1.0 / h - b
+    y = F / d
+    wd = w / d
+    denom = 1.0 - sys_.blockdot(c, wd)
+    if denom <= 0.0:
+        return N + y, denom
+    return N + y + (sys_.blockdot(c, y) / denom) * wd, denom
+
+
+@pytest.mark.parametrize("l_max", [30, 200])
+def test_the_pseudo_time_step_is_the_written_out_formula_bitwise(l_max):
+    # on 62 and 402 modes, at three step sizes: three states at the knee
+    # (the cap binds on one at the largest h, another has no positive net
+    # rate), the empty cavity below threshold, whose net rates are all
+    # negative, a drift with its Gamma_up scaled down, which takes the
+    # bare N + y branch, and one with its Gamma_dn nudged until squaring
+    # Gu + Gd as a power and as a product gives two different steps
+    _, sys_ = ladder_system(refractive_indices(BASE_INDEX, 2e-3), l_max=l_max)
+    pump = 1.3e9
+    exact = sys_.solve(pump)[0][0]
+    wobble = 1.0 + 0.3 * np.cos(np.arange(sys_.n))
+    states = [exact * wobble, 0.5 * exact + 1.0, 2.0 * exact]
+    cases = [(N, sys_.drift(N, pump)) for N in states]
+    empty = np.zeros(sys_.n)
+    cases.append((empty, sys_.drift(empty, 3e8)))
+    F, b, norm, Gu, Gd = sys_.drift(exact, pump)
+    cases.append((exact, (F, b, norm, Gu * 1e-6, Gd)))
+    hs = np.array([0.1, 10.0, 1e6]) / sys_.kappa_min
+    N, (F, b, norm, Gu, Gd) = cases[2]
+
+    def power_and_product_differ(g):
+        if (Gu + g)**2 == (Gu + g) * (Gu + g):
+            return False
+        drift = (F, b, norm, Gu, g)
+        return any(not np.array_equal(
+            written_out_step(sys_, N, drift, h)[0],
+            written_out_step(sys_, N, drift, h, lambda x: x * x)[0])
+            for h in hs)
+
+    nudged = (Gd * (1.0 + k * 1e-12) for k in range(1, 100_000))
+    cases.append((N, (F, b, norm, Gu, next(filter(power_and_product_differ,
+                                                   nudged)))))
+    bmax = [float(np.max(drift[1])) for _, drift in cases]
+    assert bmax[0] <= 0.0 and bmax[3] <= 0.0
+    assert bmax[1] * hs[-1] > 0.7
+    for k, (N, drift) in enumerate(cases):
+        for h in hs:
+            step = dynamics._pt_step(sys_, N, drift, h)
+            written, denom = written_out_step(sys_, N, drift, h)
+            assert np.array_equal(step, written), (k, h)
+            assert (denom <= 0.0) == (k == 4), (k, h)
+
+
+def first_candidate_replaced(monkeypatch, sys_, pump, craft):
+    """A cold pseudo-transient solve whose first candidate is
+    craft(the honest one), checked to converge with every step counted:
+    the h of every step, the candidates the steps returned and every
+    state whose drift was taken."""
+    honest_step, honest_drift = dynamics._pt_step, RateSystem.drift
+    hs, raws, drifted = [], [], []
+
+    def step(sys_, N, drift, h):
+        hs.append(h)
+        raw = honest_step(sys_, N, drift, h)
+        raws.append(craft(raw) if len(hs) == 1 else raw)
+        return raws[-1]
+
+    def drift(self, N, pump):
+        drifted.append(N)
+        return honest_drift(self, N, pump)
+
+    monkeypatch.setattr(dynamics, "_pt_step", step)
+    monkeypatch.setattr(RateSystem, "drift", drift)
+    record = dynamics._semi_dynamical(sys_, pump, None)
+    assert record[1] == len(hs)                 # every step counts
+    assert record[2] <= sys_.abs_tol
+    assert np.all(record[0] >= 0.0)
+    return hs, raws, drifted
+
+
+def undershoot(fraction):
+    # the first step starts from the empty cavity, where N + 1 = 1
+    def craft(raw):
+        raw = raw.copy()
+        raw[3] = -fraction
+        return raw
+    return craft
+
+
+def test_a_non_negative_candidate_is_taken_as_it_is(monkeypatch):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
+                                                 lambda raw: raw)
+    assert raws[0].min() >= 0.0
+    assert drifted[1] is raws[0]
+    assert hs[1] == 2.0 * hs[0]
+
+
+def test_a_small_undershoot_is_clamped_to_zero(monkeypatch):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
+                                                 undershoot(0.05))
+    assert drifted[1] is not raws[0] and drifted[1][3] == 0.0
+    assert np.array_equal(np.delete(drifted[1], 3), np.delete(raws[0], 3))
+
+
+def test_a_deep_undershoot_is_rejected_without_a_drift(monkeypatch):
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
+                                                 undershoot(0.2))
+    assert hs[1] == 0.25 * hs[0]
+    assert not any(N is raws[0] or N[3] < 0.0 for N in drifted)
+    assert drifted[1] is raws[1]
+
+
+def test_a_nan_candidate_is_rejected_by_its_norm(monkeypatch):
+    # it passes the undershoot test (NaN compares False) and the clamp
+    # keeps it NaN, so its drift is taken and its NaN norm rejects it
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    hs, raws, drifted = first_candidate_replaced(
+        monkeypatch, sys_, 3e9, lambda raw: np.full_like(raw, np.nan))
+    assert np.isnan(drifted[1]).all()
+    assert hs[1] == 0.25 * hs[0]
+
+
+def test_a_row_with_a_nan_and_a_negative_occupation_is_clamped(monkeypatch):
+    # the negativity flag skips NaN: a row holding both is still flagged
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    honest = RateSystem.solve
+
+    def bad_row(self, pump):
+        N, steps = honest(self, pump)
+        N[1, 3], N[1, 5] = -1.0, np.nan
+        return N, steps
+
+    monkeypatch.setattr(RateSystem, "solve", bad_row)
+    rows = steady_states(sys_, [6e8, 2e9], SolverConfig())
+    assert list(rows.converged) == [True, False]
+    assert rows.N[1, 3] == 0.0 and np.isnan(rows.N[1, 5])
+
+
 # --- seeded pseudo-transient solves ---------------------------------------------
 
 PT = SolverConfig(mode="semi_dynamical")
@@ -968,8 +1123,9 @@ def max_route_gap(a, b):
 
 
 @pytest.mark.parametrize("seed", [np.ones(1), np.full(402, np.nan),
-                                  np.full(402, -1.0)],
-                         ids=["wrong_length", "not_finite", "negative"])
+                                  np.full(402, np.inf), np.full(402, -1.0)],
+                         ids=["wrong_length", "not_finite", "infinite",
+                              "negative"])
 def test_a_bad_seed_is_rejected(seed):
     _, sys_ = ladder_system(SWEEP_INDICES)
     with pytest.raises(ValueError, match="seed"):
