@@ -66,11 +66,10 @@ Two independent solvers find F(N) = 0:
   first answer, every later one with the secant predictor from the two
   answers before it, clamped at zero.  A cold start (the empty cavity)
   grows h from 0.1 / kappa_min; a seeded one starts at Newton scale
-  (h_max, still under the growth cap) and, at its first rejected
-  candidate or after SEEDED_STEPS unconverged steps, restarts from the
-  seed on the cold schedule, reusing the seed's drift, norm and all.
-  Steps taken before such a restart count toward the reported
-  iterations and toward the MAX_STEPS budget.
+  (h_max, still under the growth cap).  Both adapt only the step size:
+  a seeded solve never returns to its seed.  It has one fallback: still
+  unconverged after SEEDED_STEPS steps, it drops to the cold step size
+  and carries on from the last state it accepted.
 
 Convergence is declared per mode against a balance-scaled floor: the
 residual must be small compared to the gross one-way flux through the
@@ -113,8 +112,8 @@ CANCEL_EPS = 1e-15
 # most occupations one (rows, modes) array of the batched root search
 # holds; longer pump grids are solved in chunks of rows
 CHUNK_ELEMENTS = 1 << 16
-# most pseudo-time steps a seeded solve takes at Newton scale before it
-# restarts from its seed on the cold schedule
+# pseudo-time steps after which a seeded solve that has not converged
+# drops from its Newton-scale start to the cold step size
 SEEDED_STEPS = 12
 # residual tolerance abs_tol per unit of the smallest loss rate kappa_min
 TOL_PER_KAPPA = 1e-6
@@ -561,26 +560,21 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0):
     # norm and the totals those of the last accepted state's drift.
     # N0 is None (the empty cavity) or a float array, never written to.
     # A cold start grows h from 0.1 / kappa_min.  A seed starts at h_max,
-    # Newton scale; at its first rejected candidate, or once SEEDED_STEPS
-    # steps have not converged, it restarts from the seed on the cold
-    # schedule, with the seed's drift, norm included, held from the start
-    # rather than evaluated again.  Steps before a restart count toward
-    # `steps` and MAX_STEPS.
+    # Newton scale, and a rejection shrinks h as in any solve; a seeded
+    # solve still unconverged after SEEDED_STEPS steps drops to the cold
+    # step size and carries on from the state it has reached.
     N = np.zeros(sys_.n) if N0 is None else N0
     h_cold = 0.1 / sys_.kappa_min
     h_min = 1e-3 / sys_.kappa_min
     h_max = 1e12 / sys_.kappa_min
-    fast = N0 is not None
-    h = h_max if fast else h_cold
+    h = h_cold if N0 is None else h_max
     it = 0
-    drift = start = sys_.drift(N, pump)
-    rejected = False
+    drift = sys_.drift(N, pump)
     while it < MAX_STEPS and drift[2] > sys_.abs_tol:
-        if fast and (rejected or it == SEEDED_STEPS):
-            N, h, fast, drift = N0, h_cold, False, start
+        if it == SEEDED_STEPS and N0 is not None:
+            h = h_cold
         raw = _pt_step(sys_, N, drift, h)
         it += 1
-        rejected = True
         if np.minimum.reduce(raw) >= 0.0:
             cand = raw
         elif float(np.min(raw / (N + 1.0))) < -0.1:
@@ -593,7 +587,6 @@ def _semi_dynamical(sys_: RateSystem, pump: float, N0):
         if cand_drift[2] <= 4.0 * drift[2]:
             N, drift = cand, cand_drift
             h = min(h * 2.0, h_max)
-            rejected = False
         else:
             h = max(h * 0.25, h_min)
     return (N, it) + drift[2:]

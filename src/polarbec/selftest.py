@@ -98,8 +98,8 @@ def check_single_mode_oracle():
         dye = replace(_DYE, gamma_up_pump=frac * tau)
         exact = single_mode_exact(frac * tau, _KAPPA, dye.gamma_down, up, dn,
                                   dye.M)
-        # the seeded fixed point lands on the exact root; the dynamical
-        # route only promises the cross-check agreement bound
+        # the exact route, which reads no seed, lands on the root; the
+        # dynamical route only promises the cross-check agreement bound
         for route, gate in (("fixed_point", 1e-9), ("semi_dynamical", 1e-5)):
             steady = find_steady_state(rates, ladder, dye,
                                        SolverConfig(mode=route))

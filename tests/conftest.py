@@ -192,6 +192,23 @@ def direct_totals(sys_, N, pump):
             sys_.gamma_dn + np.sum(sys_.deg * (N + 1.0) * sys_.dn, axis=-1))
 
 
+def manufactured_state(sys_, u):
+    """The steady state the exact reduction makes of margins u, and the
+    pump that keeps it steady (the method of manufactured solutions:
+    Roache, J. Fluids Eng. 124, 4 (2002)).
+
+    occ_at_u gives each row's occupations N(u) and molecular fraction
+    x(u) without a pump.  With the pump-free totals T_up = sum g up N and
+    T_dn = gd0 + sum g dn N, the excitation balance x (Gu + Gd) = Gu at
+    Gu = P + T_up, Gd = T_dn holds for the one pump
+    P(u) = (x (T_up + T_dn) - T_up) / (1 - x).  Returns (N, x, P, bad),
+    bad as occ_at_u flags it.
+    """
+    N, x, bad = sys_.occ_at_u(u)
+    t_up, t_dn = sys_.totals(N, 0.0)
+    return N, x, (x * (t_up + t_dn) - t_up) / (1.0 - x), bad
+
+
 # --- closed-form reference values, frozen from a 50-digit evaluation -------
 # (mpmath oracle, independent of the package arithmetic)
 

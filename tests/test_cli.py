@@ -565,6 +565,28 @@ def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[cavity]\nmirror_separation = 1.46 um 2\n", "cannot parse quantity"),
+    ("[cavity]\nmirror_loss = 0.01 0.02\n", "must be a bare number"),
+    ("[sweep]\nscales = 1, x\n", "comma-separated number list"),
+    ("[sweep]\nscales = ,\n", "list must not be empty"),
+    ("l_max = 30\n", "does not parse as INI"),
+    ("[cavity]\nl_max = 30\nl_max = 31\n", "does not parse as INI"),
+    ("{\"config_text\": ", "manifest does not parse as JSON"),
+], ids=["quantity", "bare_number", "number_list", "empty_list",
+        "no_section", "duplicate_key", "broken_manifest"])
+def test_a_config_that_does_not_parse_exits_before_the_run(tmp_path, capsys,
+                                                           text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli("modes", "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sensitivity_needs_a_sample_medium(tmp_path, capsys):
     cfg = tmp_path / "idx.ini"
     cfg.write_text("[medium]\nn_L = 1.3435\nn_R = 1.3395\n",

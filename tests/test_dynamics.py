@@ -1024,15 +1024,17 @@ def test_the_pseudo_time_step_is_the_written_out_formula_bitwise(l_max):
             assert (denom <= 0.0) == (k == 4), (k, h)
 
 
-def first_candidate_replaced(monkeypatch, sys_, pump, craft):
-    """A cold pseudo-transient solve whose first candidate is
-    craft(the honest one), checked to converge with every step counted:
-    the h of every step, the candidates the steps returned and every
-    state whose drift was taken."""
+def recorded_solve(monkeypatch, sys_, pump, seed, craft):
+    """A pseudo-transient solve from `seed` (None: the empty cavity)
+    whose first candidate is craft(the honest one), checked to converge
+    with every step counted: the state and the h of every step, the
+    candidates the steps returned and every state whose drift was
+    taken."""
     honest_step, honest_drift = dynamics._pt_step, RateSystem.drift
-    hs, raws, drifted = [], [], []
+    starts, hs, raws, drifted = [], [], [], []
 
     def step(sys_, N, drift, h):
+        starts.append(N)
         hs.append(h)
         raw = honest_step(sys_, N, drift, h)
         raws.append(craft(raw) if len(hs) == 1 else raw)
@@ -1044,11 +1046,11 @@ def first_candidate_replaced(monkeypatch, sys_, pump, craft):
 
     monkeypatch.setattr(dynamics, "_pt_step", step)
     monkeypatch.setattr(RateSystem, "drift", drift)
-    record = dynamics._semi_dynamical(sys_, pump, None)
+    record = dynamics._semi_dynamical(sys_, pump, seed)
     assert record[1] == len(hs)                 # every step counts
     assert record[2] <= sys_.abs_tol
     assert np.all(record[0] >= 0.0)
-    return hs, raws, drifted
+    return starts, hs, raws, drifted
 
 
 def undershoot(fraction):
@@ -1062,8 +1064,8 @@ def undershoot(fraction):
 
 def test_a_non_negative_candidate_is_taken_as_it_is(monkeypatch):
     _, sys_ = ladder_system(SWEEP_INDICES)
-    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
-                                                 lambda raw: raw)
+    _, hs, raws, drifted = recorded_solve(monkeypatch, sys_, 3e9, None,
+                                          lambda raw: raw)
     assert raws[0].min() >= 0.0
     assert drifted[1] is raws[0]
     assert hs[1] == 2.0 * hs[0]
@@ -1071,16 +1073,16 @@ def test_a_non_negative_candidate_is_taken_as_it_is(monkeypatch):
 
 def test_a_small_undershoot_is_clamped_to_zero(monkeypatch):
     _, sys_ = ladder_system(SWEEP_INDICES)
-    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
-                                                 undershoot(0.05))
+    _, hs, raws, drifted = recorded_solve(monkeypatch, sys_, 3e9, None,
+                                          undershoot(0.05))
     assert drifted[1] is not raws[0] and drifted[1][3] == 0.0
     assert np.array_equal(np.delete(drifted[1], 3), np.delete(raws[0], 3))
 
 
 def test_a_deep_undershoot_is_rejected_without_a_drift(monkeypatch):
     _, sys_ = ladder_system(SWEEP_INDICES)
-    hs, raws, drifted = first_candidate_replaced(monkeypatch, sys_, 3e9,
-                                                 undershoot(0.2))
+    _, hs, raws, drifted = recorded_solve(monkeypatch, sys_, 3e9, None,
+                                          undershoot(0.2))
     assert hs[1] == 0.25 * hs[0]
     assert not any(N is raws[0] or N[3] < 0.0 for N in drifted)
     assert drifted[1] is raws[1]
@@ -1090,8 +1092,8 @@ def test_a_nan_candidate_is_rejected_by_its_norm(monkeypatch):
     # it passes the undershoot test (NaN compares False) and the clamp
     # keeps it NaN, so its drift is taken and its NaN norm rejects it
     _, sys_ = ladder_system(SWEEP_INDICES)
-    hs, raws, drifted = first_candidate_replaced(
-        monkeypatch, sys_, 3e9, lambda raw: np.full_like(raw, np.nan))
+    _, hs, raws, drifted = recorded_solve(
+        monkeypatch, sys_, 3e9, None, lambda raw: np.full_like(raw, np.nan))
     assert np.isnan(drifted[1]).all()
     assert hs[1] == 0.25 * hs[0]
 
@@ -1193,6 +1195,45 @@ def test_a_seeded_column_starts_at_newton_scale():
     assert rows.converged.all()
     assert rows.iterations.mean() <= 4.0
     assert max_route_gap(rows.N, exact.N) <= crosscheck_bound()
+
+
+def far_seeded_pair():
+    # the exact answer below the knee seeds the solve just above it, which
+    # does not converge within SEEDED_STEPS steps (42 in all)
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.logspace(6, 13, 15)[6:8]
+    return sys_, pumps[1], steady_states(sys_, pumps, SolverConfig()).N[0]
+
+
+def test_a_rejected_seeded_candidate_only_shrinks_the_step(monkeypatch):
+    # a deep undershoot at Newton scale: the next step starts from the
+    # same state at h / 4, as in a cold solve, not on the cold schedule
+    sys_, pump, seed = far_seeded_pair()
+
+    def deep(raw):
+        raw = raw.copy()
+        raw[3] = -0.2 * (seed[3] + 1.0)
+        return raw
+
+    starts, hs, _, _ = recorded_solve(monkeypatch, sys_, pump, seed, deep)
+    assert hs[0] == 1e12 / sys_.kappa_min
+    assert starts[1] is starts[0] is seed
+    assert hs[1] == 0.25 * hs[0]
+
+
+def test_an_unconverged_seeded_solve_keeps_its_state_at_the_cold_step(
+        monkeypatch):
+    # after SEEDED_STEPS steps the step size drops to the cold one, and the
+    # solve carries on from the last state it accepted, not from its seed
+    sys_, pump, seed = far_seeded_pair()
+    starts, hs, _, drifted = recorded_solve(monkeypatch, sys_, pump, seed,
+                                            lambda raw: raw)
+    k = dynamics.SEEDED_STEPS
+    assert len(hs) > k + 1
+    assert all(h > 0.1 / sys_.kappa_min for h in hs[:k])
+    assert hs[k] == 0.1 / sys_.kappa_min
+    assert any(starts[k] is N for N in drifted[1:])
+    assert not any(N is seed for N in starts[k:])
 
 
 def test_the_secant_seed_passes_the_first_answer_through_and_clamps_at_zero():
