@@ -8,7 +8,8 @@ line, with the converged-points tally when meta counts points, and
 picks the exit code.  `selftest` writes no files and prints its checks.
 
 Common flags: --config PATH (INI file, or a manifest.json from an
-earlier run to replay it), --out DIR (overrides [output] directory),
+earlier run to replay it), --out DIR (overrides [output] directory;
+a blank one is a usage error),
 --allow-partial (keep going and exit zero when some points failed to
 converge).  Every command runs in one process.  The retired --threads N
 flag is still accepted, so earlier scripts keep working, and is ignored
@@ -258,6 +259,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None and not args.out.strip():
+        parser.error("--out: the output directory must not be blank")
 
     if args.threads is not None:
         print("warning: --threads is retired and ignored; sweeps run in one "

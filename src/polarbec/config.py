@@ -321,8 +321,9 @@ def parse_config(text: str) -> RunConfig:
     descriptions, malformed or non-finite quantities, values out of
     range, and, in one pass of _check_solvable, scales, chi endpoints, a
     sample, a cavity (l_max, kappa_override, photon loss) and rates that
-    give no valid dye, index pair or ladder.  Retired keys are ignored
-    with one warning each (_RETIRED).
+    give no valid dye, index pair or ladder, and a blank [output]
+    directory.  Retired keys are ignored with one warning each
+    (_RETIRED).
     """
     parser = _read_ini(text)
 
@@ -388,6 +389,8 @@ def parse_config(text: str) -> RunConfig:
         pump=build(SweepSpec, "sweep", "pump_"),
         chi=build(SweepSpec, "sweep", "chi_"))
     output_dir = resolve("output", "directory")
+    if not output_dir:
+        raise ConfigError("[output] directory must not be blank")
 
     config = RunConfig(
         cavity=cavity, l_max=l_max, kappa_override=kappa_override,

@@ -573,8 +573,12 @@ def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
     ("l_max = 30\n", "does not parse as INI"),
     ("[cavity]\nl_max = 30\nl_max = 31\n", "does not parse as INI"),
     ("{\"config_text\": ", "manifest does not parse as JSON"),
+    # refused although --out overrides it: every command checks the file
+    ("[output]\ndirectory =\n", "[output] directory must not be blank"),
+    ("[output]\ndirectory =   \n", "[output] directory must not be blank"),
 ], ids=["quantity", "bare_number", "number_list", "empty_list",
-        "no_section", "duplicate_key", "broken_manifest"])
+        "no_section", "duplicate_key", "broken_manifest", "blank_directory",
+        "spaces_directory"])
 def test_a_config_that_does_not_parse_exits_before_the_run(tmp_path, capsys,
                                                            text, message):
     cfg = tmp_path / "bad.ini"
@@ -585,6 +589,17 @@ def test_a_config_that_does_not_parse_exits_before_the_run(tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["", "  "], ids=["empty", "spaces"])
+def test_a_blank_out_is_a_usage_error(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("modes", "--out", out)
+    assert exc.value.code == EXIT_CONFIG
+    assert "--out: the output directory must not be blank" in (
+        capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_sensitivity_needs_a_sample_medium(tmp_path, capsys):

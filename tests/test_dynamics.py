@@ -245,6 +245,56 @@ def test_no_pump_returns_empty_cavity():
     assert steady.p_e == 0.0
 
 
+# --- the detailed-balance limit -----------------------------------------------
+
+# uniform losses, in 1/s, from well below the reference loss down
+DB_KAPPAS = [1e6, 1e5, 1e4, 1e3, 1e2]
+
+
+@pytest.mark.parametrize("chi", [0.0, 3e-5])
+@pytest.mark.parametrize("l_max", [30, 200])
+def test_both_routes_approach_detailed_balance_as_the_loss_vanishes(l_max,
+                                                                    chi):
+    # Without loss the photons only trade excitations with the dye: the
+    # molecules balance pump (1 - x) = gamma_down x, so q = x / (1 - x) =
+    # pump / gamma_down, and each mode holds dn (N + 1) x = up N (1 - x),
+    # so N_db = r q / (1 - r q) with r = dn / up.  That needs r q < 1 on
+    # every mode: the pump is half the lowest gain-balance threshold
+    # gamma_down up / dn.
+    # With a uniform loss kappa each mode holds N = M dn x / (kappa + m),
+    # m = M up (1 - x) (1 - r q) its margin without loss.  So the gap
+    # max |N - N_db| / (N_db + 1) is c kappa (1 - kappa / m + ...): across
+    # the decades gap / kappa stays within kappa / m_min of its value at
+    # the smallest kappa, relatively; the test allows twice that, for the
+    # loss's own shift of x (relatively 1e-14 per unit kappa here) and
+    # rounding (about 1e-15 on N, 2e-8 of the smallest gap).
+    # The pseudo-transient route stops within 2 BALANCE_FTOL of the exact
+    # occupation, relatively (crosscheck_bound), so its gap stays within
+    # that band plus 2 BALANCE_FTOL.
+    dye = make_dye(0.0)
+    gaps = {"fixed_point": [], "semi_dynamical": []}
+    medium = refractive_indices(BASE_INDEX, chi)
+    for kappa in DB_KAPPAS:
+        ladder = mode_ladder(make_cavity(), medium, l_max, kappa)
+        rates = build_rate_table(dye, ladder)
+        up, dn = rates.gamma_up, rates.gamma_down
+        pump = 0.5 * dye.gamma_down * float(np.min(up / dn))
+        q = pump / dye.gamma_down
+        rq = dn / up * q
+        N_db = rq / (1.0 - rq)
+        m_min = float(np.min(dye.M * up * (1.0 - rq) / (1.0 + q)))
+        sys_ = RateSystem.from_tables(rates, ladder, dye)
+        for mode, gap in gaps.items():
+            rows = steady_states(sys_, [pump], SolverConfig(mode=mode))
+            assert rows.converged.all(), (mode, kappa)
+            gap.append(float(np.max(np.abs(rows.N[0] - N_db) / (N_db + 1.0))))
+    c = gaps["fixed_point"][-1] / DB_KAPPAS[-1]
+    for kappa, gap, gap_pt in zip(DB_KAPPAS, *gaps.values()):
+        band = 2.0 * kappa / m_min
+        assert abs(gap / kappa / c - 1.0) <= band, kappa
+        assert gap_pt <= c * kappa * (1.0 + band) + 2.0 * BALANCE_FTOL, kappa
+
+
 # --- solver contracts on the polarised ladder ---------------------------------
 
 
@@ -306,7 +356,9 @@ def test_the_exact_route_ignores_a_seed():
     dye = make_dye(3e9)
     rates = build_rate_table(dye, modes)
     cold = find_steady_state(rates, modes, dye, SolverConfig())
-    for seed in (cold.N, np.full(modes.size, 1e6)):
+    # a NaN seed too: the exact route never reads it, so never checks it
+    for seed in (cold.N, np.full(modes.size, 1e6),
+                 np.full(modes.size, np.nan)):
         seeded = find_steady_state(rates, modes, dye, SolverConfig(), seed)
         assert np.array_equal(seeded.N, cold.N)
         for name in ("p_e", "residual_norm", "iterations", "converged"):
@@ -842,6 +894,28 @@ def test_clamped_rows_read_p_e_off_the_clamped_occupations(monkeypatch):
     assert np.array_equal(rows.p_e, Gu / (Gu + Gd))
 
 
+def test_clamped_rows_read_their_norm_off_the_clamped_occupations(
+        monkeypatch):
+    # the exact route clamps before its drift: a clamped row's residual is
+    # that of the occupations it holds, and converged is that norm's test
+    _, sys_ = ladder_system(SWEEP_INDICES)
+    pumps = np.array([6e8, 2e9])
+    honest = RateSystem.solve
+
+    def one_bad_row(self, pump):
+        N, steps = honest(self, pump)
+        N[1, 3] = -1.0
+        return N, steps
+
+    monkeypatch.setattr(RateSystem, "solve", one_bad_row)
+    rows = steady_states(sys_, pumps, SolverConfig())
+    assert rows.N[1, 3] == 0.0
+    for k, pump in enumerate(pumps):
+        norm = sys_.drift(rows.N[k], pump)[2]
+        assert rows.residual_norm[k] == norm
+        assert rows.converged[k] == (norm <= sys_.abs_tol)
+
+
 # --- the convergence norm --------------------------------------------------------
 
 
@@ -1129,15 +1203,18 @@ def max_route_gap(a, b):
                          ids=["wrong_length", "not_finite", "infinite",
                               "negative"])
 def test_a_bad_seed_is_rejected(seed):
+    # the pseudo-transient route checks its seed, so both_crosscheck
+    # rejects it too, once the exact route has run
     _, sys_ = ladder_system(SWEEP_INDICES)
-    with pytest.raises(ValueError, match="seed"):
-        steady_states(sys_, [3e9], PT, seed)
     modes = build_mode_set(make_cavity(), SWEEP_INDICES, 200,
                            kappa_override=KAPPA)
     dye = make_dye(3e9)
-    with pytest.raises(ValueError, match="seed"):
-        find_steady_state(build_rate_table(dye, modes), modes, dye, PT,
-                          seed=seed)
+    for config in (PT, SolverConfig(mode="both_crosscheck")):
+        with pytest.raises(ValueError, match="seed"):
+            steady_states(sys_, [3e9], config, seed)
+        with pytest.raises(ValueError, match="seed"):
+            find_steady_state(build_rate_table(dye, modes), modes, dye,
+                              config, seed=seed)
 
 
 def assert_seeded_solves_are_safeguarded(sys_, pumps, pairs):
