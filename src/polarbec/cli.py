@@ -16,11 +16,11 @@ flag is still accepted, so earlier scripts keep working, and is ignored
 with one warning on stderr, as retired configuration keys are.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration or usage
-error, 3 unconverged points without --allow-partial (in every command
-that solves steady states, sensitivity included) or a failed
-cross-check, 4 I/O failure (an OSError, or a foreign lock on the output
-directory).  Any other
-exception is a fault of the program and ends the run with its
+error (every command checks the whole file, before --out is made), 3
+unconverged points without --allow-partial (in every command that
+solves steady states, sensitivity included) or a failed cross-check, 4
+I/O failure (an OSError, or a foreign lock on the output directory).
+Any other exception is a fault of the program and ends the run with its
 traceback (exit status 1).
 """
 
@@ -36,8 +36,7 @@ import numpy as np
 from . import __version__
 from .analytic import ground_thresholds
 from .cavity import mode_ladder
-from .config import (ConfigError, RunConfig, check_excess_range,
-                     default_config, parse_config)
+from .config import ConfigError, RunConfig, default_config, parse_config
 from .dye import absorption_rate, build_rate_table, emission_rate
 from .dynamics import CrosscheckError
 from .runio import (OutputLockError, build_manifest,
@@ -77,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The run's config; sensitivity's own check runs here, before --out."""
+    """The run's config; sensitivity's medium rule runs here, before --out."""
     if args.config is None:
         return default_config()
     try:
@@ -88,8 +87,9 @@ def _load_config(args) -> RunConfig:
     if text.lstrip().startswith("{"):
         text = config_text_from_manifest(text)
     config = parse_config(text)
-    if args.command == "sensitivity":
-        check_excess_range(config)
+    if args.command == "sensitivity" and config.medium_kind != "sample":
+        raise ConfigError("sensitivity needs the chiral-sample medium "
+                          "description (epsilon enters through the sample)")
     return config
 
 

@@ -319,11 +319,11 @@ def parse_config(text: str) -> RunConfig:
     Missing keys take their defaults.  An input the run could not solve
     is a ConfigError here: unknown sections or keys, mixed medium
     descriptions, malformed or non-finite quantities, values out of
-    range, and, in one pass of _check_solvable, scales, chi endpoints, a
-    sample, a cavity (l_max, kappa_override, photon loss) and rates that
-    give no valid dye, index pair or ladder, and a blank [output]
-    directory.  Retired keys are ignored with one warning each
-    (_RETIRED).
+    range, and, in one pass of _check_solvable, a pump start, scales, chi
+    endpoints, a sample (at its excess and sensitivity's widest bracket),
+    a cavity (l_max, kappa_override, photon loss) and rates that give no
+    valid dye, index pair or ladder, and a blank [output] directory.
+    Retired keys are ignored with one warning each (_RETIRED).
     """
     parser = _read_ini(text)
 
@@ -412,18 +412,23 @@ def _checked(field: str, make, *args, **kwargs):
 def _check_solvable(config: RunConfig) -> None:
     """ConfigError unless every medium and dye the run solves is valid.
 
-    One pass builds each object once, in this order: the dye of each
-    [sweep] scales entry (the chi sweep runs with it), the index pair at
-    both chi-grid endpoints, the run's own pair, then per medium its
-    ladder, decided by mode_ladder's own pass (ladder_frequencies), on
-    which both rate profiles must be positive and finite for every
-    mode: at the run's own medium with the dye, at both endpoints with
-    the dye and each scales dye.  A rate is monotone in omega on
-    either side of its peak and omega is monotone in chi, so no chi
-    inside the grid gives a mode a rate below those at both ends; the
-    same argument covers sensitivity's brackets (check_excess_range).
+    One pass builds each object once, in this order: the dye at [sweep]
+    pump_start (stop >= start, so the lowest pump solved), the dye of
+    each [sweep] scales entry (the chi sweep runs with it), the index
+    pair at both chi-grid endpoints, the run's own pair and, for a
+    chiral sample, the pairs at both ends of sensitivity's widest
+    bracket (sweeps.bracket_steps); then per medium its ladder, decided
+    by mode_ladder's own pass (ladder_frequencies), on which both rate
+    profiles must be positive and finite for every mode: with the dye
+    at the run's medium and the bracket ends, and with each scales dye
+    too at both chi endpoints.  A rate is monotone in omega on either
+    side of its peak and omega in chi, which is linear in the excess,
+    so no chi inside the grid or a bracket gives a mode a rate below
+    those at both ends.
     """
     dye, sweep = config.dye, config.sweep
+    _checked("[sweep] pump_start", replace, dye,
+             gamma_up_pump=sweep.pump.start)
     dyes = [("", dye)] + [
         (f", [sweep] scales entry {scale!r}",
          _checked(f"[sweep] scales entry {scale!r}", replace, dye,
@@ -434,11 +439,21 @@ def _check_solvable(config: RunConfig) -> None:
          _checked(f"[sweep] chi grid endpoint {chi!r}", refractive_indices,
                   config.base_index(), chi), dyes)
         for chi in (sweep.chi.start, sweep.chi.stop)]
-    own = config.indices if config.sample is None else _checked(
-        f"[medium] the chiral sample gives no valid index pair at "
-        f"epsilon = {config.sample.epsilon!r}", config.medium_indices)
-    for where, medium, ladder_dyes in [("the run's medium", own, dyes[:1]),
-                                       *media]:
+    if config.sample is None:
+        media.insert(0, ("the run's medium", config.indices, dyes[:1]))
+    else:
+        # the sample's own excess, then both ends of the widest bracket
+        eps = sweep.sensitivity_epsilon
+        h = bracket_steps(eps, sweep.sensitivity_step)[-1]
+        widest = (f"(the widest bracket, {eps:g} +- {h:g}) of "
+                  f"[sweep] sensitivity_epsilon")
+        for k, end in enumerate((config.sample.epsilon, eps - h, eps + h)):
+            at = f"epsilon = {end:g} {widest}" if k else f"epsilon = {end!r}"
+            run_at = replace(config, sample=replace(config.sample, epsilon=end))
+            pair = _checked(f"[medium] the chiral sample gives no valid index "
+                            f"pair at {at}", run_at.medium_indices)
+            media.insert(k, (at if k else "the run's medium", pair, dyes[:1]))
+    for where, medium, ladder_dyes in media:
         _check_ladder_rates(config, where, medium, ladder_dyes)
 
 
@@ -453,24 +468,6 @@ def _check_ladder_rates(config: RunConfig, where: str, medium, dyes) -> None:
         for scaled, d in dyes:
             _checked(f"[dye] on the ladder at {where}{scaled}",
                      check_rates, gamma_down, absorption_rate(d, omega))
-
-
-def check_excess_range(config: RunConfig) -> None:
-    """ConfigError unless sensitivity can run: a chiral sample whose index
-    pair and ladder rates are valid at both ends of the widest bracket of
-    sweeps.bracket_steps, so at every bracket inside it (chi is linear in
-    the excess, the rates monotone: _check_solvable)."""
-    if config.medium_kind != "sample":
-        raise ConfigError("sensitivity needs the chiral-sample medium "
-                          "description (epsilon enters through the sample)")
-    epsilon = config.sweep.sensitivity_epsilon
-    h = bracket_steps(epsilon, config.sweep.sensitivity_step)[-1]
-    for end in (epsilon - h, epsilon + h):
-        at = replace(config, sample=replace(config.sample, epsilon=end))
-        where = f"epsilon = {end:g} (the widest bracket, {epsilon:g} +- {h:g})"
-        medium = _checked(f"[medium] the chiral sample gives no valid index "
-                          f"pair at {where}", at.medium_indices)
-        _check_ladder_rates(config, where, medium, [("", config.dye)])
 
 
 def _field_values(obj, prefix: str = "") -> dict:

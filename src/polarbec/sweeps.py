@@ -30,10 +30,10 @@ Sweep drivers:
   chunked to bound memory; the seeded pseudo-transient loop otherwise),
   and reads the observables from the row-stacked occupations.
 * sensitivity: central-difference slope dS3/depsilon at an operating
-  point over the brackets bracket_steps lists (which the configuration
-  check reads too), with a noise-dominated flag when the S3 difference
-  falls below what the solver tolerance can resolve.  Each bracket is a
-  two-chi column, one chi per end.
+  point over the brackets bracket_steps lists (every command's config
+  check reads the widest), with a noise-dominated flag when the S3
+  difference falls below what the solver tolerance can resolve.  Each
+  bracket is a two-chi column, one chi per end.
 
 Every rate system comes from RateSystem.from_tables on a ModeLadder and
 its RateTable, so every sweep gets the same rate checks.  chi_sweep,
@@ -157,18 +157,20 @@ class SweepSpec:
                 f"start must not exceed stop, got {self.start} > {self.stop}")
 
     def grid(self) -> np.ndarray:
+        """Points from exactly start to exactly stop (the ends the config
+        check reads): np.logspace's between them, or linear with t exactly
+        antisymmetric, so that, unlike np.linspace, start == -stop gives
+        g[k] == -g[n - k] and each chi its mirror (_chi_grid_columns)."""
         if self.points == 1:
             return np.array([self.start], dtype=float)
         if self.spacing == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop),
-                               self.points)
-        # not np.linspace, whose grid is not symmetric when start == -stop:
-        # t is exactly antisymmetric, so then g[k] == -g[n - k] and every
-        # point of a chi grid has its mirror on the grid (_chi_grid_columns)
-        n = self.points - 1
-        t = (2.0 * np.arange(self.points) - n) / n
-        half = (self.stop - self.start) / 2.0
-        g = (self.start + half) + half * t
+            g = np.logspace(math.log10(self.start), math.log10(self.stop),
+                            self.points)
+        else:
+            n = self.points - 1
+            t = (2.0 * np.arange(self.points) - n) / n
+            half = (self.stop - self.start) / 2.0
+            g = (self.start + half) + half * t
         g[0], g[-1] = self.start, self.stop
         return g
 

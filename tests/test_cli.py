@@ -24,7 +24,7 @@ from polarbec.cli import (
     main,
 )
 from polarbec.chiral import chi_from_sample, refractive_indices
-from polarbec.config import parse_config, render_config
+from polarbec.config import default_config, parse_config, render_config
 from polarbec.sweeps import bracket_steps, sensitivity
 
 from conftest import UNDERFLOW_LOSS
@@ -478,21 +478,22 @@ def test_sensitivity_exits_unconverged_unless_partial_is_allowed(
 
 def test_sensitivity_checks_the_sample_over_the_whole_excess_range(
         tmp_path, capsys):
-    # valid at its own excess, so it parses; the widest bracket at the
-    # default epsilon = 0.5 and step 0.01 is 0.5 +- 0.32, where the index
+    # valid at its own excess; the widest bracket at the default
+    # epsilon = 0.5 and step 0.01 is 0.5 +- 0.32, where the index
     # splitting |n_L - n_R| reaches 0.131, so that bracket would fail
-    # inside the run
+    # inside a sensitivity run, and every command checks the whole file
     cfg = tmp_path / "strong.ini"
     cfg.write_text("[medium]\ntheta_deg = 129000\n", encoding="utf-8")
-    out = tmp_path / "s"
-    assert run_cli("sensitivity", "--config", str(cfg), "--out",
-                   str(out)) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "epsilon = 0.82 " in err and "Traceback" not in err
-    assert not out.exists()
-    # the other commands stay at the sample's own excess
-    assert run_cli("threshold", "--config", str(cfg), "--out",
-                   str(tmp_path / "t")) == EXIT_OK
+    for command in ("modes", "threshold", "sweep-pump", "sweep-chi",
+                    "sweep-grid", "sensitivity"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(cfg), "--out",
+                       str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "epsilon = 0.82 (the widest bracket, 0.5 +- 0.32)" in err
+        assert "[sweep] sensitivity_epsilon" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 EDGE_CONFIG = """
@@ -525,16 +526,18 @@ def test_sensitivity_runs_when_its_brackets_stay_in_range(tmp_path):
         json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
-def reaches_an_invalid_index_pair(config) -> bool:
-    """Brute force: any end of any bracket the run can try gives no
-    valid index pair."""
-    epsilon = config.sweep.sensitivity_epsilon
-    for h in bracket_steps(epsilon, config.sweep.sensitivity_step):
+def reaches_an_invalid_index_pair(theta_deg, epsilon) -> bool:
+    """Brute force: any end of any bracket a sensitivity run at `epsilon`
+    can try, on the default sample at `theta_deg`, gives no valid index
+    pair."""
+    defaults = default_config()
+    sample = replace(defaults.sample, theta_deg=theta_deg)
+    solvent = defaults.solvent
+    for h in bracket_steps(epsilon, defaults.sweep.sensitivity_step):
         for end in (epsilon - h, epsilon + h):
-            chi = chi_from_sample(replace(config.sample, epsilon=end),
-                                  config.solvent)
+            chi = chi_from_sample(replace(sample, epsilon=end), solvent)
             try:
-                refractive_indices(config.solvent.base_index, chi)
+                refractive_indices(solvent.base_index, chi)
             except ValueError:
                 return True
     return False
@@ -555,7 +558,7 @@ def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
     text = (f"[cavity]\nl_max = 3\n[medium]\ntheta_deg = {theta_deg}\n"
             f"epsilon = {epsilon}\n[sweep]\nsensitivity_epsilon = "
             f"{epsilon}\n")
-    assert reaches_an_invalid_index_pair(parse_config(text)) is invalid
+    assert reaches_an_invalid_index_pair(theta_deg, epsilon) is invalid
     cfg = tmp_path / "edge.ini"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "s"
@@ -563,6 +566,20 @@ def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
     assert code == (EXIT_CONFIG if invalid else EXIT_OK)
     assert out.exists() is not invalid
     assert "Traceback" not in capsys.readouterr().err
+
+
+NEGATIVE_PUMP_CONFIG = """
+[cavity]
+l_max = 3
+
+[sweep]
+pump_spacing = linear
+pump_start = -1 GHz
+pump_stop = 1 GHz
+pump_points = 3
+grid_pump_points = 3
+chi_points = 3
+"""
 
 
 @pytest.mark.parametrize("text, message", [
@@ -576,9 +593,11 @@ def test_sensitivity_refuses_exactly_the_runs_that_leave_the_range(
     # refused although --out overrides it: every command checks the file
     ("[output]\ndirectory =\n", "[output] directory must not be blank"),
     ("[output]\ndirectory =   \n", "[output] directory must not be blank"),
+    # a pump axis below zero gives no valid dye at its first point
+    (NEGATIVE_PUMP_CONFIG, "[sweep] pump_start"),
 ], ids=["quantity", "bare_number", "number_list", "empty_list",
         "no_section", "duplicate_key", "broken_manifest", "blank_directory",
-        "spaces_directory"])
+        "spaces_directory", "negative_pump"])
 def test_a_config_that_does_not_parse_exits_before_the_run(tmp_path, capsys,
                                                            text, message):
     cfg = tmp_path / "bad.ini"
@@ -588,6 +607,21 @@ def test_a_config_that_does_not_parse_exits_before_the_run(tmp_path, capsys,
                    str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-pump", "sweep-grid"])
+def test_a_pump_axis_below_zero_exits_before_the_run(tmp_path, capsys,
+                                                     command):
+    # the pump sweep would end in a traceback at its first point, and the
+    # grid would report its negative-pump rows as converged
+    cfg = tmp_path / "negpump.ini"
+    cfg.write_text(NEGATIVE_PUMP_CONFIG, encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(cfg), "--out",
+                   str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[sweep] pump_start" in err and "Traceback" not in err
     assert not out.exists()
 
 

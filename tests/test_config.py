@@ -358,6 +358,13 @@ def test_out_of_range_chi_grid_is_rejected(text):
     ("[sweep]\nchi_points = 0\n", r"\[sweep\] chi_points"),
     ("[sweep]\npump_points = 0\n", r"\[sweep\] pump_points"),
     ("[sweep]\npump_start = -1 Hz\n", r"\[sweep\] pump_spacing = log"),
+    # a linear pump axis that starts below zero gives no valid dye
+    ("[sweep]\npump_spacing = linear\npump_start = -1 Hz\n",
+     r"\[sweep\] pump_start: gamma_up_pump must be >= 0"),
+    # a sample valid at its own excess but not at the widest bracket end
+    ("[medium]\ntheta_deg = 129000\n",
+     r"epsilon = 0\.82 \(the widest bracket, 0\.5 \+- 0\.32\) of "
+     r"\[sweep\] sensitivity_epsilon"),
     ("[sweep]\nchi_start = 1e-5\nchi_stop = -1e-5\n",
      r"\[sweep\] chi_start must not exceed"),
     ("[dye]\ngamma_down = inf Hz\n", "gamma_down"),

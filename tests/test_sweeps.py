@@ -169,6 +169,19 @@ def test_linear_grids_track_linspace_within_a_few_ulps():
         assert np.max(np.abs(g - ref)) <= 4 * np.spacing(max(abs(a), abs(b)))
 
 
+def test_log_grids_end_at_start_and_stop_and_match_logspace_inside():
+    # random mantissas over 22 decades
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        ends = rng.uniform(1.0, 10.0, 2) * 10.0 ** rng.uniform(-11, 11, 2)
+        a, b = sorted(map(float, ends))
+        points = int(rng.integers(2, 300))
+        g = SweepSpec(start=a, stop=b, points=points, spacing="log").grid()
+        ref = np.logspace(math.log10(a), math.log10(b), points)
+        assert g[0] == a and g[-1] == b
+        assert np.array_equal(g[1:-1], ref[1:-1])
+
+
 def test_sweep_spec_guards():
     with pytest.raises(ValueError):
         SweepSpec(start=1e8, stop=1e10, points=0)
