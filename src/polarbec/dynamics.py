@@ -32,12 +32,14 @@ Two independent solvers find F(N) = 0:
   number of h(u) evaluations.  A whole pump grid on one ladder is
   searched in lock step: occupations are held as (rows, modes) arrays,
   every live row's candidate is evaluated in one batched call, and a
-  row drops out when its search ends.  The route takes rows in chunks
-  of at most CHUNK_ELEMENTS occupations, for the search and for the
-  drift and norm of its answers alike, so beside the column's own N no
-  temporary outgrows a few hundred kB whatever the grid length.  Each
-  row runs the same float operations as a lone solve, so batching
-  changes no bit of any answer.
+  row drops out when its search ends; a lone live row (a one-pump
+  column) is not batched, but h takes its float margin on one vector
+  and its drift is 1-D.  The route takes rows in chunks of at most
+  CHUNK_ELEMENTS occupations, for the search and for the drift and
+  norm of its answers alike, so beside the column's own N no temporary
+  outgrows a few hundred kB whatever the grid length.  Each row runs
+  the same float operations either way, so batching changes no bit of
+  any answer.
 
   h(u) is the cost of this route, and two kernels make it.  occ_at_u
   writes every mode's margin m1 x + m0 + u into one (rows, modes)
@@ -316,22 +318,27 @@ class RateSystem:
 
         Returns (N, x, bad): x is each row's saturated molecular fraction
         and bad flags rows outside the physical range (some mode margin
-        or x not positive), whose N is meaningless.
+        or x not positive), whose N is meaningless.  A float u is one row:
+        a 1-D N, a float x and a bool bad, with the bits of that row of
+        a 1-D u.  umax and x_scale are numpy scalars, so x never raises.
         """
         x = (self.umax - u) / self.x_scale
-        xc = x[:, None]
+        xc, uc = (x, u) if x.ndim == 0 else (x[:, None], u[:, None])
         N = self.m1 * xc             # the margins, then N = Mdn x / margin
         N += self.m0
-        N += u[:, None]
+        N += uc
         bad = (np.minimum.reduce(N, axis=-1) <= 0.0) | (x <= 0.0)
         np.divide(self.Mdn, N, out=N)
         N *= xc
         return N, x, bad
 
     def h_of_u(self, u, pump):
-        """Excitation-balance mismatch per row; root at the steady state."""
+        """Excitation-balance mismatch per row; root at the steady state.
+        A float u and pump are one row, whose h is a float."""
         N, x, bad = self.occ_at_u(u)
         Gu, Gd = self.totals(N, pump)
+        if N.ndim == 1:
+            return math.inf if bad else float(x * (Gu + Gd) - Gu)
         return np.where(bad, np.inf, x * (Gu + Gd) - Gu)
 
     def root_floor(self, pumps):
@@ -356,8 +363,10 @@ class RateSystem:
         row runs its own _root_search of h(u) = 0 on [0, umax], and all
         rows advance in lock step: each step evaluates h at every live
         row's candidate in one batched call, and a finished row drops out
-        and reports its bracket.  Returns (N, steps): N of shape
-        (rows, modes), steps the number of h(u) evaluations of each row.
+        and reports its bracket.  A lone live row is not batched: its
+        search is sent h of its float margin, the same bits.  Returns
+        (N, steps): N of shape (rows, modes), steps the number of h(u)
+        evaluations of each row.
         The temporaries are (rows, modes) arrays; the exact route hands
         this at most CHUNK_ELEMENTS occupations at a time.
         """
@@ -371,19 +380,27 @@ class RateSystem:
                         for floor in self.root_floor(p).tolist()]
             lo_end = np.zeros(p.size)
             hi_end = np.full(p.size, self.umax)
-            rows, values = list(range(p.size)), [None] * p.size
-            while rows:
-                going, u = [], []
-                for r, value in zip(rows, values):
-                    try:
-                        u.append(searches[r].send(value))
-                    except StopIteration as end:
-                        lo_end[r], hi_end[r], steps[live[r]] = end.value
-                    else:
-                        going.append(r)
-                rows = going
-                if rows:
-                    values = self.h_of_u(np.array(u), p[rows]).tolist()
+            if p.size == 1:     # a lone row: h(u) on floats, no batching
+                h = None
+                try:
+                    while True:
+                        h = self.h_of_u(searches[0].send(h), p[0])
+                except StopIteration as end:
+                    lo_end[0], hi_end[0], steps[live[0]] = end.value
+            else:
+                rows, values = list(range(p.size)), [None] * p.size
+                while rows:
+                    going, u = [], []
+                    for r, value in zip(rows, values):
+                        try:
+                            u.append(searches[r].send(value))
+                        except StopIteration as end:
+                            lo_end[r], hi_end[r], steps[live[r]] = end.value
+                        else:
+                            going.append(r)
+                    rows = going
+                    if rows:
+                        values = self.h_of_u(np.array(u), p[rows]).tolist()
             N, _, bad = self.occ_at_u(hi_end)
             if bad.any():
                 N[bad] = self.occ_at_u(lo_end[bad])[0]
@@ -630,8 +647,9 @@ def _exact(sys_, pumps):
     for start in range(0, pumps.size, chunk):
         part = slice(start, start + chunk)
         N[part], steps[part] = sys_.solve(pumps[part])
-        np.maximum(N[part], 0.0, out=N[part])
-        norm[part], Gu[part], Gd[part] = sys_.drift(N[part], pumps[part])[2:]
+        rows = 0 if pumps.size == 1 else part   # a lone row drifts 1-D
+        np.maximum(N[rows], 0.0, out=N[rows])
+        norm[rows], Gu[rows], Gd[rows] = sys_.drift(N[rows], pumps[rows])[2:]
     return N, steps, norm, Gu, Gd
 
 

@@ -160,9 +160,10 @@ class SweepSpec:
         """Points from exactly start to exactly stop (the ends the config
         check reads): np.logspace's between them, or linear with t exactly
         antisymmetric, so that, unlike np.linspace, start == -stop gives
-        g[k] == -g[n - k] and each chi its mirror (_chi_grid_columns)."""
-        if self.points == 1:
-            return np.array([self.start], dtype=float)
+        g[k] == -g[n - k] and each chi its mirror (_chi_grid_columns).
+        start == stop gives every point exactly start."""
+        if self.points == 1 or self.start == self.stop:
+            return np.full(self.points, self.start, dtype=float)
         if self.spacing == "log":
             g = np.logspace(math.log10(self.start), math.log10(self.stop),
                             self.points)

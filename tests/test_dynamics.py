@@ -610,13 +610,59 @@ def test_stacked_rows_get_the_bits_of_lone_rows(l_max, rows):
     _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
     pumps = np.logspace(8.5, 10.0, rows)
     u = winner_margin(sys_, steady_states(sys_, pumps, SolverConfig()).N)
-    N = sys_.occ_at_u(u)[0]
+    N, x, bad = sys_.occ_at_u(u)
     Gu, Gd = sys_.totals(N, pumps)
     h = sys_.h_of_u(u, pumps)
     for k in range(rows):
         assert np.array_equal(sys_.occ_at_u(u[k:k + 1])[0][0], N[k])
         assert (Gu[k], Gd[k]) == sys_.totals(N[k], pumps[k])
         assert h[k] == sys_.h_of_u(u[k:k + 1], pumps[k:k + 1])[0]
+        # a float margin is one row: the lone path of the exact route
+        N_k, x_k, bad_k = sys_.occ_at_u(float(u[k]))
+        assert N_k.shape == (sys_.n,) and np.array_equal(N_k, N[k])
+        assert x_k == x[k] and bad_k == bad[k]
+        assert h[k] == sys_.h_of_u(float(u[k]), float(pumps[k]))
+
+
+@pytest.mark.parametrize("l_max", [30, 200, 2000])
+def test_a_lone_row_solves_to_the_bits_of_its_row_in_a_column(l_max):
+    # solve runs one live row on floats and a column in lock step; both
+    # must give the same occupations and the same number of h(u) calls
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    pumps = np.array([0.5, 0.9, 1.0, 1.1, 2.0]) * TEFF_L0
+    N, steps = sys_.solve(pumps)
+    for k, pump in enumerate(pumps):
+        for column in ([pump], [0.0, pump]):
+            N_k, steps_k = sys_.solve(column)
+            assert np.array_equal(N_k[-1], N[k]) and steps_k[-1] == steps[k]
+            assert np.all(N_k[:-1] == 0.0) and np.all(steps_k[:-1] == 0)
+    assert np.all(N > 0.0) and np.all(steps > 0)
+    # no pump, or no molecules: the empty cavity, with no h(u) evaluation
+    ladder = mode_ladder(make_cavity(), SWEEP_INDICES, l_max, KAPPA)
+    dark = RateSystem.from_tables(build_rate_table(make_dye(M=0.0), ladder),
+                                  ladder, make_dye(M=0.0))
+    for system, pump in ((sys_, 0.0), (dark, TEFF_L0)):
+        N_0, steps_0 = system.solve([pump])
+        assert N_0.shape == (1, system.n) and np.all(N_0 == 0.0)
+        assert steps_0.tolist() == [0]
+
+
+@pytest.mark.parametrize("M, up, dn", [
+    (1.88e278, 1e124, 1e124),   # umax overflows: no h(u) is evaluated
+    (1e10, 1.0, 1e300),         # x_scale overflows: h(u) is inf
+    (1e-300, 1e-30, 1e-30),     # x_scale underflows to 0: x = (umax - u) / 0
+])
+def test_a_lone_row_of_an_overflowing_system_matches_its_column(M, up, dn):
+    # the lone path keeps x in numpy scalars, which a Python float would
+    # not do: it raises ZeroDivisionError where numpy gives inf
+    with np.errstate(all="ignore"):
+        sys_ = RateSystem([1, 2], [up, 2 * up], [dn, 3 * dn], [1e8, 2e8], M,
+                          1e9, 1)
+    for pump in (1e9, 1e300):
+        N, steps = sys_.solve([pump])
+        column = sys_.solve([pump, pump])
+        assert np.array_equal(N[0], column[0][1], equal_nan=True)
+        assert steps[0] == column[1][1]
 
 
 # --- the root search against the bisection oracle -------------------------------

@@ -182,6 +182,18 @@ def test_log_grids_end_at_start_and_stop_and_match_logspace_inside():
         assert np.array_equal(g[1:-1], ref[1:-1])
 
 
+def test_a_grid_from_x_to_x_is_x_at_every_point():
+    # np.logspace's 10**log10(x) is an ulp off x for most x
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        x = float(rng.uniform(1.0, 10.0) * 10.0 ** rng.uniform(-11, 11))
+        points = int(rng.integers(2, 50))
+        for spacing in ("log", "linear"):
+            g = SweepSpec(start=x, stop=x, points=points,
+                          spacing=spacing).grid()
+            assert g.dtype == float and np.all(g == x), (x, spacing)
+
+
 def test_sweep_spec_guards():
     with pytest.raises(ValueError):
         SweepSpec(start=1e8, stop=1e10, points=0)
