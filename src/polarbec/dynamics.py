@@ -48,8 +48,8 @@ Two independent solvers find F(N) = 0:
   unphysical rows, and turns the buffer into N = M dn x / margin in
   place.  totals then needs only the weighted sums sum g up N and
   sum g dn N, which it takes as BLAS dot products, one per row, weight
-  and block (row_dot).  One dot per row keeps each row's bits those of a
-  lone row; a single gemv over all rows would round each row
+  and block, all in row_dot.  One dot per row keeps each row's bits
+  those of a lone row; a single gemv over all rows would round each row
   differently depending on how many rows there are.
 * semi_dynamical: damped pseudo-time continuation.  Each step solves
   (I/h - J) dN = F(N) with the exact Jacobian, which is diagonal plus a
@@ -177,12 +177,14 @@ def _col(a):
 def row_dot(a, c):
     """sum_nu a_nu c_nu along the last axis; the leading axes broadcast.
 
-    Each pair of rows is stacked as (1, n) @ (n, 1), for which numpy's
-    matmul makes one BLAS dot call, so every row gets the bits of a lone
-    np.dot whatever the number of rows.  A plain (rows, n) @ (n,) is one
-    gemv call, whose rounding differs from the lone dot once there are
-    two rows.
+    The package's one BLAS call.  A lone row (1-D a) is one np.dot, and
+    stacked rows are paired as (1, n) @ (n, 1), one BLAS dot call each
+    in numpy's matmul, so every row gets the bits of the lone dot
+    whatever the number of rows.  A (rows, n) @ (n,) gemv would round
+    the rows differently once there are two.
     """
+    if a.ndim == 1:
+        return np.dot(a, c)
     return (a[..., None, :] @ c[..., None])[..., 0, 0]
 
 
@@ -202,10 +204,10 @@ class RateSystem:
     The constructor precomputes what h(u) reads, per mode:
     m1 = M ((dn_w - dn) - (up - up_w)) and m0 = M (up - up_w)
     + (kap - kap_w), the margin's coefficients against the winner w;
-    Mdn = M dn; and the stacked weights w_ud = (g up, g dn) with
-    gd0 = gamma_dn + sum g dn, so that Gamma_up = pump + sum g up N and
-    Gamma_dn = gd0 + sum g dn N.  blockdot takes those sums with
-    row_dot, so a row's totals do not depend on its neighbours.
+    Mdn = M dn; and the weights wu = g up and wd = g dn, the two rows of
+    w_ud, with gd0 = gamma_dn + sum g dn, so that Gamma_up = pump
+    + sum wu N and Gamma_dn = gd0 + sum wd N.  blockdot takes those sums
+    with row_dot, so a row's totals do not depend on its neighbours.
     """
 
     def __init__(self, deg, up, dn, kap, M, gamma_dn, n_left):
@@ -239,13 +241,13 @@ class RateSystem:
         self.m0 += self.kap - self.kap[w]
         self.Mdn = self.M * self.dn
         # weights of totals, Gu = pump + sum wu N and Gd = gd0 + sum wd N,
-        # stacked as the rows (wu, wd) so one matmul per block gives both
+        # the rows of w_ud, so one matmul per block gives both for a stack
         self.w_ud = np.empty((2, self.n))
-        np.multiply(self.deg, self.up, out=self.w_ud[0])
-        np.multiply(self.deg, self.dn, out=self.w_ud[1])
-        wd = self.w_ud[1]
-        self.gd0 = self.gamma_dn + (np.add.reduce(wd[self.bL])
-                                    + np.add.reduce(wd[self.bR]))
+        self.wu, self.wd = self.w_ud
+        np.multiply(self.deg, self.up, out=self.wu)
+        np.multiply(self.deg, self.dn, out=self.wd)
+        self.gd0 = self.gamma_dn + (np.add.reduce(self.wd[self.bL])
+                                    + np.add.reduce(self.wd[self.bR]))
 
     @classmethod
     def from_tables(cls, rates: RateTable, ladder: ModeLadder,
@@ -262,10 +264,9 @@ class RateSystem:
 
     def totals(self, N, pump):
         """Collective molecular rates (Gamma_up, Gamma_dn), one per row."""
-        if N.ndim == 1:     # one row: the four lone dots row_dot would make
-            (wu, wd), L, R = self.w_ud, self.bL, self.bR
-            return (pump + (np.dot(N[L], wu[L]) + np.dot(N[R], wu[R])),
-                    self.gd0 + (np.dot(N[L], wd[L]) + np.dot(N[R], wd[R])))
+        if N.ndim == 1:     # a lone row: one blockdot per weight
+            return (pump + self.blockdot(N, self.wu),
+                    self.gd0 + self.blockdot(N, self.wd))
         t = self.blockdot(N[..., None, :], self.w_ud)
         return pump + t[..., 0], self.gd0 + t[..., 1]
 
@@ -490,11 +491,12 @@ def _rate_system(rates, ladder, dye) -> RateSystem:
 
 
 def occupations(N, ladder: ModeLadder) -> np.ndarray:
-    """N as a float array, one occupation per mode of the ladder."""
+    """N as a 1-D float array, one occupation per mode of the ladder."""
     N = np.asarray(N, dtype=float)
-    if N.size != ladder.size:
-        raise ValueError(
-            f"state holds {N.size} occupations for {ladder.size} modes")
+    if N.shape != (ladder.size,):
+        raise ValueError(f"state of shape {N.shape} holds {N.size} "
+                         f"occupations for {ladder.size} modes; a state "
+                         f"is one vector, one entry per mode")
     return N
 
 
@@ -758,7 +760,6 @@ def find_steady_state(rates: RateTable, ladder: ModeLadder, dye: DyeParams,
     """
     rows = steady_states(_rate_system(rates, ladder, dye),
                          [dye.gamma_up_pump], config, seed)
-    return SteadyState(N=rows.N[0], p_e=float(rows.p_e[0]),
-                       residual_norm=float(rows.residual_norm[0]),
-                       iterations=int(rows.iterations[0]),
-                       converged=bool(rows.converged[0]))
+    return SteadyState(**{name: value[0].item()
+                          for name, value in vars(rows).items()
+                          if name != "N"}, N=rows.N[0])

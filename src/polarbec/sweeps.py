@@ -95,15 +95,16 @@ class Observables:
 
 
 def _readout(N, ladder: ModeLadder) -> dict:
-    """Stokes readout of row-stacked occupations on a ladder, per row."""
+    """Stokes readout of occupations on a ladder: one row, or row-stacked
+    rows read per row.  Each field has N's shape without its mode axis."""
     deg, nl = ladder.degeneracy, ladder.n_left
-    # one BLAS dot per row and block, the call a lone readout makes
-    total_L = row_dot(N[:, :nl], deg[:nl])
-    total_R = row_dot(N[:, nl:], deg[nl:])
-    zeros = np.zeros(N.shape[0])
+    # row_dot: one BLAS dot per row and block, for a lone row or a stack
+    total_L = row_dot(N[..., :nl], deg[:nl])
+    total_R = row_dot(N[..., nl:], deg[nl:])
+    zeros = np.zeros(N.shape[:-1])
     i_L, i_R = ladder.ground()
-    ground_L = zeros if i_L is None else N[:, i_L]
-    ground_R = zeros if i_R is None else N[:, i_R]
+    ground_L = zeros if i_L is None else N[..., i_L]
+    ground_R = zeros if i_R is None else N[..., i_R]
     total = total_R + total_L
     ground_total = ground_R + ground_L
     defined = total >= S3_TOTAL_FLOOR
@@ -117,15 +118,9 @@ def _readout(N, ladder: ModeLadder) -> dict:
 
 
 def stokes_s3(steady: SteadyState, ladder: ModeLadder) -> Observables:
-    """Degeneracy-weighted Stokes readout of steady.N on its ladder."""
-    obs = _readout(occupations(steady.N, ladder)[None, :], ladder)
-    return Observables(
-        S3=float(obs["S3"][0]), S3_ground=float(obs["S3_ground"][0]),
-        N_L_total=float(obs["N_L_total"][0]),
-        N_R_total=float(obs["N_R_total"][0]),
-        N_ground_L=float(obs["N_ground_L"][0]),
-        N_ground_R=float(obs["N_ground_R"][0]),
-        defined=bool(obs["defined"][0]))
+    """Degeneracy-weighted Stokes readout of steady.N: one-row _readout."""
+    obs = _readout(occupations(steady.N, ladder), ladder)
+    return Observables(**{name: value.item() for name, value in obs.items()})
 
 
 # --- sweep specification and result --------------------------------------

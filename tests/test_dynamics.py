@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -29,7 +30,7 @@ from polarbec import (
     stokes_s3,
     total_rates,
 )
-from polarbec import dynamics
+from polarbec import dynamics, sweeps
 from polarbec.config import default_config
 from polarbec.dynamics import (
     BALANCE_FTOL,
@@ -151,6 +152,17 @@ def test_state_and_alignment_guards():
         adiabatic_derivative(np.zeros(1), rates, modes, dye)
     with pytest.raises(ValueError, match="3 occupations for 2 modes"):
         total_rates(np.zeros(3), rates, modes, dye)
+    # a (1, n) or (n, 1) state holds one occupation per mode but is not
+    # one vector of them: every caller refuses it, naming its shape
+    for N in (np.zeros((1, 2)), np.zeros((2, 1))):
+        steady = SteadyState(N=N, p_e=0.5, residual_norm=0.0, iterations=0,
+                             converged=True)
+        for call in (lambda: total_rates(N, rates, modes, dye),
+                     lambda: adiabatic_derivative(N, rates, modes, dye),
+                     lambda: full_derivatives(N, 0.5, rates, modes, dye),
+                     lambda: stokes_s3(steady, modes)):
+            with pytest.raises(ValueError, match=re.escape(f"{N.shape}")):
+                call()
 
 
 @pytest.mark.parametrize("solve", [
@@ -607,14 +619,19 @@ def test_h_kernels_agree_with_the_direct_formulas(l_max):
 def test_stacked_rows_get_the_bits_of_lone_rows(l_max, rows):
     # totals takes one BLAS dot per row and block, as a lone row does; a
     # single gemv over the stack would round the rows differently
-    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    ladder, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
     pumps = np.logspace(8.5, 10.0, rows)
     u = winner_margin(sys_, steady_states(sys_, pumps, SolverConfig()).N)
     N, x, bad = sys_.occ_at_u(u)
     Gu, Gd = sys_.totals(N, pumps)
     h = sys_.h_of_u(u, pumps)
+    obs = sweeps._readout(N, ladder)
     for k in range(rows):
         assert np.array_equal(sys_.occ_at_u(u[k:k + 1])[0][0], N[k])
+        lone = sweeps._readout(N[k], ladder)
+        assert lone.keys() == obs.keys()
+        for name, value in lone.items():
+            assert value.tobytes() == obs[name][k].tobytes(), name
         assert (Gu[k], Gd[k]) == sys_.totals(N[k], pumps[k])
         assert h[k] == sys_.h_of_u(u[k:k + 1], pumps[k:k + 1])[0]
         # a float margin is one row: the lone path of the exact route
@@ -622,6 +639,42 @@ def test_stacked_rows_get_the_bits_of_lone_rows(l_max, rows):
         assert N_k.shape == (sys_.n,) and np.array_equal(N_k, N[k])
         assert x_k == x[k] and bad_k == bad[k]
         assert h[k] == sys_.h_of_u(float(u[k]), float(pumps[k]))
+
+
+def test_every_lone_row_block_sum_goes_through_row_dot(monkeypatch):
+    # a lone row's block sums take one path, row_dot's np.dot on 1-D
+    # blocks: a float-margin h(u), a 1-D drift, a pseudo-time step and a
+    # Stokes readout all reach it, with the bits they have unwrapped
+    ladder, sys_ = ladder_system(SWEEP_INDICES, l_max=30)
+    pump = 1.1 * TEFF_L0
+    N = sys_.solve([pump])[0][0]
+    drift = sys_.drift(N, pump)
+    steady = SteadyState(N=N, p_e=0.5, residual_norm=0.0, iterations=0,
+                         converged=True)
+    calls = {
+        "h_of_u": lambda: [sys_.h_of_u(float(winner_margin(sys_, N)), pump)],
+        "drift": lambda: sys_.drift(N, pump),
+        "_pt_step": lambda: [dynamics._pt_step(sys_, N, drift,
+                                               1.0 / sys_.kappa_min)],
+        "stokes_s3": lambda: list(vars(stokes_s3(steady, ladder)).values()),
+    }
+
+    def bits(values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    unwrapped = {name: bits(call()) for name, call in calls.items()}
+    honest, ranks = dynamics.row_dot, []
+
+    def recorder(a, c):
+        ranks.append(a.ndim)
+        return honest(a, c)
+
+    for module in (dynamics, sweeps):
+        monkeypatch.setattr(module, "row_dot", recorder)
+    for name, call in calls.items():
+        ranks.clear()
+        assert bits(call()) == unwrapped[name], name
+        assert ranks and set(ranks) == {1}, (name, ranks)
 
 
 @pytest.mark.parametrize("l_max", [30, 200, 2000])
