@@ -26,10 +26,12 @@ Two independent solvers find F(N) = 0:
   closed-form function of the winning mode's saturation margin u, so
   the root of the excitation balance h(u) = 0 gives the whole steady
   state.  A safeguarded bracketing search finds it: geometric-mean
-  steps down to the root's scale from a photon-number lower bound, then
-  Illinois regula falsi steps with a bisection fallback, about 10-12
-  evaluations of h per point; the reported iteration count is the
-  number of h(u) evaluations.  A whole pump grid on one ladder is
+  steps inside a bracket that the row's own pump gives, from the photon
+  and molecular balances (RateSystem.root_floor and root_ceiling), then
+  Illinois regula falsi steps with a bisection fallback, 7.2-8.5
+  evaluations of h per point on the default sweeps and the benchmark
+  workloads; the reported iteration count is the number of h(u)
+  evaluations.  A whole pump grid on one ladder is
   searched in lock step: occupations are held as (rows, modes) arrays,
   every live row's candidate is evaluated in one batched call, and a
   row drops out when its search ends; a lone live row (a one-pump
@@ -120,6 +122,9 @@ CHUNK_ELEMENTS = 1 << 16
 # pseudo-time steps after which a seeded solve that has not converged
 # drops from its Newton-scale start to the cold step size
 SEEDED_STEPS = 12
+# relative slack by which root_floor and root_ceiling move the terms of
+# their bounds outwards, far above their rounding (RateSystem.root_ceiling)
+BOUND_SLACK = 2.0**-30
 # residual tolerance abs_tol per unit of the smallest loss rate kappa_min
 TOL_PER_KAPPA = 1e-6
 # most pseudo-time steps one pseudo-transient solve takes
@@ -208,6 +213,9 @@ class RateSystem:
     w_ud, with gd0 = gamma_dn + sum g dn, so that Gamma_up = pump
     + sum wu N and Gamma_dn = gd0 + sum wd N.  blockdot takes those sums
     with row_dot, so a row's totals do not depend on its neighbours.
+    It also takes, once, the pump-free terms of root_ceiling: c_pump,
+    c_rest and c_num, from the saturated fractions x_nu that pick the
+    winner, wd and kap (one pass over the losers, no pump).
     """
 
     def __init__(self, deg, up, dn, kap, M, gamma_dn, n_left):
@@ -224,7 +232,8 @@ class RateSystem:
         self.abs_tol = TOL_PER_KAPPA * self.kappa_min
         if self.M > 0.0:
             # mode with the smallest saturated molecular fraction wins
-            xnu = (self.kap / self.M + self.up) / (self.up + self.dn)
+            s = self.up + self.dn
+            xnu = (self.kap / self.M + self.up) / s
             self.w = int(np.argmin(xnu))
         else:
             self.w = 0
@@ -248,6 +257,26 @@ class RateSystem:
         np.multiply(self.deg, self.dn, out=self.wd)
         self.gd0 = self.gamma_dn + (np.add.reduce(self.wd[self.bL])
                                     + np.add.reduce(self.wd[self.bR]))
+        # root_ceiling's pump-free terms: a lower bound of A / M is
+        # pump c_pump - c_rest, and the ceiling is c_num over it
+        # (numpy scalars, so that a float pump never divides by zero)
+        self.c_pump, self.c_rest, self.c_num = np.array([0.0, math.inf, 0.0])
+        if (self.M > 0.0 and math.isfinite(self.umax)
+                and 0.0 < self.x_scale < math.inf):
+            x_hi = xnu[w] * (1.0 + BOUND_SLACK)
+            with np.errstate(all="ignore"):
+                gap = xnu * (1.0 - BOUND_SLACK)     # each loser's x_nu - x_max
+                gap -= x_hi
+                gap[w] = math.inf                   # the winner is no loser
+                if np.minimum.reduce(gap) > 0.0:
+                    gap *= s
+                    loss = x_hi * self.blockdot(np.divide(self.wd, gap,
+                                                          out=gap), self.kap)
+                    self.c_pump = (1.0 - x_hi) * (1.0 - BOUND_SLACK)
+                    self.c_rest = ((self.gamma_dn * x_hi + loss / self.M)
+                                   * (1.0 + BOUND_SLACK))
+                    self.c_num = (2.0 * self.dn[w] * self.deg[w]
+                                  * self.kap[w] * x_hi)
 
     @classmethod
     def from_tables(cls, rates: RateTable, ladder: ModeLadder,
@@ -343,31 +372,84 @@ class RateSystem:
         return np.where(bad, np.inf, x * (Gu + Gd) - Gu)
 
     def root_floor(self, pumps):
-        """Lower bound of the root u of h, one per pump.
+        """Lower bound of the root u of h, one per pump: the larger of two.
 
-        At the steady state the cavity loses photons no faster than the
-        pump excites molecules: sum_nu g_nu kap_nu N_nu = M (pump (1 - p_e)
-        - gamma_dn p_e) <= M pump, so the winner holds at most
-        N_w <= M pump / (g_w kap_w).  With N_w = M dn_w x / u and
-        x = (umax - u) / x_scale this gives u >= c (umax - u),
-        c = dn_w g_w kap_w / (pump x_scale), so u >= c umax / (1 + c).
-        The bound is halved to stay below the root after rounding.
+        Summed over the modes with their degeneracies, the photon
+        balances give the cavity's loss: at the steady state
+        sum_nu g_nu kap_nu N_nu = M (pump (1 - x) - gamma_dn x), x = p_e,
+        because x Gamma_dn = (1 - x) Gamma_up there.
+        - Photon number: that loss is at most M pump, so the winner holds
+          N_w <= M pump / (g_w kap_w).  With N_w = M dn_w x / u and
+          x = (umax - u) / x_scale this gives u >= c (umax - u),
+          c = dn_w g_w kap_w / (pump x_scale), so u >= c umax / (1 + c).
+          It is tight above the knee.
+        - Molecular balance: that loss is not negative, so
+          x <= pump / (pump + gamma_dn) and u >= umax - x_scale pump
+          / (pump + gamma_dn).  It is tight below the knee, where most
+          pumped excitation leaves by gamma_dn, not through the cavity.
+        Rounding: the computed umax - x_scale q, q = pump / (pump
+        + gamma_dn), errs by at most 4 ulps of umax wherever it is
+        positive (q and the product carry 3 roundings, the difference 1),
+        and umax is first lowered by BOUND_SLACK of itself, far more than
+        that.  The larger bound is then halved, which covers the few ulps
+        of the photon-number bound, keeps the bound below the root of the
+        computed h, and keeps the search's first geometric steps from
+        crowding the root from above.  A bound that is NaN (an overflowed
+        system) gives way to the other one.
         """
         w = self.w
         c = self.dn[w] * self.deg[w] * self.kap[w] / (pumps * self.x_scale)
-        return 0.5 * c * self.umax / (1.0 + c)
+        photon = c * self.umax / (1.0 + c)
+        molecular = (self.umax * (1.0 - BOUND_SLACK)
+                     - self.x_scale * (pumps / (pumps + self.gamma_dn)))
+        return 0.5 * np.fmax(photon, molecular)
+
+    def root_ceiling(self, pumps):
+        """Upper bound of the root u of h, one per pump; umax where no
+        bound exists.
+
+        Each loser's occupation at molecular fraction x is
+        N_nu = dn_nu x / ((up_nu + dn_nu) (x_nu - x)), where x_nu is its
+        saturated fraction, so it grows with x.  At the root u > 0, so
+        x < x_max = x_w = umax / x_scale, and the losers lose at most
+        T = sum_{nu != w} g_nu kap_nu N_nu(x_max), which the constructor
+        takes once, pump-free.  The cavity's loss is M (pump (1 - x)
+        - gamma_dn x) (root_floor), which falls with x, so
+        g_w kap_w N_w >= A = M (pump (1 - x_max) - gamma_dn x_max) - T.
+        Where A > 0 this bounds the winner from below, and
+        u = M dn_w x / N_w <= M dn_w x_max g_w kap_w / A.  It is tight
+        above the knee.  A loser nearly degenerate with the winner at
+        x_max makes T huge, and there the ceiling stays at umax.
+        Rounding: the constructor raises x_max by BOUND_SLACK of itself,
+        lowers each loser's x_nu likewise (a loser whose gap x_nu - x_max
+        does not survive that counts as degenerate: T = inf), and moves
+        each term of A / M by BOUND_SLACK of itself in the direction that
+        lowers it.  Every computed x_nu is within 4 ulps of itself, and T
+        a sum of n + 1 positive terms, so for fewer than 2**22 modes each
+        slack exceeds the rounding it covers, and the computed A / M is at
+        most the exact one plus an ulp.  The ceiling is then doubled: that
+        covers the last roundings, keeps it above the root of the computed
+        h, and lets the search's geometric steps land on both sides of the
+        root.  A ceiling below the root would return a bracket whose upper
+        end h never saw negative; the read-off would be wrong and its
+        drift's norm would report the row unconverged.
+        """
+        a = pumps * self.c_pump - self.c_rest       # at most A / M
+        return np.where(a > 0.0, np.fmin(self.c_num / a, self.umax),
+                        self.umax)
 
     def solve(self, pump):
         """Exact occupations via a bracketing root search on the margin.
 
         `pump` is one pump or a 1-D array of them, one row each.  Every
-        row runs its own _root_search of h(u) = 0 on [0, umax], and all
-        rows advance in lock step: each step evaluates h at every live
-        row's candidate in one batched call, and a finished row drops out
-        and reports its bracket.  A lone live row is not batched: its
-        search is sent h of its float margin, the same bits.  Returns
-        (N, steps): N of shape (rows, modes), steps the number of h(u)
-        evaluations of each row.
+        row runs its own _root_search of h(u) = 0 between its root_floor
+        and its root_ceiling, and all rows advance in lock step: each step
+        evaluates h at every live row's candidate in one batched call, and
+        a finished row drops out and reports its bracket.  A lone live row
+        is not batched: its search is sent h of its float margin, and its
+        occupations are read off its float bracket end, the same bits.
+        Returns (N, steps): N of shape (rows, modes), steps the number of
+        h(u) evaluations of each row.
         The temporaries are (rows, modes) arrays; the exact route hands
         this at most CHUNK_ELEMENTS occupations at a time.
         """
@@ -377,18 +459,25 @@ class RateSystem:
                 else np.zeros(0, dtype=int))
         p = pumps[live]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            searches = [_root_search(self.umax, floor)
-                        for floor in self.root_floor(p).tolist()]
-            lo_end = np.zeros(p.size)
-            hi_end = np.full(p.size, self.umax)
             if p.size == 1:     # a lone row: h(u) on floats, no batching
+                p = float(p[0])
+                search = _root_search(float(self.root_ceiling(p)),
+                                      float(self.root_floor(p)))
                 h = None
                 try:
                     while True:
-                        h = self.h_of_u(searches[0].send(h), p[0])
+                        h = self.h_of_u(search.send(h), p)
                 except StopIteration as end:
-                    lo_end[0], hi_end[0], steps[live[0]] = end.value
+                    lo, hi, steps[live[0]] = end.value
+                N, _, bad = self.occ_at_u(hi)
+                if bad:
+                    N = self.occ_at_u(lo)[0]
+                N = N[None]
             else:
+                searches = list(map(_root_search,
+                                    self.root_ceiling(p).tolist(),
+                                    self.root_floor(p).tolist()))
+                lo_end, hi_end = np.empty((2, p.size))
                 rows, values = list(range(p.size)), [None] * p.size
                 while rows:
                     going, u = [], []
@@ -402,9 +491,9 @@ class RateSystem:
                     rows = going
                     if rows:
                         values = self.h_of_u(np.array(u), p[rows]).tolist()
-            N, _, bad = self.occ_at_u(hi_end)
-            if bad.any():
-                N[bad] = self.occ_at_u(lo_end[bad])[0]
+                N, _, bad = self.occ_at_u(hi_end)
+                if bad.any():
+                    N[bad] = self.occ_at_u(lo_end[bad])[0]
         if live.size == pumps.size:
             return N, steps
         # rows without pump or molecules hold the empty cavity
@@ -413,16 +502,20 @@ class RateSystem:
         return empty, steps
 
 
-def _root_search(umax, floor):
-    """Safeguarded superlinear search for the root of h on [0, umax].
+def _root_search(ceiling, floor):
+    """Safeguarded superlinear search for the root of h on [0, ceiling].
 
     A generator: it yields each margin u to evaluate, is sent h(u), and
     returns (lo, hi, evaluations).  h < 0 moves hi and anything else
     (h = +inf where some mode margin is <= 0 included) moves lo.  The
-    root usually sits many decades below umax, and `floor` is a lower
-    bound of it (RateSystem.root_floor).  While hi exceeds 4 max(lo,
-    floor), or an end value is not yet a finite g of the right sign,
-    the search steps to the geometric mean of max(lo, floor) and hi.
+    root may sit many decades below umax.  `ceiling` is an upper bound
+    of it (RateSystem.root_ceiling, umax where none is known), where hi
+    starts, unevaluated, and `floor` a lower bound (RateSystem.
+    root_floor).  Both must hold: with a ceiling below the root, no u
+    ever gives h < 0, and hi comes back as the ceiling itself.  While hi
+    exceeds 4 max(lo, floor), or an end value is not yet a finite g of
+    the right sign, the search steps to the geometric mean of
+    max(lo, floor) and hi.
     Then it takes Illinois steps (Dowell & Jarratt, BIT 11, 168 (1971))
     on g(u) = u h(u), which is nearly linear near the root because the
     winner's occupation goes as 1/u, and bisects whenever the bracket
@@ -433,28 +526,37 @@ def _root_search(umax, floor):
     arithmetic is on the row's own floats, so batching rows changes no
     bit of any row.
     """
-    lo, hi = 0.0, umax
+    lo, hi = 0.0, ceiling
     g_lo = g_hi = math.nan          # u h(u) at the ends, once evaluated
-    widths = [math.inf] * 3         # bracket widths of the last 3 steps
+    w1 = w2 = w3 = math.inf         # bracket widths of the last 3 steps
     moved = 0                       # end moved last: -1 lo, +1 hi
+    # the step's own Python is a third of a column's search: builtins as
+    # locals, and min and max written as the comparisons they make
+    ulp, sqrt, inf = math.ulp, math.sqrt, math.inf
     for evals in range(201):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo, hi, evals
         width = hi - lo
-        base = max(lo, floor)
+        base = floor if floor > lo else lo      # max(lo, floor)
         illinois = False
-        if (hi > 4.0 * base
-                or not (0.0 < g_lo < math.inf and -math.inf < g_hi < 0.0)):
-            u = math.sqrt(base * hi)
-        elif width > 0.5 * widths[0]:
+        if hi > 4.0 * base or not (0.0 < g_lo < inf and -inf < g_hi < 0.0):
+            u = sqrt(base * hi)
+        elif width > 0.5 * w1:
             u = mid
         else:
             u = lo - g_lo * width / (g_hi - g_lo)
             illinois = True
-        widths = widths[1:] + [width]
-        u = min(max(u, lo + min(4.0 * math.ulp(lo), 0.25 * width)),
-                hi - min(4.0 * math.ulp(hi), 0.25 * width))
+        w1, w2, w3 = w2, w3, width
+        # keep min(4 ulps, width / 4) clear of each end
+        quarter, clear = 0.25 * width, 4.0 * ulp(lo)
+        least = lo + (quarter if quarter < clear else clear)
+        if least > u:
+            u = least
+        clear = 4.0 * ulp(hi)
+        most = hi - (quarter if quarter < clear else clear)
+        if most < u:
+            u = most
         if not lo < u < hi:
             u = mid
         h = yield u

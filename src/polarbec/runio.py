@@ -3,7 +3,11 @@
 Every table is a dict of equal-length named columns, written as
 RFC-4180-style CSV (comma separated, CRLF line endings, header row),
 each cell in its column's one text form: true/false for bool dtype,
-fixed significant digits for floats, str for the rest.  So repeated
+fixed significant digits for floats, digits for integers, str for the
+rest, quoted as csv.writer's QUOTE_MINIMAL quotes it.  The column dtypes
+give one format per row, so each row is a single %, and the rows stream
+from the arrays a block at a time: no cell is formatted by a call of its
+own, and no column is copied whole into Python objects.  So repeated
 runs of the same configuration produce byte identical files.  Each run
 directory gets a manifest.json recording the resolved configuration
 text, tool and library versions, convergence summary and timings; the
@@ -13,7 +17,6 @@ makes sure a single process owns an output directory at a time.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import platform
@@ -30,25 +33,60 @@ FLOAT_FORMAT = "%.12g"
 LOCK_NAME = ".polarbec.lock"
 
 
-def _cell_format(column: np.ndarray):
-    """Canonical text form of the cells of one column, by its dtype."""
+# rows formatted per block: the cells of a block are Python objects, so
+# a block stays small next to the arrays it is read from
+CSV_BLOCK_ROWS = 16
+
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
+def _field(text: str) -> str:
+    """One text field as csv.writer's QUOTE_MINIMAL writes it: quoted,
+    with its quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _lone_field(text: str) -> str:
+    """_field of a one-column table, where csv.writer also quotes an
+    empty field, which would otherwise leave a blank line."""
+    return _field(text) or '""'
+
+
+def _cell_format(column: np.ndarray, quote):
+    """The % format of one column's cells, by its dtype, and what turns a
+    block of them (a slice of the column) into the values it takes."""
     if column.dtype == bool:
-        return lambda v: "true" if v else "false"
+        return "%s", lambda cells: map(_BOOL_TEXT.__getitem__, cells.tolist())
     if column.dtype.kind == "f":
-        return FLOAT_FORMAT.__mod__
-    return str
+        return FLOAT_FORMAT, np.ndarray.tolist
+    if column.dtype.kind in "iu":
+        return "%d", np.ndarray.tolist
+    return "%s", lambda cells: map(quote, map(str, cells))
 
 
 def write_csv(path: str, columns: dict) -> None:
-    """One row per entry of the equal-length arrays in `columns`."""
+    """One row per entry of the equal-length arrays in `columns`.
+
+    Each row is one % of a row format built from the column dtypes, and
+    the rows stream from the arrays CSV_BLOCK_ROWS at a time.  The bytes
+    are those csv.writer writes with QUOTE_MINIMAL and CRLF line ends.
+    """
     arrays = [np.asarray(a) for a in columns.values()]
     if len({len(a) for a in arrays}) > 1:
         raise ValueError("CSV columns differ in length")
+    quote = _lone_field if len(arrays) == 1 else _field
+    formats = [_cell_format(a, quote) for a in arrays]
+    row = ",".join(fmt for fmt, _ in formats) + "\r\n"
+    rows = len(arrays[0]) if arrays else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n",
-                            quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(columns)
-        writer.writerows(zip(*(map(_cell_format(a), a) for a in arrays)))
+        fh.write(",".join(map(quote, map(str, columns))) + "\r\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = [convert(a[block]) for a, (_, convert) in zip(arrays,
+                                                                  formats)]
+            fh.writelines(map(row.__mod__, zip(*cells)))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

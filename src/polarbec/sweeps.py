@@ -231,9 +231,10 @@ def _chi_grid_columns(cavity, base_index, dyes, l_max, kappa_override, solver,
         for d, dye in enumerate(dyes):
             states = steady_states(RateSystem.from_tables(
                 build_rate_table(dye, ladder), ladder, dye), pumps, solver)
+            own = states.N if n > 1 else states.N[0]    # one pump: 1-D
             for slot in slots:
-                N = states.N if slot == k else np.concatenate(
-                    (states.N[:, nl:], states.N[:, :nl]), axis=1)
+                N = own if slot == k else np.concatenate(
+                    (own[..., nl:], own[..., :nl]), axis=-1)
                 point = {**vars(states), **_readout(N, ladder)}
                 start = (d * m + slot) * n
                 for name, column in out.items():

@@ -700,22 +700,65 @@ def test_a_lone_row_solves_to_the_bits_of_its_row_in_a_column(l_max):
         assert steps_0.tolist() == [0]
 
 
-@pytest.mark.parametrize("M, up, dn", [
-    (1.88e278, 1e124, 1e124),   # umax overflows: no h(u) is evaluated
-    (1e10, 1.0, 1e300),         # x_scale overflows: h(u) is inf
-    (1e-300, 1e-30, 1e-30),     # x_scale underflows to 0: x = (umax - u) / 0
-])
-def test_a_lone_row_of_an_overflowing_system_matches_its_column(M, up, dn):
+# (deg, up, dn, kap, M, gamma_dn) of two-mode systems whose bounds or
+# search meet an overflow, a zero or a tie
+DEGENERATE_SYSTEMS = {
+    # umax overflows: no h(u) is evaluated
+    "umax_inf": ([1, 2], [1e124, 2e124], [1e124, 3e124], [1e8, 2e8],
+                 1.88e278, 1e9),
+    # x_scale overflows: h(u) is inf
+    "x_scale_inf": ([1, 2], [1.0, 2.0], [1e300, 3e300], [1e8, 2e8], 1e10,
+                    1e9),
+    # x_scale underflows to 0: x = (umax - u) / 0
+    "x_scale_0": ([1, 2], [1e-30, 2e-30], [1e-30, 3e-30], [1e8, 2e8],
+                  1e-300, 1e9),
+    # no decay of the excitation but through the cavity
+    "gamma_dn_0": ([1, 2], [1.0, 2.0], [10.0, 30.0], [1e8, 2e8], 1e9, 0.0),
+    # no molecules: the empty cavity, no search
+    "M_0": ([1, 2], [1.0, 2.0], [10.0, 30.0], [1e8, 2e8], 0.0, 1e9),
+    # a loser tied with the winner at x_max (margin 0 there): T = inf
+    "T_inf_tie": ([1, 2], [1.0, 1.0], [10.0, 10.0], [1e8, 1e8], 1e9, 1e9),
+    # a loser whose gap at x_max is inside the slack: T = inf as well
+    "T_inf_near_tie": ([1, 2], [1.0, 1.0], [10.0, 10.0 * (1.0 + 1e-12)],
+                       [1e8, 1e8], 1e9, 1e9),
+}
+
+
+@pytest.mark.parametrize("system", list(DEGENERATE_SYSTEMS.values()),
+                         ids=list(DEGENERATE_SYSTEMS))
+def test_a_lone_row_of_an_overflowing_system_matches_its_column(system):
     # the lone path keeps x in numpy scalars, which a Python float would
-    # not do: it raises ZeroDivisionError where numpy gives inf
+    # not do: it raises ZeroDivisionError where numpy gives inf; the
+    # bounds of such a system fall back to [0, umax] where they fail
     with np.errstate(all="ignore"):
-        sys_ = RateSystem([1, 2], [up, 2 * up], [dn, 3 * dn], [1e8, 2e8], M,
-                          1e9, 1)
-    for pump in (1e9, 1e300):
-        N, steps = sys_.solve([pump])
-        column = sys_.solve([pump, pump])
-        assert np.array_equal(N[0], column[0][1], equal_nan=True)
-        assert steps[0] == column[1][1]
+        sys_ = RateSystem(*system, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for pump in (0.0, 1e9, 1e300):
+            N, steps = sys_.solve([pump])
+            column = sys_.solve([pump, pump])
+            assert np.array_equal(N[0], column[0][1], equal_nan=True)
+            assert steps[0] == column[1][1]
+        with np.errstate(all="ignore"):
+            ceiling = sys_.root_ceiling(np.array([1e9, 1e300]))
+    assert np.all(ceiling <= sys_.umax)     # NaN fails too
+    if sys_.c_rest == math.inf:     # no ceiling: the search starts at umax
+        assert np.array_equal(ceiling, np.full(2, sys_.umax))
+
+
+@pytest.mark.parametrize("name", ["gamma_dn_0", "T_inf_tie",
+                                  "T_inf_near_tie"])
+def test_degenerate_but_finite_systems_still_converge(name):
+    sys_ = RateSystem(*DEGENERATE_SYSTEMS[name], 1)
+    pumps = np.logspace(6, 13, 15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = steady_states(sys_, pumps, SolverConfig())
+    assert rows.converged.all()
+    N_oracle, _ = bisect_margin_roots(sys_, pumps)
+    assert np.all(np.abs(rows.N - N_oracle) <= 1e-11 * N_oracle)
+    if name != "gamma_dn_0":
+        assert sys_.c_rest == math.inf
 
 
 # --- the root search against the bisection oracle -------------------------------
@@ -739,8 +782,10 @@ def assert_matches_the_oracle(sys_, pumps):
     assert rows.converged.all()
     assert rows.iterations.max() <= 51
     assert np.all(np.abs(rows.N - N_oracle) <= 1e-11 * N_oracle)
-    # the search starts its geometric steps from a bound below the root
-    assert np.all(sys_.root_floor(pumps) < winner_margin(sys_, N_oracle))
+    # the search starts between a bound below the root and one above it
+    root = winner_margin(sys_, N_oracle)
+    assert np.all(sys_.root_floor(pumps) < root)
+    assert np.all(sys_.root_ceiling(pumps) > root)
 
 
 @pytest.mark.parametrize("l_max", [0, 30, 200, 2000])
@@ -748,6 +793,83 @@ def test_root_search_matches_the_bisection_oracle(l_max):
     # the root sits decades below umax, behind a band where h = +inf
     _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
     assert_matches_the_oracle(sys_, HAZARD_PUMPS)
+
+
+# pumps from far below the knee to far above it, and across the knee
+BOUND_PUMPS = np.concatenate([np.logspace(6, 13, 29),
+                              np.linspace(0.9, 1.2, 13) * TEFF_L0])
+
+
+def bracket_the_oracle(sys_, pumps):
+    """(floor, root, ceiling) per pump: both bounds against the root u of
+    the bisection oracle, with the margins that halving the floor and
+    doubling the ceiling promise; a ceiling that found no bound is umax."""
+    root = winner_margin(sys_, bisect_margin_roots(sys_, pumps)[0])
+    floor, ceiling = sys_.root_floor(pumps), sys_.root_ceiling(pumps)
+    assert np.all(floor < 0.5000001 * root)
+    assert np.all((ceiling == sys_.umax) | (ceiling > 1.9999999 * root))
+    assert np.all(ceiling <= sys_.umax)
+    return floor, root, ceiling
+
+
+@pytest.mark.parametrize("l_max", [0, 30, 200, 2000])
+def test_the_bounds_bracket_the_oracle_root(l_max):
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=l_max)
+    floor, root, ceiling = bracket_the_oracle(sys_, BOUND_PUMPS)
+    # each bound binds on its side of the knee: the molecular floor below
+    # it, the ceiling above it
+    below, above = BOUND_PUMPS < 0.5 * TEFF_L0, BOUND_PUMPS > 2.0 * TEFF_L0
+    assert np.all(floor[below] > 0.49 * root[below])
+    assert np.all(ceiling[above] < 2.01 * root[above])
+
+
+@pytest.mark.parametrize("M", [1e7, 1e9, 1e11])
+@pytest.mark.parametrize("gamma_down", [1e7, 1e9, 1e11])
+def test_the_bounds_bracket_the_oracle_root_over_the_bath(M, gamma_down):
+    ladder = mode_ladder(make_cavity(), SWEEP_INDICES, 30, KAPPA)
+    dye = make_dye(M=M, gamma_down=gamma_down)
+    sys_ = RateSystem.from_tables(build_rate_table(dye, ladder), ladder, dye)
+    bracket_the_oracle(sys_, BOUND_PUMPS)
+    assert_matches_the_oracle(sys_, BOUND_PUMPS)
+
+
+def test_the_bounds_read_only_their_own_rows_pump():
+    # a lone row, its row in a stack and its mirror row search from the
+    # same bracket, with the same bits and the same number of h(u) calls
+    ladder, sys_ = ladder_system(SWEEP_INDICES, l_max=30)
+    _, mirror = ladder_system(MediumIndices(SWEEP_INDICES.n_R,
+                                            SWEEP_INDICES.n_L), l_max=30)
+    pumps = BOUND_PUMPS
+    for bound in ("root_floor", "root_ceiling"):
+        stacked = getattr(sys_, bound)(pumps)
+        assert stacked.tobytes() == getattr(mirror, bound)(pumps).tobytes()
+        for k, pump in enumerate(pumps.tolist()):
+            assert getattr(sys_, bound)(pump) == stacked[k]
+    N, steps = sys_.solve(pumps)
+    N_m, steps_m = mirror.solve(pumps)
+    nl = ladder.n_left
+    assert np.array_equal(N[:, :nl], N_m[:, nl:])
+    assert np.array_equal(N[:, nl:], N_m[:, :nl])
+    assert np.array_equal(steps, steps_m)
+    for k, pump in enumerate(pumps.tolist()):
+        N_k, steps_k = sys_.solve([pump])
+        assert np.array_equal(N_k[0], N[k]) and steps_k[0] == steps[k]
+
+
+@pytest.mark.parametrize("shortfall", [0.5, 0.99])
+def test_a_ceiling_below_the_root_is_never_reported_converged(monkeypatch,
+                                                              shortfall):
+    # the search never sees h < 0 at its upper end, so its read-off is
+    # wrong, and the norm of its drift must say so
+    _, sys_ = ladder_system(SWEEP_INDICES, l_max=30)
+    pumps = BOUND_PUMPS
+    root = winner_margin(sys_, bisect_margin_roots(sys_, pumps)[0])
+    short = dict(zip(pumps.tolist(), (shortfall * root).tolist()))
+    monkeypatch.setattr(RateSystem, "root_ceiling", lambda self, p: (
+        np.vectorize(short.__getitem__, otypes=[float])(p)))
+    assert not steady_states(sys_, pumps, SolverConfig()).converged.any()
+    for pump in pumps.tolist():
+        assert not steady_states(sys_, [pump], SolverConfig()).converged[0]
 
 
 def test_root_search_survives_an_exact_zero_plateau():
